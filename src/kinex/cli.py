@@ -205,6 +205,8 @@ def load_experiment_config(
         cfg.workers = threads
     if cfg.workers < 1:
         raise ConfigError(f"workers={cfg.workers} must be >= 1")
+    if not 0.0 < cfg.tail_fraction <= 0.5:
+        raise ConfigError(f"tail_fraction={cfg.tail_fraction} outside (0, 0.5]")
     return cfg
 
 
@@ -538,6 +540,9 @@ def main(argv: list[str] | None = None) -> int:
         violations = HANDLERS[args.experiment](cfg)
     except ConfigError as e:
         print(f"kinex: config error: {e}", file=sys.stderr)
+        return 2
+    except KinexError as e:
+        print(f"kinex: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"kinex: i/o error: {e}", file=sys.stderr)

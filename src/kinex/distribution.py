@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .exchange import ModelSpec, init_ensemble, run_time_step
+from .exchange import BATCH_MIN_ROWS, EnsembleBlock, ModelSpec, init_ensemble, run_time_step
 from .expfit import _linear_fit
-from .streams import RngStream
+from .streams import RngStream, map_stream_blocks
 
 
 @dataclass
@@ -24,19 +23,51 @@ class EquilibriumSample:
     n_agents: int
 
 
-def _equilibrium_worker(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    spec, n, equil_steps, sample_steps, master_seed, c = args
-    rng = RngStream(master_seed, c)
-    ens = init_ensemble(spec, n, rng)
+def _sample(step, wealth, equil_steps: int, sample_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equilibrate, then average the wealth over the sampling steps.
+
+    ``step()`` advances the economies by one time step and ``wealth()`` reads
+    their current wealth.  Returns (final wealth, time-averaged wealth); with no
+    sampling steps the average is the final snapshot.
+    """
     for _ in range(equil_steps):
-        run_time_step(ens, spec, rng)
+        step()
     if sample_steps <= 0:
-        return ens.wealth.copy(), ens.saving.copy(), ens.wealth.copy()
-    acc = np.zeros(n)
+        return wealth().copy(), wealth().copy()
+    acc = np.zeros_like(wealth())
     for _ in range(sample_steps):
-        run_time_step(ens, spec, rng)
-        acc += ens.wealth
-    return ens.wealth.copy(), ens.saving.copy(), acc / sample_steps
+        step()
+        acc += wealth()
+    return wealth().copy(), acc / sample_steps
+
+
+def _equilibrium_config(spec: ModelSpec, n: int, equil_steps: int, sample_steps: int, rng):
+    """One configuration stepped by run_time_step: (wealth, saving, time-averaged wealth)."""
+    ens = init_ensemble(spec, n, rng)
+    final, avg = _sample(
+        lambda: run_time_step(ens, spec, rng), lambda: ens.wealth, equil_steps, sample_steps
+    )
+    return final, ens.saving.copy(), avg
+
+
+def _equilibrium_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pooled (wealth, saving, time-averaged wealth) of streams [start, stop).
+
+    Top-level so a process pool can pickle it.  Blocks of BATCH_MIN_ROWS or more
+    run through EnsembleBlock; smaller ones step each configuration on its own.
+    Both give the same bits.
+    """
+    spec, n, equil_steps, sample_steps, master_seed, start, stop = args
+    if stop - start < BATCH_MIN_ROWS:
+        parts = [
+            _equilibrium_config(spec, n, equil_steps, sample_steps, RngStream(master_seed, c))
+            for c in range(start, stop)
+        ]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    rngs = [RngStream(master_seed, c) for c in range(start, stop)]
+    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    final, avg = _sample(block.step, lambda: block.wealth, equil_steps, sample_steps)
+    return final, block.saving.copy(), avg
 
 
 def run_equilibrium(
@@ -52,13 +83,9 @@ def run_equilibrium(
     if n_configs < 1:
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
     spec.validate()
-    jobs = [(spec, n, equil_steps, sample_steps, master_seed, c) for c in range(n_configs)]
-    if workers > 1 and n_configs > 1:
-        chunk = max(1, n_configs // (workers * 4))
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_equilibrium_worker, jobs, chunksize=chunk)
-    else:
-        parts = [_equilibrium_worker(job) for job in jobs]
+    parts = map_stream_blocks(
+        _equilibrium_block, (spec, n, equil_steps, sample_steps, master_seed), n_configs, workers
+    )
     return EquilibriumSample(
         wealth=np.concatenate([p[0] for p in parts]),
         saving=np.concatenate([p[1] for p in parts]),

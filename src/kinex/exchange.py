@@ -1,4 +1,9 @@
-"""Pairwise wealth-exchange rules and the N-interaction time step.
+"""Pairwise wealth-exchange rules, the N-interaction time step, and the batched
+block kernel that runs that step for many economies at once.
+
+The scalar ``exchange_*`` functions state each rule and are the test oracle;
+:func:`run_time_step` inlines them for one economy, and :class:`EnsembleBlock`
+repeats the same operations for a block of economies, bit for bit.
 
 All rules are zero-sum: every interaction redistributes the pair total
 ``w_i + w_j`` between the two agents.  Conservation is enforced structurally
@@ -206,15 +211,25 @@ def _lattice_neighbors(side: int) -> np.ndarray:
     return nbr
 
 
-def _draw_pairs(spec: ModelSpec, n: int, g: np.random.Generator) -> tuple[list, list]:
+def _draw_slots(spec: ModelSpec, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One step's raw pair draws: the first agent of each slot, then the partner draw
+    (an index among the other n-1 agents, or a lattice direction)."""
     ii = g.integers(0, n, size=n)
     if spec.pairing == MEAN_FIELD:
-        jj = g.integers(0, n - 1, size=n)
-        jj = jj + (jj >= ii)  # shift past i so that j != i
-    else:
-        d = g.integers(0, 4, size=n)
-        jj = _lattice_neighbors(spec.lattice_side)[ii, d]
-    return ii.tolist(), jj.tolist()
+        return ii, g.integers(0, n - 1, size=n)
+    return ii, g.integers(0, 4, size=n)
+
+
+def _partners(spec: ModelSpec, ii: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Map raw partner draws to agent indices; works row-wise on stacked draws too."""
+    if spec.pairing == MEAN_FIELD:
+        return raw + (raw >= ii)  # shift past i so that j != i
+    return _lattice_neighbors(spec.lattice_side)[ii, raw]
+
+
+def _draw_pairs(spec: ModelSpec, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    ii, raw = _draw_slots(spec, n, g)
+    return ii, _partners(spec, ii, raw)
 
 
 def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
@@ -232,6 +247,8 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     before = ens.wealth.copy()
     w = ens.wealth.tolist()
     ii, jj = _draw_pairs(spec, n, g)
+    ii = ii.tolist()
+    jj = jj.tolist()
     rule = spec.rule
 
     if rule == GENERAL:
@@ -295,3 +312,140 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     after = np.asarray(w)
     ens.wealth = after
     return float(np.abs(after - before).sum())
+
+
+# Blocks of at least this many economies run through EnsembleBlock; smaller ones
+# step each economy with run_time_step.  Against that per-economy loop, at N=100
+# and N=1000 agents, 16 rows ran at ~0.8x, 32 rows at ~1.3x and 64 rows at
+# 1.7-2.1x, so the batched path is taken only where it clearly wins.
+BATCH_MIN_ROWS = 64
+
+
+class EnsembleBlock:
+    """R independent economies of n agents, advanced together slot by slot.
+
+    Row r is ``ensembles[r]`` driven by ``rngs[r]``; its wealth occupies
+    ``wealth[r*n:(r+1)*n]`` of one flat array.  On every step each row's
+    generator draws exactly what :func:`run_time_step` draws, in the same order;
+    then interaction slot k updates slot k of every row at once through flat
+    indices.  Rows share no agents, so each economy sees the same floating-point
+    operations in the same order as under :func:`run_time_step`, and a block
+    reproduces it bit for bit.
+    """
+
+    def __init__(self, spec: ModelSpec, ensembles: list[AgentEnsemble], rngs: list[RngStream]):
+        rows = len(ensembles)
+        n = ensembles[0].n_agents
+        self.spec = spec
+        self.n_agents = n
+        self.wealth = np.concatenate([e.wealth for e in ensembles])
+        self.saving = np.concatenate([e.saving for e in ensembles])
+        self._gens = [rng.gen for rng in rngs]
+        self._offsets = np.arange(rows) * n
+        # Buffers reused on every step, all slot-major: row k of _pairs holds the
+        # flat index of agent i in every economy, then that of its partner j;
+        # row k of _coef holds slot k's split coefficient in every economy.
+        self._pairs = np.empty((n, 2 * rows), dtype=np.int64)
+        self._coef = np.empty((2 if spec.rule == GENERAL else 1, n, rows))
+        self._redraw = spec.rule == GENERAL or spec.eps_fixed is None
+        if spec.rule == FIXED_SAVING and not self._redraw:
+            self._coef.fill(spec.eps_fixed * (1.0 - spec.lambda_fixed))
+        elif not self._redraw:
+            self._coef.fill(spec.eps_fixed)
+        if spec.rule == DISTRIBUTED_SAVING:
+            self._lam = np.empty((3, n, rows))  # lam_i, 1-lam_i, 1-lam_j per slot
+        self._before = np.empty(rows * n)
+        self._out = np.empty(2 * rows)
+        self._total = np.empty(rows)
+        self._tmp = np.empty(rows)
+
+    def _draw(self) -> None:
+        spec, n, rows = self.spec, self.n_agents, len(self._gens)
+        first, second = self._pairs[:, :rows], self._pairs[:, rows:]
+        coef = self._coef
+        for r, g in enumerate(self._gens):
+            first[:, r], second[:, r] = _draw_slots(spec, n, g)
+            if spec.rule == GENERAL:
+                coef[0, :, r] = g.uniform(*spec.eps1_window, size=n)
+                coef[1, :, r] = g.uniform(*spec.eps2_window, size=n)
+            elif self._redraw:
+                coef[0, :, r] = g.random(n)
+        second[...] = _partners(spec, first, second)
+        first += self._offsets
+        second += self._offsets
+        if spec.rule == FIXED_SAVING and self._redraw:
+            coef *= 1.0 - spec.lambda_fixed  # eps * (1 - lam), as in run_time_step
+        if spec.rule == DISTRIBUTED_SAVING:
+            lam_i, keep_i, keep_j = self._lam
+            np.take(self.saving, first, out=lam_i)
+            np.subtract(1.0, lam_i, out=keep_i)
+            np.take(self.saving, second, out=keep_j)
+            np.subtract(1.0, keep_j, out=keep_j)
+
+    def step(self) -> np.ndarray:
+        """Run one time step (N slots) of every row in place.
+
+        Returns each row's sum_i |w_i(after) - w_i(before)|, as run_time_step does.
+        """
+        self._draw()
+        rows, n = len(self._gens), self.n_agents
+        w = self.wealth
+        np.copyto(self._before, w)
+        out, total, tmp = self._out, self._total, self._tmp
+        new_i, new_j = out[:rows], out[rows:]
+        rule = self.spec.rule
+        # Each line repeats one operation of run_time_step's loop, operands in the
+        # same order.  min(total, new_i) is its clamp: new_j = total - new_i < 0
+        # exactly when new_i > total, and then new_i = total gives new_j = 0.
+        # On a tie np.minimum returns its second operand, so new_i keeps its own
+        # bits (a -0.0 from eps = -0.0 included), as it does in run_time_step.
+        if rule == PURE_GAMBLING:
+            for pair, e in zip(self._pairs, self._coef[0]):
+                v = w[pair]
+                np.add(v[:rows], v[rows:], out=total)
+                np.multiply(e, total, out=new_i)
+                np.minimum(total, new_i, out=new_i)
+                np.subtract(total, new_i, out=new_j)
+                w[pair] = out
+        elif rule == FIXED_SAVING:
+            lam = self.spec.lambda_fixed
+            for pair, c in zip(self._pairs, self._coef[0]):
+                v = w[pair]
+                wi = v[:rows]
+                np.add(wi, v[rows:], out=total)
+                np.multiply(lam, wi, out=new_i)
+                np.multiply(c, total, out=tmp)
+                np.add(new_i, tmp, out=new_i)
+                np.minimum(total, new_i, out=new_i)
+                np.subtract(total, new_i, out=new_j)
+                w[pair] = out
+        elif rule == DISTRIBUTED_SAVING:
+            for pair, e, lam_i, keep_i, keep_j in zip(self._pairs, self._coef[0], *self._lam):
+                v = w[pair]
+                wi = v[:rows]
+                wj = v[rows:]
+                np.add(wi, wj, out=total)
+                np.multiply(keep_i, wi, out=tmp)
+                np.multiply(keep_j, wj, out=new_j)
+                np.add(tmp, new_j, out=tmp)
+                np.multiply(e, tmp, out=tmp)
+                np.multiply(lam_i, wi, out=new_i)
+                np.add(new_i, tmp, out=new_i)
+                np.minimum(total, new_i, out=new_i)
+                np.subtract(total, new_i, out=new_j)
+                w[pair] = out
+        else:  # GENERAL: no clamp, outputs may be negative
+            for pair, e1, e2 in zip(self._pairs, *self._coef):
+                v = w[pair]
+                wi = v[:rows]
+                wj = v[rows:]
+                np.multiply(e1, wi, out=new_i)
+                np.multiply(e2, wj, out=tmp)
+                np.add(new_i, tmp, out=new_i)
+                np.add(wi, wj, out=total)
+                np.subtract(total, new_i, out=new_j)
+                w[pair] = out
+        diff = self._before
+        np.subtract(w, diff, out=diff)
+        np.abs(diff, out=diff)
+        return diff.reshape(rows, n).sum(axis=1)

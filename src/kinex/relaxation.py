@@ -8,15 +8,14 @@ observable per step; the averaged series decays toward an equilibrium plateau.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidParameter, ShapeError
-from .exchange import ModelSpec, init_ensemble, run_time_step
-from .streams import RngStream
+from .exchange import BATCH_MIN_ROWS, EnsembleBlock, ModelSpec, init_ensemble, run_time_step
+from .streams import RngStream, map_stream_blocks
 
 DEFAULT_TAIL_FRACTION = 0.25
 
@@ -53,14 +52,32 @@ def mean_abs_change(prev: np.ndarray, curr: np.ndarray) -> float:
     return float(np.abs(curr - prev).mean())
 
 
-def _config_series(args) -> np.ndarray:
-    """One configuration's observable trace; top-level so Pool can pickle it."""
-    spec, n, t_max, master_seed, stream_index = args
-    rng = RngStream(master_seed, stream_index)
+def _config_series(spec: ModelSpec, n: int, t_max: int, rng: RngStream) -> np.ndarray:
+    """One configuration's observable trace, stepped by run_time_step."""
     ens = init_ensemble(spec, n, rng)
     xs = np.empty(t_max)
     for t in range(t_max):
         xs[t] = run_time_step(ens, spec, rng) / n
+    return xs
+
+
+def _block_series(args) -> np.ndarray:
+    """Observable traces of streams [start, stop), one row per configuration.
+
+    Top-level so a process pool can pickle it.  Blocks of BATCH_MIN_ROWS or more
+    run through EnsembleBlock; smaller ones step each configuration on its own.
+    Both give the same bits.
+    """
+    spec, n, t_max, master_seed, start, stop = args
+    if stop - start < BATCH_MIN_ROWS:
+        return np.array(
+            [_config_series(spec, n, t_max, RngStream(master_seed, c)) for c in range(start, stop)]
+        )
+    rngs = [RngStream(master_seed, c) for c in range(start, stop)]
+    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    xs = np.empty((len(rngs), t_max))
+    for t in range(t_max):
+        xs[:, t] = block.step() / n
     return xs
 
 
@@ -84,17 +101,11 @@ def run_relaxation(
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
     spec.validate()
 
-    jobs = [(spec, n, t_max, master_seed, c) for c in range(n_configs)]
-    if workers > 1 and n_configs > 1:
-        chunk = max(1, n_configs // (workers * 4))
-        with multiprocessing.Pool(workers) as pool:
-            traces = pool.map(_config_series, jobs, chunksize=chunk)
-    else:
-        traces = [_config_series(job) for job in jobs]
-
+    blocks = map_stream_blocks(_block_series, (spec, n, t_max, master_seed), n_configs, workers)
     acc = np.zeros(t_max)
-    for xs in traces:  # fixed order: bitwise identical for any worker count
-        acc += xs
+    for traces in blocks:
+        for xs in traces:  # stream order: bitwise identical for any worker count
+            acc += xs
     return RelaxationSeries(
         t=np.arange(1, t_max + 1),
         x_mean=acc / n_configs,

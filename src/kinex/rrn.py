@@ -11,14 +11,13 @@ nodes, the direct analog of the wealth-model observable.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameter
 from .relaxation import RelaxationSeries
-from .streams import RngStream
+from .streams import RngStream, map_stream_blocks
 
 G_FLOOR = 1e-9  # excludes zero-conductance bonds so no node is isolated
 
@@ -168,13 +167,21 @@ def solve_kirchhoff_dense(lat: ResistorLattice) -> np.ndarray:
     return v.reshape(n_rows, L)
 
 
-def _realization_series(args) -> np.ndarray:
-    L, g_window, t_max, master_seed, stream_index, init = args
-    lat = build_lattice(L, g_window, RngStream(master_seed, stream_index), init=init)
+def _realization_series(L, g_window, t_max, init, rng: RngStream) -> np.ndarray:
+    lat = build_lattice(L, g_window, rng, init=init)
     xs = np.empty(t_max)
     for t in range(t_max):
         xs[t] = relax_sweep(lat)
     return xs
+
+
+def _block_series(args) -> list[np.ndarray]:
+    """Sweep traces of realizations [start, stop); top-level so Pool can pickle it."""
+    L, g_window, t_max, init, master_seed, start, stop = args
+    return [
+        _realization_series(L, g_window, t_max, init, RngStream(master_seed, c))
+        for c in range(start, stop)
+    ]
 
 
 def run_rrn_relaxation(
@@ -196,17 +203,13 @@ def run_rrn_relaxation(
     if n_configs < 1:
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
 
-    jobs = [(L, g_window, t_max, master_seed, c, init) for c in range(n_configs)]
-    if workers > 1 and n_configs > 1:
-        chunk = max(1, n_configs // (workers * 4))
-        with multiprocessing.Pool(workers) as pool:
-            traces = pool.map(_realization_series, jobs, chunksize=chunk)
-    else:
-        traces = [_realization_series(job) for job in jobs]
-
+    blocks = map_stream_blocks(
+        _block_series, (L, g_window, t_max, init, master_seed), n_configs, workers
+    )
     acc = np.zeros(t_max)
-    for xs in traces:
-        acc += xs
+    for traces in blocks:
+        for xs in traces:
+            acc += xs
     return RelaxationSeries(
         t=np.arange(1, t_max + 1),
         x_mean=acc / n_configs,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -182,6 +183,26 @@ class TestCommands:
         bad.write_text("- just\n- a list\n", encoding="utf-8")
         assert main(["relax", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "override,error",
+        [
+            ({"n_agents": 1}, "InvalidSize"),
+            ({"model": {**BASE["model"], "lambda_window": [0.5, 0.2]}}, "InvalidParameter"),
+        ],
+    )
+    def test_kinex_errors_exit_2_with_one_line(self, tmp_path, capsys, override, error):
+        p = write_cfg(tmp_path, {**BASE, **override})
+        assert main(["relax", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kinex: ") and error in err
+        assert err.count("\n") == 1
+
+    def test_bad_tail_fraction_fails_before_simulating(self, tmp_path):
+        p = write_cfg(tmp_path, {**BASE, "tail_fraction": 0.9})
+        out = tmp_path / "tf"
+        assert main(["relax", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_strict_flags_ordering_violation(self, tmp_path):
         # a single window cannot violate the ordering check
         payload = {**BASE, "t_max": 40, "lambda-family": {"lambda_windows": [[0.0, 1.0]]}}
@@ -210,3 +231,15 @@ class TestCommands:
             if r and not r.startswith("#") and not r.startswith("form,")
         ]
         assert rows and all(not r.endswith(",ok") for r in rows)
+
+
+def test_preset_relax_reproduces_committed_digests(tmp_path):
+    """The desk preset (500 configurations, 1 worker) matches the committed out/relax run."""
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "relax"
+    preset = root / "configs" / "experiments.yaml"
+    assert main(["relax", "--config", str(preset), "--out", str(out), "--threads", "1"]) == 0
+    got = json.loads((out / "manifest.json").read_text())["outputs"]
+    want = json.loads((root / "out" / "relax" / "manifest.json").read_text())["outputs"]
+    assert got["series_relax.csv"] == want["series_relax.csv"] == "05c144e6cac12faa"
+    assert got["fit_relax.csv"] == want["fit_relax.csv"]

@@ -1,0 +1,211 @@
+"""The batched EnsembleBlock kernel against the per-configuration time step.
+
+Stepping R economies together must reproduce run_time_step bit for bit, per
+step and in the final wealth, for every rule, pairing, split mode and initial
+condition; run_time_step in turn must reproduce the scalar exchange_* rules.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kinex import (
+    ModelSpec,
+    RngStream,
+    exchange_distributed_saving,
+    exchange_fixed_saving,
+    exchange_general,
+    exchange_pure_gambling,
+    init_ensemble,
+    run_time_step,
+)
+from kinex.distribution import run_equilibrium
+from kinex.exchange import (
+    BATCH_MIN_ROWS,
+    INITS,
+    LATTICE_2D,
+    PAIRINGS,
+    RULES,
+    EnsembleBlock,
+    _draw_pairs,
+)
+from kinex.relaxation import run_relaxation
+
+BLOCK_SIZES = (1, 2, 63, 64, 100)
+SAVING_RULES = ("pure_gambling", "fixed_saving", "distributed_saving")
+
+
+def _per_config(spec, n, steps, seed, streams):
+    """Oracle: (per-step |dw| sums, final wealth) per stream via run_time_step."""
+    traces, finals = [], []
+    for c in streams:
+        rng = RngStream(seed, c)
+        ens = init_ensemble(spec, n, rng)
+        traces.append([run_time_step(ens, spec, rng) for _ in range(steps)])
+        finals.append(ens.wealth)
+    return np.array(traces), np.concatenate(finals)
+
+
+def _block(spec, n, steps, seed, streams):
+    rngs = [RngStream(seed, c) for c in streams]
+    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    traces = np.array([block.step() for _ in range(steps)]).T
+    return traces, block.wealth
+
+
+unit = st.floats(0.0, 1.0)
+window = st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)).map(sorted).map(tuple)
+
+
+@pytest.mark.parametrize(
+    "rule,pairing,redraw,init", list(itertools.product(RULES, PAIRINGS, (True, False), INITS))
+)
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 16),
+    eps=unit,
+    lam=st.floats(0.0, 1.0, exclude_max=True),
+    lam_window=st.tuples(unit, unit).filter(lambda w: w[0] != w[1]).map(sorted).map(tuple),
+    eps1_window=window,
+    eps2_window=window,
+    total=st.floats(0.5, 1e3),
+    steps=st.integers(1, 5),
+)
+def test_block_matches_per_config_bit_for_bit(
+    rule, pairing, redraw, init, seed, size, eps, lam, lam_window, eps1_window, eps2_window,
+    total, steps,
+):
+    side = max(2, round(size**0.5))
+    n = side * side if pairing == LATTICE_2D else size
+    spec = ModelSpec(
+        rule=rule,
+        pairing=pairing,
+        lattice_side=side if pairing == LATTICE_2D else None,
+        eps_fixed=None if redraw else eps,
+        lambda_fixed=lam,
+        lambda_window=lam_window,
+        eps1_window=eps1_window,
+        eps2_window=eps2_window,
+        init=init,
+        init_total=total,
+    )
+    want_traces, want_final = _per_config(spec, n, steps, seed, range(max(BLOCK_SIZES)))
+    for rows in BLOCK_SIZES:
+        start = max(BLOCK_SIZES) - rows  # blocks need not start at stream 0
+        got_traces, got_final = _block(spec, n, steps, seed, range(start, start + rows))
+        assert got_traces.tobytes() == want_traces[start:].tobytes()
+        assert got_final.tobytes() == want_final[start * n:].tobytes()
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_block_conserves_each_economy_and_keeps_saving_rules_nonneg(rule, pairing):
+    side = 5
+    n = side * side
+    spec = ModelSpec(
+        rule=rule,
+        pairing=pairing,
+        lattice_side=side,
+        lambda_fixed=0.6,
+        lambda_window=(0.0, 1.0),
+        eps1_window=(-0.5, 1.5),
+        init="uniform_random",
+    )
+    rngs = [RngStream(8, c) for c in range(BATCH_MIN_ROWS)]
+    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    totals = block.wealth.reshape(-1, n).sum(axis=1)
+    for _ in range(100):
+        block.step()
+        if rule in SAVING_RULES:
+            assert block.wealth.min() >= 0.0
+    np.testing.assert_allclose(block.wealth.reshape(-1, n).sum(axis=1), totals, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(rule="fixed_saving", lambda_fixed=0.1, eps_fixed=1.0, init="delta_one_agent"),
+        ModelSpec(
+            rule="distributed_saving",
+            lambda_window=(0.0, 0.2),
+            eps_fixed=1.0,
+            init="delta_one_agent",
+        ),
+        ModelSpec(rule="pure_gambling", eps_fixed=-0.0, init="delta_one_agent"),
+    ],
+)
+def test_block_clamps_overshoot_like_per_config(spec):
+    # At eps = 1 and small lam, with most agents at zero wealth, lam*w_i +
+    # eps*(1-lam)*total often rounds above the pair total, so the new_j < 0 clamp
+    # fires.  eps = -0.0 on zero-wealth pairs gives new_i = -0.0 = total, a tie
+    # the clamp must leave alone.
+    want_traces, want_final = _per_config(spec, 10, 40, 2, range(BATCH_MIN_ROWS))
+    got_traces, got_final = _block(spec, 10, 40, 2, range(BATCH_MIN_ROWS))
+    assert got_final.min() >= 0.0
+    assert got_traces.tobytes() == want_traces.tobytes()
+    assert got_final.tobytes() == want_final.tobytes()
+
+
+def test_block_partners_are_distinct_and_lattice_neighbours():
+    side = 4
+    spec = ModelSpec(pairing=LATTICE_2D, lattice_side=side)
+    rngs = [RngStream(3, c) for c in range(3)]
+    block = EnsembleBlock(spec, [init_ensemble(spec, side * side, rng) for rng in rngs], rngs)
+    block.step()
+    ii, jj = np.split(block._pairs, 2, axis=1)
+    row_i, row_j = ii // (side * side), jj // (side * side)
+    assert np.array_equal(row_i, row_j)  # partners never cross economies
+    ri, ci = np.divmod(ii % (side * side), side)
+    rj, cj = np.divmod(jj % (side * side), side)
+    dist = np.minimum(np.abs(ri - rj), side - np.abs(ri - rj)) + np.minimum(
+        np.abs(ci - cj), side - np.abs(ci - cj)
+    )
+    assert np.all(dist == 1)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_time_step_replays_the_scalar_rules(rule):
+    """The scalar exchange_* functions are the oracle for the inlined loop."""
+    spec = ModelSpec(rule=rule, lambda_fixed=0.3, eps1_window=(-0.5, 1.5), init="uniform_random")
+    n = 30
+    rng, oracle = RngStream(4, 0), RngStream(4, 0)
+    ens, replay = init_ensemble(spec, n, rng), init_ensemble(spec, n, oracle)
+    for _ in range(3):
+        run_time_step(ens, spec, rng)
+        g = oracle.gen
+        ii, jj = _draw_pairs(spec, n, g)
+        if rule == "general":
+            e1, e2 = g.uniform(*spec.eps1_window, size=n), g.uniform(*spec.eps2_window, size=n)
+        else:
+            ee = g.random(n)
+        w, lam = replay.wealth, replay.saving
+        for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+            if rule == "pure_gambling":
+                w[i], w[j] = exchange_pure_gambling(w[i], w[j], ee[k])
+            elif rule == "fixed_saving":
+                w[i], w[j] = exchange_fixed_saving(w[i], w[j], spec.lambda_fixed, ee[k])
+            elif rule == "distributed_saving":
+                w[i], w[j] = exchange_distributed_saving(w[i], w[j], lam[i], lam[j], ee[k])
+            else:
+                w[i], w[j] = exchange_general(w[i], w[j], e1[k], e2[k])
+        assert ens.wealth.tobytes() == replay.wealth.tobytes()
+
+
+def test_relaxation_batched_block_equals_per_config_chunks():
+    """C=130: one batched block at 1 worker, 16-row per-config chunks at 2 workers."""
+    spec = ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5)
+    one = run_relaxation(spec, 12, 10, 130, master_seed=5, workers=1)
+    two = run_relaxation(spec, 12, 10, 130, master_seed=5, workers=2)
+    assert one.x_mean.tobytes() == two.x_mean.tobytes()
+
+
+def test_equilibrium_batched_block_equals_per_config_chunks():
+    spec = ModelSpec(rule="distributed_saving", lambda_window=(0.2, 0.9))
+    one = run_equilibrium(spec, 12, 6, 4, 130, master_seed=9, workers=1)
+    two = run_equilibrium(spec, 12, 6, 4, 130, master_seed=9, workers=2)
+    for field in ("wealth", "saving", "wealth_time_avg"):
+        assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
