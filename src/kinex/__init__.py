@@ -45,7 +45,6 @@ from .exchange import (
 from .expfit import ExpFitResult, auto_window, fit_pure, fit_shifted
 from .relaxation import (
     RelaxationSeries,
-    equilibrium_window_mean,
     equilibrium_window_stats,
     mean_abs_change,
     read_series_csv,
@@ -109,7 +108,6 @@ __all__ = [
     "run_time_step",
     "mean_abs_change",
     "run_relaxation",
-    "equilibrium_window_mean",
     "equilibrium_window_stats",
     "write_series_csv",
     "read_series_csv",

@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,6 @@ from .reports import (
 )
 from .rrn import INIT_HALF, build_lattice, node_current_residuals, relax_sweep, run_rrn_relaxation, solve_kirchhoff_dense
 from .streams import RngStream
-
-EXPERIMENTS = ("relax", "dist", "eps-sweep", "lambda-family", "rrn", "fit")
 
 
 @dataclass
@@ -81,12 +80,41 @@ class ExperimentConfig:
     fit_window: tuple[int, int] | None = None
 
 
-def _as_window(value, name: str) -> tuple[float, float]:
-    try:
-        lo, hi = value
-        return float(lo), float(hi)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{name} must be a [lo, hi] pair, got {value!r}") from e
+def _pair(value, cast=float) -> tuple:
+    lo, hi = value
+    return cast(lo), cast(hi)
+
+
+# YAML value -> annotated field type, for ExperimentConfig and ModelSpec alike.
+_CASTS = {
+    "int": int,
+    "float": float,
+    "bool": bool,
+    "str": str,
+    "Path": Path,
+    "tuple[float, float]": _pair,
+    "tuple[int, int]": lambda v: _pair(v, int),
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+    "tuple[tuple[float, float], ...]": lambda v: tuple(_pair(w) for w in v),
+}
+
+
+def _typed(cls, raw: dict) -> dict:
+    """The non-null entries of ``raw`` naming fields of ``cls``, cast to their annotated types."""
+    typed = {}
+    for f in fields(cls):
+        kind = f.type.removesuffix(" | None")
+        if raw.get(f.name) is None or kind not in _CASTS:
+            continue
+        try:
+            typed[f.name] = _CASTS[kind](raw[f.name])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{f.name}={raw[f.name]!r} cannot be read as {kind}") from e
+    return typed
+
+
+MODEL_KEYS = {f.name for f in fields(ModelSpec)} - {"eps_fixed"}  # set through `epsilon`
+CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"experiment", "strict"}
 
 
 def build_model(raw: dict | None, experiment: str) -> ModelSpec:
@@ -98,23 +126,15 @@ def build_model(raw: dict | None, experiment: str) -> ModelSpec:
     elif eps in (None, "uniform"):
         eps_fixed = None
     else:
-        eps_fixed = float(eps)
+        try:
+            eps_fixed = float(eps)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"epsilon={eps!r} is not a number, 'uniform' or 'default'") from e
 
-    kwargs = {}
-    for key in ("rule", "pairing", "init"):
-        if key in raw:
-            kwargs[key] = str(raw.pop(key))
-    for key in ("lambda_window", "eps1_window", "eps2_window"):
-        if key in raw:
-            kwargs[key] = _as_window(raw.pop(key), key)
-    for key, cast in (("lambda_fixed", float), ("lattice_side", int), ("init_total", float)):
-        if key in raw and raw[key] is not None:
-            kwargs[key] = cast(raw.pop(key))
-        else:
-            raw.pop(key, None)
-    if raw:
-        raise ConfigError(f"unknown model keys: {sorted(raw)}")
-    spec = ModelSpec(eps_fixed=eps_fixed, **kwargs)
+    unknown = sorted(set(raw) - MODEL_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown model keys: {unknown}")
+    spec = ModelSpec(eps_fixed=eps_fixed, **_typed(ModelSpec, raw))
     spec.validate()
     return spec
 
@@ -131,6 +151,8 @@ def load_experiment_config(
     """Read the config file and apply CLI/env overrides.
 
     Worker-count precedence: --threads, then KINEX_THREADS, then the file.
+    Unknown keys and values no run could use raise ConfigError here, before
+    anything is simulated or written.
     """
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
@@ -141,7 +163,7 @@ def load_experiment_config(
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
 
-    merged = {k: v for k, v in raw.items() if k not in EXPERIMENTS}
+    merged = {k: v for k, v in raw.items() if k not in HANDLERS}
     section = raw.get(experiment)
     if section is not None:
         if not isinstance(section, dict):
@@ -151,6 +173,9 @@ def load_experiment_config(
                 merged["model"] = {**merged["model"], **v}
             else:
                 merged[k] = v
+    unknown = sorted(set(merged) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
 
     if threads is None:
         env = os.environ.get("KINEX_THREADS")
@@ -160,115 +185,94 @@ def load_experiment_config(
             except ValueError as e:
                 raise ConfigError(f"KINEX_THREADS={env!r} is not an integer") from e
 
+    overrides = {"master_seed": seed, "output_dir": out, "workers": threads}
+    merged.update({k: v for k, v in overrides.items() if v is not None})
     cfg = ExperimentConfig(
         experiment=experiment,
         model=build_model(merged.get("model"), experiment),
         strict=strict,
+        **_typed(ExperimentConfig, merged),
     )
-    for key, cast in (
-        ("n_agents", int),
-        ("t_max", int),
-        ("n_configs", int),
-        ("master_seed", int),
-        ("workers", int),
-        ("tail_fraction", float),
-        ("side", int),
-        ("bins", int),
-        ("sample_steps", int),
-        ("fit_configs", int),
-        ("rrn_init", str),
-        ("dense_check", bool),
-        ("series_csv", str),
-        ("fit_x0", float),
-    ):
-        if key in merged and merged[key] is not None:
-            setattr(cfg, key, cast(merged[key]))
-    if merged.get("equilibration_steps") is not None:
-        cfg.equilibration_steps = int(merged["equilibration_steps"])
-    if merged.get("output_dir") is not None:
-        cfg.output_dir = Path(merged["output_dir"])
-    if merged.get("eps_values") is not None:
-        cfg.eps_values = tuple(float(v) for v in merged["eps_values"])
-    if merged.get("lambda_windows") is not None:
-        cfg.lambda_windows = tuple(_as_window(w, "lambda_windows") for w in merged["lambda_windows"])
-    if merged.get("g_windows") is not None:
-        cfg.g_windows = tuple(_as_window(w, "g_windows") for w in merged["g_windows"])
-    if merged.get("fit_window") is not None:
-        lo, hi = merged["fit_window"]
-        cfg.fit_window = (int(lo), int(hi))
-
-    if seed is not None:
-        cfg.master_seed = seed
-    if out is not None:
-        cfg.output_dir = Path(out)
-    if threads is not None:
-        cfg.workers = threads
     if cfg.workers < 1:
         raise ConfigError(f"workers={cfg.workers} must be >= 1")
     if not 0.0 < cfg.tail_fraction <= 0.5:
         raise ConfigError(f"tail_fraction={cfg.tail_fraction} outside (0, 0.5]")
+    if cfg.n_agents < 2:
+        raise ConfigError(f"n_agents={cfg.n_agents} must be >= 2")
+    if experiment != "fit" and cfg.t_max < 10:
+        raise ConfigError(f"t_max={cfg.t_max} must be >= 10, the shortest series a plateau fits")
     return cfg
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {k: v for k, v in cfg.__dict__.items() if k != "model"}
-    echo["output_dir"] = str(cfg.output_dir)
-    echo["model"] = dict(cfg.model.__dict__)
-    return echo
+@contextmanager
+def _run_dir(cfg: ExperimentConfig):
+    """Yield the run's manifest, which creates the output directory on first use.
 
-
-def _fit_series(series, tail_fraction, want_pure: bool, want_shifted: bool = True):
-    """Standard fit pass: plateau estimate, auto window, then the requested forms.
-
-    Returns (csv_rows, results_by_form); failures become tagged rows.
+    Outputs are named through ``manifest.path``.  On success they move into the
+    directory next to their manifest; on any exception they are removed, so a
+    failed run leaves the directory as it found it.
     """
-    rows: list[str] = []
-    results: dict[str, object] = {}
-    x0, _ = equilibrium_window_stats(series, tail_fraction)
+    manifest = RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir)
     try:
-        window = auto_window(series, x0, tail_fraction)
-    except KinexError as e:
-        if want_shifted:
-            rows.append(fit_error_row(FORM_SHIFTED, None, e))
-        if want_pure:
-            rows.append(fit_error_row(FORM_PURE, None, e))
-        return rows, results
-    if want_shifted:
+        yield manifest
+        manifest.close()
+    except BaseException:
+        manifest.discard()
+        raise
+
+
+def _fit_series(series, tail_fraction, forms, x0=None, window=None):
+    """The fit pass: plateau x0 and auto window unless given, then each form.
+
+    Returns (window, {form: ExpFitResult or the KinexError its fit raised}).
+    When the auto window fails, window is None and every form carries its error.
+    """
+    if x0 is None:
+        x0, _ = equilibrium_window_stats(series, tail_fraction)
+    if window is None:
         try:
-            fit = fit_shifted(series, window, x0)
-            rows.append(fit.csv_row())
-            results[FORM_SHIFTED] = fit
+            window = auto_window(series, x0, tail_fraction)
         except KinexError as e:
-            rows.append(fit_error_row(FORM_SHIFTED, window, e))
-    if want_pure:
+            return None, dict.fromkeys(forms, e)
+    fits = {}
+    for form in forms:
         try:
-            fit = fit_pure(series, window)
-            rows.append(fit.csv_row())
-            results[FORM_PURE] = fit
+            if form == FORM_SHIFTED:
+                fits[form] = fit_shifted(series, window, x0)
+            else:
+                fits[form] = fit_pure(series, window)
         except KinexError as e:
-            rows.append(fit_error_row(FORM_PURE, window, e))
-    return rows, results
+            fits[form] = e
+    return window, fits
+
+
+def _fit_rows(window, fits) -> list[str]:
+    """Fit-CSV rows; a failed fit keeps its row, tagged with the error name."""
+    return [
+        fit_error_row(form, window, fit) if isinstance(fit, KinexError) else fit.csv_row()
+        for form, fit in fits.items()
+    ]
+
+
+def _tau_row(window, fit) -> dict:
+    """Decay-time table row for one sweep cell; a failed fit gives its error name."""
+    row = {"window_lo": window[0], "window_hi": window[1]}
+    if isinstance(fit, KinexError):
+        return {**row, "status": type(fit).__name__}
+    fitted = {"tau": fit.tau, "tau_stderr": fit.tau_stderr, "r_squared": fit.r_squared}
+    return {**row, **fitted, "status": "ok"}
 
 
 def cmd_relax(cfg: ExperimentConfig) -> list[str]:
     """Single relaxation run: series CSV plus a fit report."""
-    manifest = RunManifest(config=_config_echo(cfg), experiment=cfg.experiment)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
-    series = run_relaxation(
-        cfg.model, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
-    )
-    series_path = out / "series_relax.csv"
-    write_series_csv(series, series_path)
-    manifest.record(series_path)
-
-    want_pure = cfg.model.eps_fixed == 0.5
-    rows, _ = _fit_series(series, cfg.tail_fraction, want_pure=want_pure)
-    fit_path = out / "fit_relax.csv"
-    write_fit_csv(fit_path, rows, header_note=f"spec={series.digest_label()}")
-    manifest.record(fit_path)
-    manifest.close(out)
+    with _run_dir(cfg) as run:
+        series = run_relaxation(
+            cfg.model, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
+        )
+        write_series_csv(series, run.path("series_relax.csv"))
+        forms = (FORM_SHIFTED, FORM_PURE) if cfg.model.eps_fixed == 0.5 else (FORM_SHIFTED,)
+        rows = _fit_rows(*_fit_series(series, cfg.tail_fraction, forms))
+        write_fit_csv(run.path("fit_relax.csv"), rows, header_note=f"spec={series.spec}")
     return []
 
 
@@ -276,51 +280,29 @@ def cmd_lambda_family(cfg: ExperimentConfig) -> list[str]:
     """One run per propensity window, with a decay-time table ordered by window mean."""
     if not cfg.lambda_windows:
         raise ConfigError("lambda-family needs a non-empty lambda_windows list")
-    manifest = RunManifest(config=_config_echo(cfg), experiment=cfg.experiment)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
-    windows = sorted(cfg.lambda_windows, key=lambda w: (w[0] + w[1]) / 2)
-    tau_rows = []
-    taus = []
-    for w in windows:
-        spec = replace(cfg.model, rule=DISTRIBUTED_SAVING, lambda_window=w)
-        series = run_relaxation(
-            spec, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
-        )
-        series_path = out / f"series_lw_{w[0]:g}_{w[1]:g}.csv"
-        write_series_csv(series, series_path)
-        manifest.record(series_path)
-        _, results = _fit_series(series, cfg.tail_fraction, want_pure=True, want_shifted=False)
-        fit = results.get(FORM_PURE)
-        if fit is None:
-            tau_rows.append({"window_lo": w[0], "window_hi": w[1], "status": "NoFit"})
-        else:
-            tau_rows.append(
-                {
-                    "window_lo": w[0],
-                    "window_hi": w[1],
-                    "tau": fit.tau,
-                    "tau_stderr": fit.tau_stderr,
-                    "r_squared": fit.r_squared,
-                    "status": "ok",
-                }
+    windows = sorted(cfg.lambda_windows, key=sum)
+    with _run_dir(cfg) as run:
+        fits = []
+        for w in windows:
+            spec = replace(cfg.model, rule=DISTRIBUTED_SAVING, lambda_window=w)
+            series = run_relaxation(
+                spec, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
             )
-            taus.append(fit.tau)
+            write_series_csv(series, run.path(f"series_lw_{w[0]:g}_{w[1]:g}.csv"))
+            fits.append(_fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE])
 
-    violations = []
-    if len(taus) == len(windows) and len(taus) > 1:
-        if not all(a < b for a, b in zip(taus, taus[1:])):
+        taus = [fit.tau for fit in fits if not isinstance(fit, KinexError)]
+        violations = []
+        if len(taus) < len(fits):
+            violations.append("some windows produced no decay-time fit")
+        elif not all(a < b for a, b in zip(taus, taus[1:])):
             violations.append("decay time is not strictly increasing with the window mean")
-    elif len(taus) < len(windows):
-        violations.append("some windows produced no decay-time fit")
-    for v in violations:
-        manifest.notes.append(v)
-
-    table_path = out / "tau_table.csv"
-    write_tau_table(table_path, tau_rows, header_note="propensity windows, ordered by mean")
-    manifest.record(table_path)
-    manifest.close(out)
+        run.notes.extend(violations)
+        write_tau_table(
+            run.path("tau_table.csv"),
+            [_tau_row(w, fit) for w, fit in zip(windows, fits)],
+            header_note="propensity windows, ordered by mean",
+        )
     return violations
 
 
@@ -330,91 +312,63 @@ def cmd_eps_sweep(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError("eps-sweep is defined for the distributed-saving model")
     if not cfg.eps_values:
         raise ConfigError("eps-sweep needs a non-empty eps_values list")
-    manifest = RunManifest(config=_config_echo(cfg), experiment=cfg.experiment)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    with _run_dir(cfg) as run:
+        rows = []
+        for eps in sorted(cfg.eps_values):
+            spec = replace(cfg.model, eps_fixed=eps)
+            series = run_relaxation(
+                spec, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
+            )
+            write_series_csv(series, run.path(f"series_eps_{eps:g}.csv"))
+            x0, sem = equilibrium_window_stats(series, cfg.tail_fraction)
+            rows.append({"eps": eps, "x0": x0, "x0_stderr": sem, "is_argmin": False})
 
-    rows = []
-    for eps in sorted(cfg.eps_values):
-        spec = replace(cfg.model, eps_fixed=eps)
-        series = run_relaxation(
-            spec, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
-        )
-        series_path = out / f"series_eps_{eps:g}.csv"
-        write_series_csv(series, series_path)
-        manifest.record(series_path)
-        x0, sem = equilibrium_window_stats(series, cfg.tail_fraction)
-        rows.append({"eps": eps, "x0": x0, "x0_stderr": sem, "is_argmin": False})
-
-    argmin = min(range(len(rows)), key=lambda i: rows[i]["x0"])
-    rows[argmin]["is_argmin"] = True
-    manifest.notes.append(f"plateau minimum at eps={rows[argmin]['eps']:g}")
-
-    table_path = out / "x0_table.csv"
-    write_x0_table(table_path, rows)
-    manifest.record(table_path)
-    manifest.close(out)
+        argmin = min(rows, key=lambda r: r["x0"])
+        argmin["is_argmin"] = True
+        run.notes.append(f"plateau minimum at eps={argmin['eps']:g}")
+        write_x0_table(run.path("x0_table.csv"), rows)
     return []
 
 
 def cmd_dist(cfg: ExperimentConfig) -> list[str]:
     """Pooled equilibrium wealth histogram (+ propensity-binned means)."""
-    manifest = RunManifest(config=_config_echo(cfg), experiment=cfg.experiment)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    with _run_dir(cfg) as run:
+        equil = cfg.equilibration_steps
+        if equil is None:
+            # discard max(5*tau, 50) steps; tau from a reduced-size relaxation fit
+            n_probe = min(cfg.fit_configs, cfg.n_configs)
+            probe = run_relaxation(
+                cfg.model, cfg.n_agents, cfg.t_max, n_probe, cfg.master_seed, cfg.workers
+            )
+            fit = _fit_series(probe, cfg.tail_fraction, (FORM_SHIFTED,))[1][FORM_SHIFTED]
+            equil = 50 if isinstance(fit, KinexError) else max(int(np.ceil(5 * fit.tau)), 50)
+            run.notes.append(f"equilibration_steps={equil} (auto)")
 
-    equil = cfg.equilibration_steps
-    if equil is None:
-        # discard max(5*tau, 50) steps; tau from a reduced-size relaxation fit
-        probe = run_relaxation(
+        pool = run_equilibrium(
             cfg.model,
             cfg.n_agents,
-            cfg.t_max,
-            min(cfg.fit_configs, cfg.n_configs),
+            equil,
+            cfg.sample_steps,
+            cfg.n_configs,
             cfg.master_seed,
             cfg.workers,
         )
-        _, results = _fit_series(probe, cfg.tail_fraction, want_pure=False)
-        fit = results.get(FORM_SHIFTED)
-        equil = max(int(np.ceil(5 * fit.tau)), 50) if fit is not None else 50
-        manifest.notes.append(f"equilibration_steps={equil} (auto)")
+        edges, counts, density = wealth_histogram(pool.wealth, cfg.bins)
+        note = f"spec={cfg.model.digest()} pooled={pool.wealth.size}"
+        write_hist_csv(run.path("hist_wealth.csv"), edges, counts, density, header_note=note)
 
-    pool = run_equilibrium(
-        cfg.model,
-        cfg.n_agents,
-        equil,
-        cfg.sample_steps,
-        cfg.n_configs,
-        cfg.master_seed,
-        cfg.workers,
-    )
-    edges, counts, density = wealth_histogram(pool.wealth, cfg.bins)
-    hist_path = out / "hist_wealth.csv"
-    write_hist_csv(
-        hist_path,
-        edges,
-        counts,
-        density,
-        header_note=f"spec={cfg.model.digest()} pooled={pool.wealth.size}",
-    )
-    manifest.record(hist_path)
+        if cfg.model.rule == PURE_GAMBLING:
+            try:
+                slope, r2 = fit_histogram_slope(edges, counts)
+                run.notes.append(f"histogram semi-log slope={slope!r} r2={r2!r}")
+            except KinexError as e:
+                run.notes.append(f"histogram slope fit failed: {type(e).__name__}")
 
-    if cfg.model.rule == PURE_GAMBLING:
-        try:
-            slope, r2 = fit_histogram_slope(edges, counts)
-            manifest.notes.append(f"histogram semi-log slope={slope!r} r2={r2!r}")
-        except KinexError as e:
-            manifest.notes.append(f"histogram slope fit failed: {type(e).__name__}")
-
-    if cfg.model.rule == DISTRIBUTED_SAVING:
-        lo, hi, means = lambda_binned_means(
-            pool.saving, pool.wealth_time_avg, n_bins=5, window=cfg.model.lambda_window
-        )
-        bins_path = out / "lambda_bins.csv"
-        write_lambda_bins_csv(bins_path, lo, hi, means)
-        manifest.record(bins_path)
-
-    manifest.close(out)
+        if cfg.model.rule == DISTRIBUTED_SAVING:
+            lo, hi, means = lambda_binned_means(
+                pool.saving, pool.wealth_time_avg, n_bins=5, window=cfg.model.lambda_window
+            )
+            write_lambda_bins_csv(run.path("lambda_bins.csv"), lo, hi, means)
     return []
 
 
@@ -422,83 +376,51 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
     """Resistor-network relaxation per conductance window, with decay-time table."""
     if not cfg.g_windows:
         raise ConfigError("rrn needs a non-empty g_windows list")
-    manifest = RunManifest(config=_config_echo(cfg), experiment=cfg.experiment)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
-    tau_rows = []
-    for w in sorted(cfg.g_windows, key=lambda w: (w[0] + w[1]) / 2):
-        series = run_rrn_relaxation(
-            cfg.side, w, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers, cfg.rrn_init
-        )
-        series_path = out / f"series_g_{w[0]:g}_{w[1]:g}.csv"
-        write_series_csv(series, series_path, extra={"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"})
-        manifest.record(series_path)
-        _, results = _fit_series(series, cfg.tail_fraction, want_pure=True, want_shifted=False)
-        fit = results.get(FORM_PURE)
-        if fit is None:
-            tau_rows.append({"window_lo": w[0], "window_hi": w[1], "status": "NotDecaying"})
-        else:
-            tau_rows.append(
-                {
-                    "window_lo": w[0],
-                    "window_hi": w[1],
-                    "tau": fit.tau,
-                    "tau_stderr": fit.tau_stderr,
-                    "r_squared": fit.r_squared,
-                    "status": "ok",
-                }
+    with _run_dir(cfg) as run:
+        tau_rows = []
+        for w in sorted(cfg.g_windows, key=sum):
+            series = run_rrn_relaxation(
+                cfg.side, w, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers, cfg.rrn_init
             )
+            write_series_csv(
+                series,
+                run.path(f"series_g_{w[0]:g}_{w[1]:g}.csv"),
+                extra={"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"},
+            )
+            fit = _fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE]
+            tau_rows.append(_tau_row(w, fit))
 
-    if cfg.dense_check:
-        lat = build_lattice(cfg.side, cfg.g_windows[0], RngStream(cfg.master_seed, 0), cfg.rrn_init)
-        for _ in range(200_000):
-            if relax_sweep(lat) < 1e-12:
-                break
-        exact = solve_kirchhoff_dense(lat)
-        gap = float(np.abs(lat.potential[1:-1, :] - exact).max())
-        residual = float(np.abs(node_current_residuals(lat)).max())
-        manifest.notes.append(f"dense-solver endpoint gap={gap!r} node residual={residual!r}")
+        if cfg.dense_check:
+            rng = RngStream(cfg.master_seed, 0)
+            lat = build_lattice(cfg.side, cfg.g_windows[0], rng, cfg.rrn_init)
+            for _ in range(200_000):
+                if relax_sweep(lat) < 1e-12:
+                    break
+            exact = solve_kirchhoff_dense(lat)
+            gap = float(np.abs(lat.potential[1:-1, :] - exact).max())
+            residual = float(np.abs(node_current_residuals(lat)).max())
+            run.notes.append(f"dense-solver endpoint gap={gap!r} node residual={residual!r}")
 
-    table_path = out / "tau_table.csv"
-    write_tau_table(table_path, tau_rows, header_note="conductance windows, ordered by mean")
-    manifest.record(table_path)
-    manifest.close(out)
+        write_tau_table(
+            run.path("tau_table.csv"), tau_rows, header_note="conductance windows, ordered by mean"
+        )
     return []
 
 
 def cmd_fit(cfg: ExperimentConfig) -> list[str]:
-    """Re-fit an existing series CSV."""
+    """Re-fit an existing series CSV, at the configured plateau and window if given."""
     if not cfg.series_csv:
         raise ConfigError("fit needs series_csv pointing at a series file")
-    manifest = RunManifest(config=_config_echo(cfg), experiment=cfg.experiment)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
-    series = read_series_csv(cfg.series_csv)
-    if cfg.fit_x0 is not None or cfg.fit_window is not None:
-        x0 = cfg.fit_x0
-        if x0 is None:
-            x0, _ = equilibrium_window_stats(series, cfg.tail_fraction)
-        window = cfg.fit_window
-        if window is None:
-            window = auto_window(series, x0, cfg.tail_fraction)
-        rows = []
-        try:
-            rows.append(fit_shifted(series, window, x0).csv_row())
-        except KinexError as e:
-            rows.append(fit_error_row(FORM_SHIFTED, window, e))
-        try:
-            rows.append(fit_pure(series, window).csv_row())
-        except KinexError as e:
-            rows.append(fit_error_row(FORM_PURE, window, e))
-    else:
-        rows, _ = _fit_series(series, cfg.tail_fraction, want_pure=True)
-
-    fit_path = out / "fit_series.csv"
-    write_fit_csv(fit_path, rows, header_note=f"source={Path(cfg.series_csv).name}")
-    manifest.record(fit_path)
-    manifest.close(out)
+    with _run_dir(cfg) as run:
+        series = read_series_csv(cfg.series_csv)
+        window, fits = _fit_series(
+            series, cfg.tail_fraction, (FORM_SHIFTED, FORM_PURE), cfg.fit_x0, cfg.fit_window
+        )
+        write_fit_csv(
+            run.path("fit_series.csv"),
+            _fit_rows(window, fits),
+            header_note=f"source={Path(cfg.series_csv).name}",
+        )
     return []
 
 
@@ -519,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         "and their resistor-network analog.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="experiment config file (YAML)")
         sp.add_argument("--strict", action="store_true", help="nonzero exit on report assertions")

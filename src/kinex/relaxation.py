@@ -8,7 +8,8 @@ observable per step; the averaged series decays toward an equilibrium plateau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,23 +23,21 @@ DEFAULT_TAIL_FRACTION = 0.25
 
 @dataclass
 class RelaxationSeries:
-    """Configuration-averaged relaxation observable, indexed by time step."""
+    """Configuration-averaged relaxation observable, indexed by time step.
+
+    ``spec`` labels what was simulated: the model digest, an RRN tag, or the
+    label read back from a series CSV header.
+    """
 
     t: np.ndarray
     x_mean: np.ndarray
     n_configs: int
     n_agents: int
     master_seed: int
-    spec_snapshot: ModelSpec | None = None
-    spec_digest: str | None = field(default=None)
+    spec: str = "na"
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def digest_label(self) -> str:
-        if self.spec_snapshot is not None:
-            return self.spec_snapshot.digest()
-        return self.spec_digest or "na"
 
 
 def mean_abs_change(prev: np.ndarray, curr: np.ndarray) -> float:
@@ -81,6 +80,31 @@ def _block_series(args) -> np.ndarray:
     return xs
 
 
+def average_series(
+    block_fn: Callable, args: tuple, t_max: int, n_configs: int, workers: int, **meta
+) -> RelaxationSeries:
+    """Mean of the per-configuration traces ``block_fn`` returns, summed in stream order.
+
+    ``block_fn((*args, start, stop))`` returns the length-``t_max`` traces of
+    configurations [start, stop); :func:`streams.map_stream_blocks` spreads the
+    blocks over ``workers`` processes.  The sum runs in stream-index order, so
+    any worker count yields bit-identical output.  ``meta`` fills the remaining
+    :class:`RelaxationSeries` fields (``n_agents``, ``master_seed``, ``spec``).
+    """
+    if t_max < 2:
+        raise InvalidParameter(f"t_max={t_max} must be >= 2")
+    if n_configs < 1:
+        raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
+    blocks = map_stream_blocks(block_fn, args, n_configs, workers)
+    acc = np.zeros(t_max)
+    for traces in blocks:
+        for xs in traces:
+            acc += xs
+    return RelaxationSeries(
+        t=np.arange(1, t_max + 1), x_mean=acc / n_configs, n_configs=n_configs, **meta
+    )
+
+
 def run_relaxation(
     spec: ModelSpec,
     n: int,
@@ -91,28 +115,19 @@ def run_relaxation(
 ) -> RelaxationSeries:
     """Average the step observable over ``n_configs`` independent configurations.
 
-    Configuration c uses stream (master_seed, c).  Results are reduced in
-    stream-index order regardless of ``workers``, so any worker count yields
-    bit-identical output.
+    Configuration c uses stream (master_seed, c); any worker count gives the
+    same bits (see :func:`average_series`).
     """
-    if t_max < 2:
-        raise InvalidParameter(f"t_max={t_max} must be >= 2")
-    if n_configs < 1:
-        raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
     spec.validate()
-
-    blocks = map_stream_blocks(_block_series, (spec, n, t_max, master_seed), n_configs, workers)
-    acc = np.zeros(t_max)
-    for traces in blocks:
-        for xs in traces:  # stream order: bitwise identical for any worker count
-            acc += xs
-    return RelaxationSeries(
-        t=np.arange(1, t_max + 1),
-        x_mean=acc / n_configs,
-        n_configs=n_configs,
+    return average_series(
+        _block_series,
+        (spec, n, t_max, master_seed),
+        t_max,
+        n_configs,
+        workers,
         n_agents=n,
         master_seed=master_seed,
-        spec_snapshot=spec,
+        spec=spec.digest(),
     )
 
 
@@ -123,13 +138,6 @@ def _tail_slice(series: RelaxationSeries, tail_fraction: float) -> np.ndarray:
         raise InsufficientData(f"series has {len(series)} samples, need >= 10")
     n_tail = max(1, int(round(len(series) * tail_fraction)))
     return series.x_mean[-n_tail:]
-
-
-def equilibrium_window_mean(
-    series: RelaxationSeries, tail_fraction: float = DEFAULT_TAIL_FRACTION
-) -> float:
-    """Plateau estimate: mean of the trailing ``tail_fraction`` of the series."""
-    return float(_tail_slice(series, tail_fraction).mean())
 
 
 def equilibrium_window_stats(
@@ -151,7 +159,7 @@ def write_series_csv(series: RelaxationSeries, path: str | Path, extra: dict | N
     """
     lines = [
         "# kinex relaxation series; t in time steps, x_mean in money units per agent",
-        f"# spec={series.digest_label()} seed={series.master_seed}"
+        f"# spec={series.spec} seed={series.master_seed}"
         f" n={series.n_agents} n_configs={series.n_configs}",
     ]
     if extra:
@@ -188,6 +196,5 @@ def read_series_csv(path: str | Path) -> RelaxationSeries:
         n_configs=int(meta.get("n_configs", 0) or 0),
         n_agents=int(meta.get("n", 0) or 0),
         master_seed=int(meta.get("seed", 0) or 0),
-        spec_snapshot=None,
-        spec_digest=meta.get("spec"),
+        spec=meta.get("spec") or "na",
     )

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter
-from .relaxation import RelaxationSeries
-from .streams import RngStream, map_stream_blocks
+from .relaxation import RelaxationSeries, average_series
+from .streams import RngStream
 
 G_FLOOR = 1e-9  # excludes zero-conductance bonds so no node is isolated
 
@@ -195,27 +195,16 @@ def run_rrn_relaxation(
 ) -> RelaxationSeries:
     """Average the sweep observable over independent conductance realizations.
 
-    One time step equals one full lattice sweep.  Reduction order is fixed by
-    stream index, so worker count does not change the result.
+    One time step equals one full lattice sweep; realization c uses stream
+    (master_seed, c).
     """
-    if t_max < 2:
-        raise InvalidParameter(f"t_max={t_max} must be >= 2")
-    if n_configs < 1:
-        raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
-
-    blocks = map_stream_blocks(
-        _block_series, (L, g_window, t_max, init, master_seed), n_configs, workers
-    )
-    acc = np.zeros(t_max)
-    for traces in blocks:
-        for xs in traces:
-            acc += xs
-    return RelaxationSeries(
-        t=np.arange(1, t_max + 1),
-        x_mean=acc / n_configs,
-        n_configs=n_configs,
+    return average_series(
+        _block_series,
+        (L, g_window, t_max, init, master_seed),
+        t_max,
+        n_configs,
+        workers,
         n_agents=(L - 2) * L,
         master_seed=master_seed,
-        spec_snapshot=None,
-        spec_digest=f"rrn-L{L}-g{g_window[0]:g}-{g_window[1]:g}",
+        spec=f"rrn-L{L}-g{g_window[0]:g}-{g_window[1]:g}",
     )

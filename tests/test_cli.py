@@ -1,6 +1,9 @@
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -12,6 +15,16 @@ def write_cfg(tmp_path, payload, name="exp.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload), encoding="utf-8")
     return path
+
+
+def break_fit_writer(monkeypatch):
+    """Make the fit-report writer the handlers call fail, as a full disk would."""
+    import kinex.cli as cli
+
+    def broken_write(path, *args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_fit_csv", broken_write)
 
 
 BASE = {
@@ -186,7 +199,10 @@ class TestCommands:
     @pytest.mark.parametrize(
         "override,error",
         [
-            ({"n_agents": 1}, "InvalidSize"),
+            (
+                {"model": {**BASE["model"], "pairing": "lattice2d", "lattice_side": 3}},
+                "TopologyMismatch",
+            ),
             ({"model": {**BASE["model"], "lambda_window": [0.5, 0.2]}}, "InvalidParameter"),
         ],
     )
@@ -197,11 +213,75 @@ class TestCommands:
         assert err.startswith("kinex: ") and error in err
         assert err.count("\n") == 1
 
-    def test_bad_tail_fraction_fails_before_simulating(self, tmp_path):
-        p = write_cfg(tmp_path, {**BASE, "tail_fraction": 0.9})
+    @pytest.mark.parametrize(
+        "override",
+        [{"tail_fraction": 0.9}, {"t_max": 5}, {"n_agents": 1}],
+        ids=["tail_fraction", "t_max", "n_agents"],
+    )
+    def test_bad_tail_fraction_fails_before_simulating(self, tmp_path, capsys, override):
+        p = write_cfg(tmp_path, {**BASE, **override})
         out = tmp_path / "tf"
         assert main(["relax", "--config", str(p), "--out", str(out)]) == 2
-        assert not out.exists() or not any(out.iterdir())
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload,key",
+        [({**BASE, "n_agent": 50}, "n_agent"), ({**BASE, "relax": {"tmax": 50}}, "tmax")],
+        ids=["top_level", "section"],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, payload, key):
+        p = write_cfg(tmp_path, payload)
+        out = tmp_path / "uk"
+        assert main(["relax", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kinex: config error: unknown config keys") and repr(key) in err
+        assert not out.exists()
+
+    def test_failed_run_removes_its_outputs(self, tmp_path, monkeypatch):
+        break_fit_writer(monkeypatch)
+        p = write_cfg(tmp_path, BASE)
+        out = tmp_path / "broken"
+        assert main(["relax", "--config", str(p), "--out", str(out)]) == 2
+        assert not (out / "series_relax.csv").exists()
+        assert not (out / "manifest.json").exists()
+        assert list(out.iterdir()) == []
+
+    def test_failed_rerun_keeps_previous_run(self, tmp_path, monkeypatch):
+        p = write_cfg(tmp_path, BASE)
+        out = tmp_path / "rerun"
+        assert main(["relax", "--config", str(p), "--out", str(out)]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        break_fit_writer(monkeypatch)
+        rerun = write_cfg(tmp_path, {**BASE, "master_seed": 7}, "rerun.yaml")
+        assert main(["relax", "--config", str(rerun), "--out", str(out)]) == 2
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_failed_fit_names_its_error_in_tau_table(self, tmp_path):
+        # 15 steps are too few for the auto window (needs 20 samples)
+        payload = {**BASE, "t_max": 15, "lambda-family": {"lambda_windows": [[0.0, 1.0]]}}
+        p = write_cfg(tmp_path, payload)
+        out = tmp_path / "short"
+        assert main(["lambda-family", "--config", str(p), "--out", str(out)]) == 0
+        rows = (out / "tau_table.csv").read_text().splitlines()
+        assert rows[-1] == "0.0,1.0,,,,InsufficientData"
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert notes == ["some windows produced no decay-time fit"]
+
+    def test_fit_override_tags_failed_auto_window(self, tmp_path):
+        p = write_cfg(tmp_path, {**BASE, "t_max": 15, "output_dir": str(tmp_path / "src")})
+        assert main(["relax", "--config", str(p)]) == 0
+        fit_cfg = write_cfg(
+            tmp_path,
+            {"fit": {"series_csv": str(tmp_path / "src" / "series_relax.csv"), "fit_x0": 0.3}},
+            "fit.yaml",
+        )
+        assert main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path / "f")]) == 0
+        rows = (tmp_path / "f" / "fit_series.csv").read_text().splitlines()[2:]
+        assert rows == [
+            "shifted_approach,,,,,,,InsufficientData",
+            "pure_decay,,,,,,,InsufficientData",
+        ]
 
     def test_strict_flags_ordering_violation(self, tmp_path):
         # a single window cannot violate the ordering check
@@ -243,3 +323,78 @@ def test_preset_relax_reproduces_committed_digests(tmp_path):
     want = json.loads((root / "out" / "relax" / "manifest.json").read_text())["outputs"]
     assert got["series_relax.csv"] == want["series_relax.csv"] == "05c144e6cac12faa"
     assert got["fit_relax.csv"] == want["fit_relax.csv"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PRESET = ROOT / "configs" / "experiments.yaml"
+
+
+def _data_rows(path, n=None):
+    rows = [r for r in path.read_text().splitlines() if r and r[0].isdigit()]
+    return rows[:n] if n is not None else rows
+
+
+def _preset_with(tmp_path, experiment, **overrides):
+    """The desk preset with ``overrides`` in the ``experiment`` section."""
+    payload = yaml.safe_load(PRESET.read_text())
+    payload[experiment] = {**payload[experiment], **overrides}
+    return write_cfg(tmp_path, payload, "preset.yaml")
+
+
+def test_preset_fit_reproduces_committed_digest(tmp_path, monkeypatch):
+    """`fit` on the committed relax series matches the committed out/refit run."""
+    monkeypatch.chdir(ROOT)  # the preset names series_csv relative to the repo root
+    out = tmp_path / "refit"
+    assert main(["fit", "--config", str(PRESET), "--out", str(out)]) == 0
+    got = json.loads((out / "manifest.json").read_text())["outputs"]
+    want = json.loads((ROOT / "out" / "refit" / "manifest.json").read_text())["outputs"]
+    assert got == want == {"fit_series.csv": "1743f22b44c55f5a"}
+
+
+@pytest.mark.parametrize(
+    "experiment,overrides,name",
+    [
+        ("lambda-family", {"lambda_windows": [[0.5, 1.0]]}, "series_lw_0.5_1.csv"),
+        ("eps-sweep", {"eps_values": [0.5]}, "series_eps_0.5.csv"),
+    ],
+)
+def test_preset_series_prefix_matches_committed(tmp_path, experiment, overrides, name):
+    """x_mean[t] does not depend on t_max, so a 50-step preset run is a prefix of the committed series."""
+    p = _preset_with(tmp_path, experiment, t_max=50, **overrides)
+    out = tmp_path / "o"
+    assert main([experiment, "--config", str(p), "--out", str(out), "--threads", "1"]) == 0
+    committed = ROOT / "out" / experiment.replace("-", "_") / name
+    assert _data_rows(out / name) == _data_rows(committed, 50)
+
+
+def test_preset_rrn_prefix_matches_committed(tmp_path):
+    """The first 200 sweeps of the committed rrn series, within rounding.
+
+    The committed digests do not reproduce on every platform: the stencil's
+    last digit differs, so the values are compared to a relative 1e-12.
+    """
+    p = _preset_with(tmp_path, "rrn", t_max=200, g_windows=[[0.0, 1.0]])
+    out = tmp_path / "o"
+    assert main(["rrn", "--config", str(p), "--out", str(out), "--threads", "1"]) == 0
+    got = np.array([r.split(",") for r in _data_rows(out / "series_g_0_1.csv")], dtype=float)
+    want = np.array(
+        [r.split(",") for r in _data_rows(ROOT / "out" / "rrn" / "series_g_0_1.csv", 200)], dtype=float
+    )
+    assert got.shape == want.shape == (200, 2)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_benchmark_traced_names_resolve():
+    """Every function the benchmark's tracer wraps is still bound where it looks it up."""
+    spec = importlib.util.spec_from_file_location("perfbench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    import kinex.cli as cli
+
+    assert [name for name in child.OUTER if not callable(getattr(cli, name, None))] == []
+    missing = [
+        (mod, name)
+        for mod, name in child.KERNEL
+        if not callable(getattr(importlib.import_module("kinex." + mod), name, None))
+    ]
+    assert missing == []

@@ -7,7 +7,6 @@ from kinex import (
     ModelSpec,
     RelaxationSeries,
     ShapeError,
-    equilibrium_window_mean,
     equilibrium_window_stats,
     fit_pure,
     mean_abs_change,
@@ -20,7 +19,7 @@ from kinex import (
 def synthetic_series(x, t=None, **kw):
     x = np.asarray(x, dtype=float)
     t = np.arange(1, len(x) + 1) if t is None else np.asarray(t)
-    defaults = dict(n_configs=1, n_agents=1, master_seed=0, spec_snapshot=None)
+    defaults = dict(n_configs=1, n_agents=1, master_seed=0)
     defaults.update(kw)
     return RelaxationSeries(t=t, x_mean=x, **defaults)
 
@@ -44,27 +43,27 @@ class TestEquilibriumWindow:
     def test_constant_series(self):
         s = synthetic_series(np.full(40, 3.25))
         for tf in (0.1, 0.25, 0.5):
-            assert equilibrium_window_mean(s, tf) == pytest.approx(3.25)
+            assert equilibrium_window_stats(s, tf)[0] == pytest.approx(3.25)
 
     def test_synthetic_tail_average(self):
         t = np.arange(1, 201)
         s = synthetic_series(0.5 - 0.3 * np.exp(-t / 10.0), t)
         # closed form: tail average differs from 0.5 by ~1.7e-8
-        assert equilibrium_window_mean(s, 0.25) == pytest.approx(0.5, abs=1e-4)
+        assert equilibrium_window_stats(s, 0.25)[0] == pytest.approx(0.5, abs=1e-4)
 
     def test_toy_increasing_series(self):
         s = synthetic_series(np.arange(1.0, 101.0))
-        assert equilibrium_window_mean(s, 0.1) == pytest.approx(95.5)
+        assert equilibrium_window_stats(s, 0.1)[0] == pytest.approx(95.5)
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
-            equilibrium_window_mean(synthetic_series(np.ones(5)), 0.25)
+            equilibrium_window_stats(synthetic_series(np.ones(5)), 0.25)[0]
 
     def test_bad_fraction(self):
         s = synthetic_series(np.ones(40))
         for tf in (0.0, 0.6, -0.1):
             with pytest.raises(InvalidParameter):
-                equilibrium_window_mean(s, tf)
+                equilibrium_window_stats(s, tf)[0]
 
     def test_stats_sem(self):
         g = np.random.default_rng(0)
@@ -149,7 +148,7 @@ class TestSeriesCsv:
         assert back.n_agents == 12
         assert back.n_configs == 3
         assert back.master_seed == 77
-        assert back.spec_digest == spec.digest()
+        assert back.spec == spec.digest()
 
     def test_bytes_are_deterministic(self, tmp_path):
         s = run_relaxation(ModelSpec(), 10, 12, 2, master_seed=5)
