@@ -43,7 +43,15 @@ from .reports import (
     write_tau_table,
     write_x0_table,
 )
-from .rrn import INIT_HALF, build_lattice, node_current_residuals, relax_sweep, run_rrn_relaxation, solve_kirchhoff_dense
+from .rrn import (
+    DENSE_MAX_INTERIOR,
+    INIT_HALF,
+    build_lattice,
+    node_current_residuals,
+    relax_sweep,
+    run_rrn_relaxation,
+    solve_kirchhoff_dense,
+)
 from .streams import RngStream
 
 
@@ -85,11 +93,18 @@ def _pair(value, cast=float) -> tuple:
     return cast(lo), cast(hi)
 
 
+def _bool(value) -> bool:
+    """Only a YAML boolean: ``bool("false")`` would read a quoted string as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
+
+
 # YAML value -> annotated field type, for ExperimentConfig and ModelSpec alike.
 _CASTS = {
     "int": int,
     "float": float,
-    "bool": bool,
+    "bool": _bool,
     "str": str,
     "Path": Path,
     "tuple[float, float]": _pair,
@@ -201,6 +216,12 @@ def load_experiment_config(
         raise ConfigError(f"n_agents={cfg.n_agents} must be >= 2")
     if experiment != "fit" and cfg.t_max < 10:
         raise ConfigError(f"t_max={cfg.t_max} must be >= 10, the shortest series a plateau fits")
+    n_dense = (cfg.side - 2) * cfg.side
+    if experiment == "rrn" and cfg.dense_check and n_dense > DENSE_MAX_INTERIOR:
+        raise ConfigError(
+            f"dense_check at side={cfg.side} needs a {n_dense}-node dense solve;"
+            f" the limit is {DENSE_MAX_INTERIOR} interior nodes"
+        )
     return cfg
 
 

@@ -20,6 +20,9 @@ from .relaxation import RelaxationSeries, average_series
 from .streams import RngStream
 
 G_FLOOR = 1e-9  # excludes zero-conductance bonds so no node is isolated
+# Largest lattice `kinex rrn` cross-checks with the dense solve: a 2500 x 2500
+# matrix is 50 MB, where the preset side 100 (9800 nodes) would need 0.77 GB.
+DENSE_MAX_INTERIOR = 2_500
 
 INIT_HALF = "half"
 INIT_RAMP = "ramp"
@@ -33,6 +36,10 @@ class ResistorLattice:
 
     ``cond_h[r, c]`` joins (r, c) to (r, (c+1) mod L); ``cond_v[r, c]`` joins
     (r, c) to (r+1, c).  Rows 0 and L-1 are boundary rows and never change.
+
+    The stencil (conductance slices, the rolled horizontal conductances and
+    ``weight_sum``) and the sweep's scratch buffers are built once here, so the
+    conductances must not change after construction.
     """
 
     side: int
@@ -41,14 +48,16 @@ class ResistorLattice:
     cond_v: np.ndarray
     g_window: tuple[float, float]
     weight_sum: np.ndarray = field(init=False, repr=False)
+    _stencil: tuple = field(init=False, repr=False)
+    _buffers: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.weight_sum = (
-            self.cond_v[:-1, :]
-            + self.cond_v[1:, :]
-            + self.cond_h[1:-1, :]
-            + np.roll(self.cond_h[1:-1, :], 1, axis=1)
-        )
+        gv_up, gv_dn = self.cond_v[:-1, :], self.cond_v[1:, :]
+        gh = self.cond_h[1:-1, :]
+        gh_left = np.roll(gh, 1, axis=1)
+        self._stencil = (gv_up, gv_dn, gh, gh_left)
+        self.weight_sum = gv_up + gv_dn + gh + gh_left
+        self._buffers = tuple(np.empty(gh.shape) for _ in range(3))
 
     def n_interior(self) -> int:
         return (self.side - 2) * self.side
@@ -93,23 +102,43 @@ def build_lattice(
     )
 
 
+def _neighbor_sum(lat: ResistorLattice) -> np.ndarray:
+    """sum_nb g_nb V_nb for every interior node, in the lattice's first buffer.
+
+    The terms are added in a fixed order (up, down, right, left) with no
+    allocation; the wrapped neighbor potentials are copied into a buffer.
+    """
+    gv_up, gv_dn, gh, gh_left = lat._stencil
+    num, tmp, nb = lat._buffers
+    V = lat.potential
+    inner = V[1:-1, :]
+    np.multiply(gv_up, V[:-2, :], out=num)
+    np.multiply(gv_dn, V[2:, :], out=tmp)
+    num += tmp
+    nb[:, :-1] = inner[:, 1:]
+    nb[:, -1] = inner[:, 0]
+    np.multiply(gh, nb, out=tmp)
+    num += tmp
+    nb[:, 1:] = inner[:, :-1]
+    nb[:, 0] = inner[:, -1]
+    np.multiply(gh_left, nb, out=tmp)
+    num += tmp
+    return num
+
+
 def relax_sweep(lat: ResistorLattice) -> float:
     """One synchronous sweep; every interior node moves to the weighted average
     of its neighbors from the previous sweep.  Updates in place and returns the
     mean absolute potential change over interior nodes.
     """
-    V = lat.potential
-    inner = V[1:-1, :]
-    gh = lat.cond_h[1:-1, :]
-    num = (
-        lat.cond_v[:-1, :] * V[:-2, :]
-        + lat.cond_v[1:, :] * V[2:, :]
-        + gh * np.roll(inner, -1, axis=1)
-        + np.roll(gh, 1, axis=1) * np.roll(inner, 1, axis=1)
-    )
-    new_inner = num / lat.weight_sum
-    x = float(np.abs(new_inner - inner).mean())
-    V[1:-1, :] = new_inner
+    new_inner = _neighbor_sum(lat)
+    new_inner /= lat.weight_sum
+    diff = lat._buffers[1]
+    inner = lat.potential[1:-1, :]
+    np.subtract(new_inner, inner, out=diff)
+    np.abs(diff, out=diff)
+    x = float(diff.mean())
+    inner[...] = new_inner
     return x
 
 
@@ -118,16 +147,7 @@ def node_current_residuals(lat: ResistorLattice) -> np.ndarray:
 
     Zero everywhere exactly at the Kirchhoff solution.
     """
-    V = lat.potential
-    inner = V[1:-1, :]
-    gh = lat.cond_h[1:-1, :]
-    inflow = (
-        lat.cond_v[:-1, :] * V[:-2, :]
-        + lat.cond_v[1:, :] * V[2:, :]
-        + gh * np.roll(inner, -1, axis=1)
-        + np.roll(gh, 1, axis=1) * np.roll(inner, 1, axis=1)
-    )
-    return inflow - lat.weight_sum * inner
+    return _neighbor_sum(lat) - lat.weight_sum * lat.potential[1:-1, :]
 
 
 def solve_kirchhoff_dense(lat: ResistorLattice) -> np.ndarray:

@@ -226,6 +226,32 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "section",
+        [
+            {"dense_check": "false"},
+            {"dense_check": True, "side": 100},
+        ],
+        ids=["quoted_bool", "dense_check_too_large"],
+    )
+    def test_rrn_config_errors_before_simulating(self, tmp_path, capsys, section):
+        rrn = {"side": 8, "t_max": 40, "n_configs": 2, "g_windows": [[0.0, 1.0]], **section}
+        p = write_cfg(tmp_path, {"rrn": rrn})
+        out = tmp_path / "r"
+        assert main(["rrn", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kinex: config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_dense_check_limit_is_interior_nodes(self, tmp_path):
+        # side 51 has 49 * 51 = 2499 interior nodes, side 52 has 2600
+        rrn = {"g_windows": [[0.0, 1.0]], "dense_check": True}
+        assert load_experiment_config(write_cfg(tmp_path, {"rrn": {**rrn, "side": 51}}), "rrn").side == 51
+        with pytest.raises(ConfigError, match="2500 interior nodes"):
+            load_experiment_config(write_cfg(tmp_path, {"rrn": {**rrn, "side": 52}}), "rrn")
+        # only rrn runs the dense solve
+        assert load_experiment_config(write_cfg(tmp_path, {"side": 100, "dense_check": True}), "relax").dense_check
+
+    @pytest.mark.parametrize(
         "payload,key",
         [({**BASE, "n_agent": 50}, "n_agent"), ({**BASE, "relax": {"tmax": 50}}, "tmax")],
         ids=["top_level", "section"],

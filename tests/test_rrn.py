@@ -10,7 +10,52 @@ from kinex import (
     run_rrn_relaxation,
     solve_kirchhoff_dense,
 )
-from kinex.rrn import ResistorLattice
+from kinex.rrn import LATTICE_INITS, ResistorLattice
+
+
+def roll_neighbor_sum(cond_h, cond_v, V):
+    """The np.roll form of the stencil, the reference for the buffered sweep."""
+    inner = V[1:-1, :]
+    gh = cond_h[1:-1, :]
+    return (
+        cond_v[:-1, :] * V[:-2, :]
+        + cond_v[1:, :] * V[2:, :]
+        + gh * np.roll(inner, -1, axis=1)
+        + np.roll(gh, 1, axis=1) * np.roll(inner, 1, axis=1)
+    )
+
+
+def roll_weight_sum(cond_h, cond_v):
+    gh = cond_h[1:-1, :]
+    return cond_v[:-1, :] + cond_v[1:, :] + gh + np.roll(gh, 1, axis=1)
+
+
+def roll_sweep(cond_h, cond_v, V):
+    """Reference Jacobi sweep on plain arrays; updates V in place, returns the mean |dV|."""
+    new_inner = roll_neighbor_sum(cond_h, cond_v, V) / roll_weight_sum(cond_h, cond_v)
+    x = float(np.abs(new_inner - V[1:-1, :]).mean())
+    V[1:-1, :] = new_inner
+    return x
+
+
+def roll_residuals(cond_h, cond_v, V):
+    return roll_neighbor_sum(cond_h, cond_v, V) - roll_weight_sum(cond_h, cond_v) * V[1:-1, :]
+
+
+def assert_matches_roll_oracle(lat, sweeps=1000):
+    """Per-sweep x, final potentials and node residuals equal the reference byte for byte."""
+    cond_h, cond_v, V = lat.cond_h.copy(), lat.cond_v.copy(), lat.potential.copy()
+    xs, ref = np.empty(sweeps), np.empty(sweeps)
+    for t in range(sweeps):
+        xs[t] = relax_sweep(lat)
+        ref[t] = roll_sweep(cond_h, cond_v, V)
+        if t % 250 == 0:
+            # the residuals share the sweep's buffers; the next sweep must not notice
+            got = node_current_residuals(lat)
+            assert got.tobytes() == roll_residuals(cond_h, cond_v, V).tobytes()
+    assert xs.tobytes() == ref.tobytes()
+    assert lat.potential.tobytes() == V.tobytes()
+    assert node_current_residuals(lat).tobytes() == roll_residuals(cond_h, cond_v, V).tobytes()
 
 
 def relax_to_convergence(lat, threshold=1e-12, max_sweeps=100_000):
@@ -52,6 +97,25 @@ class TestBuildLattice:
 
 
 class TestRelaxSweep:
+    @pytest.mark.parametrize("init", LATTICE_INITS)
+    @pytest.mark.parametrize("L", [3, 4, 7, 100])
+    def test_matches_roll_stencil_bytewise(self, L, init):
+        assert_matches_roll_oracle(build_lattice(L, (0.0, 1.0), RngStream(11, L), init=init))
+
+    def test_direct_lattice_matches_roll_stencil_bytewise(self):
+        g = np.random.default_rng(5)
+        L = 6
+        lat = ResistorLattice(
+            side=L,
+            potential=g.random((L, L)),
+            cond_h=g.uniform(1e-3, 2.0, (L, L)),
+            cond_v=g.uniform(1e-3, 2.0, (L - 1, L)),
+            g_window=(1e-3, 2.0),
+        )
+        lat.potential[0] = 1.0
+        lat.potential[-1] = 0.0
+        assert_matches_roll_oracle(lat)
+
     def test_two_resistor_divider(self):
         # unit vertical bonds, vanishing horizontal bonds: each interior node is
         # a divider between its boundary neighbors and lands at 0.5 in one sweep
@@ -85,14 +149,7 @@ class TestRelaxSweep:
         lat = build_lattice(8, (0.1, 1.0), RngStream(7), init="random")
         V_old = lat.potential.copy()
         relax_sweep(lat)
-        gh = lat.cond_h[1:-1, :]
-        inner_old = V_old[1:-1, :]
-        inflow = (
-            lat.cond_v[:-1, :] * V_old[:-2, :]
-            + lat.cond_v[1:, :] * V_old[2:, :]
-            + gh * np.roll(inner_old, -1, axis=1)
-            + np.roll(gh, 1, axis=1) * np.roll(inner_old, 1, axis=1)
-        )
+        inflow = roll_neighbor_sum(lat.cond_h, lat.cond_v, V_old)
         residual = inflow - lat.weight_sum * lat.potential[1:-1, :]
         assert np.abs(residual).max() < 1e-12
 
