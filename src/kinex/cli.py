@@ -26,7 +26,7 @@ from .distribution import (
     wealth_histogram,
 )
 from .errors import ConfigError, KinexError
-from .exchange import DISTRIBUTED_SAVING, PURE_GAMBLING, ModelSpec
+from .exchange import DISTRIBUTED_SAVING, LATTICE_2D, PURE_GAMBLING, ModelSpec
 from .expfit import FORM_PURE, FORM_SHIFTED, auto_window, fit_error_row, fit_pure, fit_shifted
 from .relaxation import (
     DEFAULT_TAIL_FRACTION,
@@ -214,6 +214,10 @@ def load_experiment_config(
         raise ConfigError(f"tail_fraction={cfg.tail_fraction} outside (0, 0.5]")
     if cfg.n_agents < 2:
         raise ConfigError(f"n_agents={cfg.n_agents} must be >= 2")
+    side = cfg.model.lattice_side
+    lattice = cfg.model.pairing == LATTICE_2D and experiment not in ("rrn", "fit")
+    if lattice and side * side != cfg.n_agents:
+        raise ConfigError(f"lattice_side={side} squared != n_agents={cfg.n_agents}")
     if experiment != "fit" and cfg.t_max < 10:
         raise ConfigError(f"t_max={cfg.t_max} must be >= 10, the shortest series a plateau fits")
     n_dense = (cfg.side - 2) * cfg.side

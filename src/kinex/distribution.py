@@ -84,7 +84,11 @@ def run_equilibrium(
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
     spec.validate()
     parts = map_stream_blocks(
-        _equilibrium_block, (spec, n, equil_steps, sample_steps, master_seed), n_configs, workers
+        _equilibrium_block,
+        (spec, n, equil_steps, sample_steps, master_seed),
+        n_configs,
+        workers,
+        BATCH_MIN_ROWS,
     )
     return EquilibriumSample(
         wealth=np.concatenate([p[0] for p in parts]),

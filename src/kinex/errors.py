@@ -43,3 +43,7 @@ class NoDecayWindow(KinexError):
 
 class ConfigError(KinexError):
     """An experiment configuration file is missing or malformed."""
+
+
+class DrawMismatch(KinexError):
+    """The raw-word draws disagree with numpy's Generator on this platform."""

@@ -211,15 +211,6 @@ def _lattice_neighbors(side: int) -> np.ndarray:
     return nbr
 
 
-def _draw_slots(spec: ModelSpec, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One step's raw pair draws: the first agent of each slot, then the partner draw
-    (an index among the other n-1 agents, or a lattice direction)."""
-    ii = g.integers(0, n, size=n)
-    if spec.pairing == MEAN_FIELD:
-        return ii, g.integers(0, n - 1, size=n)
-    return ii, g.integers(0, 4, size=n)
-
-
 def _partners(spec: ModelSpec, ii: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Map raw partner draws to agent indices; works row-wise on stacked draws too."""
     if spec.pairing == MEAN_FIELD:
@@ -228,8 +219,23 @@ def _partners(spec: ModelSpec, ii: np.ndarray, raw: np.ndarray) -> np.ndarray:
 
 
 def _draw_pairs(spec: ModelSpec, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    ii, raw = _draw_slots(spec, n, g)
-    return ii, _partners(spec, ii, raw)
+    """One step's pairs: the first agent of each slot, then the partner draw (an
+    index among the other n-1 agents, or a lattice direction) mapped to an agent."""
+    ii = g.integers(0, n, size=n)
+    if spec.pairing == MEAN_FIELD:
+        return ii, _partners(spec, ii, g.integers(0, n - 1, size=n))
+    return ii, _partners(spec, ii, g.integers(0, 4, size=n))
+
+
+def _step_plan(spec: ModelSpec, n: int) -> tuple:
+    """The Generator calls run_time_step makes in one step, as (name, *args)."""
+    partner_span = n - 1 if spec.pairing == MEAN_FIELD else 4
+    plan = (("integers", 0, n, n), ("integers", 0, partner_span, n))
+    if spec.rule == GENERAL:
+        return plan + (("uniform", *spec.eps1_window, n), ("uniform", *spec.eps2_window, n))
+    if spec.eps_fixed is None:
+        return plan + (("random", n),)
+    return plan
 
 
 def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
@@ -315,9 +321,13 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
 
 
 # Blocks of at least this many economies run through EnsembleBlock; smaller ones
-# step each economy with run_time_step.  Against that per-economy loop, at N=100
-# and N=1000 agents, 16 rows ran at ~0.8x, 32 rows at ~1.3x and 64 rows at
-# 1.7-2.1x, so the batched path is taken only where it clearly wins.
+# step each economy with run_time_step.  Against that per-economy loop (mean
+# field at N=100 and N=1000, a 32x32 lattice with eps redrawn), 16 rows ran at
+# 0.75-1.3x, 24 rows at 1.1-1.7x, 32 rows at 1.3-1.8x and 64 rows at 1.9-3.4x.
+# The threshold stays above that crossover for memory: a block holds about ten
+# rows-by-n arrays at once.  With 24, a 2-worker run of 60 economies of 1024
+# agents in two batched 30-row blocks ran 1.5x faster but peaked 6.4% higher in
+# resident memory than in 7-row blocks stepped per economy.
 BATCH_MIN_ROWS = 64
 
 
@@ -325,22 +335,28 @@ class EnsembleBlock:
     """R independent economies of n agents, advanced together slot by slot.
 
     Row r is ``ensembles[r]`` driven by ``rngs[r]``; its wealth occupies
-    ``wealth[r*n:(r+1)*n]`` of one flat array.  On every step each row's
-    generator draws exactly what :func:`run_time_step` draws, in the same order;
-    then interaction slot k updates slot k of every row at once through flat
-    indices.  Rows share no agents, so each economy sees the same floating-point
-    operations in the same order as under :func:`run_time_step`, and a block
-    reproduces it bit for bit.
+    ``wealth[r*n:(r+1)*n]`` of one flat array.  On every step each row's stream
+    yields exactly what :func:`run_time_step` draws through its Generator, in the
+    same order, read from raw words by :class:`rawdraws.BlockDraws`; then
+    interaction slot k updates slot k of every row at once through flat indices.
+    Rows share no agents, so each economy sees the same floating-point operations
+    in the same order as under :func:`run_time_step`, and a block reproduces it
+    bit for bit.
     """
 
     def __init__(self, spec: ModelSpec, ensembles: list[AgentEnsemble], rngs: list[RngStream]):
+        # Imported here, not with this module: only batched runs need it, and
+        # where no bytecode cache is written every start would compile it.
+        from .rawdraws import BlockDraws, check_raw_draws
+
+        check_raw_draws()
         rows = len(ensembles)
         n = ensembles[0].n_agents
         self.spec = spec
         self.n_agents = n
         self.wealth = np.concatenate([e.wealth for e in ensembles])
         self.saving = np.concatenate([e.saving for e in ensembles])
-        self._gens = [rng.gen for rng in rngs]
+        self._draws = BlockDraws([rng.gen for rng in rngs], _step_plan(spec, n))
         self._offsets = np.arange(rows) * n
         # Buffers reused on every step, all slot-major: row k of _pairs holds the
         # flat index of agent i in every economy, then that of its partner j;
@@ -360,21 +376,17 @@ class EnsembleBlock:
         self._tmp = np.empty(rows)
 
     def _draw(self) -> None:
-        spec, n, rows = self.spec, self.n_agents, len(self._gens)
+        spec, rows = self.spec, len(self._offsets)
         first, second = self._pairs[:, :rows], self._pairs[:, rows:]
-        coef = self._coef
-        for r, g in enumerate(self._gens):
-            first[:, r], second[:, r] = _draw_slots(spec, n, g)
-            if spec.rule == GENERAL:
-                coef[0, :, r] = g.uniform(*spec.eps1_window, size=n)
-                coef[1, :, r] = g.uniform(*spec.eps2_window, size=n)
-            elif self._redraw:
-                coef[0, :, r] = g.random(n)
-        second[...] = _partners(spec, first, second)
+        ii, raw, *eps = self._draws.draw()
+        np.copyto(first, ii.T)
+        np.copyto(second, _partners(spec, ii, raw).T)
+        for coef, e in zip(self._coef, eps):
+            np.copyto(coef, e.T)
         first += self._offsets
         second += self._offsets
         if spec.rule == FIXED_SAVING and self._redraw:
-            coef *= 1.0 - spec.lambda_fixed  # eps * (1 - lam), as in run_time_step
+            self._coef *= 1.0 - spec.lambda_fixed  # eps * (1 - lam), as in run_time_step
         if spec.rule == DISTRIBUTED_SAVING:
             lam_i, keep_i, keep_j = self._lam
             np.take(self.saving, first, out=lam_i)
@@ -388,7 +400,7 @@ class EnsembleBlock:
         Returns each row's sum_i |w_i(after) - w_i(before)|, as run_time_step does.
         """
         self._draw()
-        rows, n = len(self._gens), self.n_agents
+        rows, n = len(self._offsets), self.n_agents
         w = self.wealth
         np.copyto(self._before, w)
         out, total, tmp = self._out, self._total, self._tmp

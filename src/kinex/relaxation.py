@@ -81,21 +81,29 @@ def _block_series(args) -> np.ndarray:
 
 
 def average_series(
-    block_fn: Callable, args: tuple, t_max: int, n_configs: int, workers: int, **meta
+    block_fn: Callable,
+    args: tuple,
+    t_max: int,
+    n_configs: int,
+    workers: int,
+    batch_rows: int = 0,
+    **meta,
 ) -> RelaxationSeries:
     """Mean of the per-configuration traces ``block_fn`` returns, summed in stream order.
 
     ``block_fn((*args, start, stop))`` returns the length-``t_max`` traces of
     configurations [start, stop); :func:`streams.map_stream_blocks` spreads the
-    blocks over ``workers`` processes.  The sum runs in stream-index order, so
-    any worker count yields bit-identical output.  ``meta`` fills the remaining
-    :class:`RelaxationSeries` fields (``n_agents``, ``master_seed``, ``spec``).
+    blocks over ``workers`` processes, sized to reach ``block_fn``'s batched path
+    of ``batch_rows`` or more rows (0: it has none).  The sum runs in
+    stream-index order, so any worker count yields bit-identical output.
+    ``meta`` fills the remaining :class:`RelaxationSeries` fields (``n_agents``,
+    ``master_seed``, ``spec``).
     """
     if t_max < 2:
         raise InvalidParameter(f"t_max={t_max} must be >= 2")
     if n_configs < 1:
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
-    blocks = map_stream_blocks(block_fn, args, n_configs, workers)
+    blocks = map_stream_blocks(block_fn, args, n_configs, workers, batch_rows)
     acc = np.zeros(t_max)
     for traces in blocks:
         for xs in traces:
@@ -125,6 +133,7 @@ def run_relaxation(
         t_max,
         n_configs,
         workers,
+        BATCH_MIN_ROWS,
         n_agents=n,
         master_seed=master_seed,
         spec=spec.digest(),

@@ -38,15 +38,26 @@ class RngStream:
         return self._gen
 
 
-def map_stream_blocks(fn: Callable, args: tuple, n_streams: int, workers: int = 1) -> list:
+def map_stream_blocks(
+    fn: Callable, args: tuple, n_streams: int, workers: int = 1, batch_rows: int = 0
+) -> list:
     """Run ``fn((*args, start, stop))`` over contiguous blocks of stream indices.
 
     With one worker (or one stream) a single block holds every stream.  With
-    more workers the blocks hold ``max(1, n_streams // (4 * workers))`` streams
-    each and go to a process pool.  The results come back in stream order, so a
-    reduction over them in list order is the same for every worker count.
+    more workers the blocks go to a process pool and hold ``max(1, C // (4 *
+    workers))`` of the C streams each, except where ``fn`` runs blocks of
+    ``batch_rows`` or more streams on a batched path and each worker's share
+    ``ceil(C / workers)`` can hold such a block: then they hold
+    ``max(batch_rows, C // (4 * workers))``, capped at that share.  The results
+    come back in stream order, so a reduction over them in list order is the
+    same for every worker count.
     """
-    size = max(1, n_streams // (4 * workers)) if workers > 1 else n_streams
+    size = n_streams
+    if workers > 1:
+        share = -(-n_streams // workers)
+        size = max(1, n_streams // (4 * workers))
+        if 0 < batch_rows <= share:
+            size = min(max(batch_rows, size), share)
     jobs = [(*args, lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
     if workers > 1 and len(jobs) > 1:
         with multiprocessing.Pool(workers) as pool:

@@ -9,6 +9,7 @@ import yaml
 
 from kinex.cli import build_model, load_experiment_config, main
 from kinex.errors import ConfigError
+from kinex.exchange import BATCH_MIN_ROWS
 
 
 def write_cfg(tmp_path, payload, name="exp.yaml"):
@@ -25,6 +26,15 @@ def break_fit_writer(monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "write_fit_csv", broken_write)
+
+
+def break_draw_check(monkeypatch):
+    """Make the raw-word draws disagree with numpy's Generator, as a numpy that
+    mapped raw words differently would."""
+    import kinex.rawdraws as rawdraws
+
+    monkeypatch.setattr(rawdraws, "_unit_doubles", lambda words: (words >> 12) * 2.0**-52)
+    rawdraws.check_raw_draws.cache_clear()
 
 
 BASE = {
@@ -199,31 +209,46 @@ class TestCommands:
     @pytest.mark.parametrize(
         "override,error",
         [
-            (
-                {"model": {**BASE["model"], "pairing": "lattice2d", "lattice_side": 3}},
-                "TopologyMismatch",
-            ),
+            ({"n_configs": BATCH_MIN_ROWS}, "DrawMismatch"),
             ({"model": {**BASE["model"], "lambda_window": [0.5, 0.2]}}, "InvalidParameter"),
         ],
     )
-    def test_kinex_errors_exit_2_with_one_line(self, tmp_path, capsys, override, error):
+    def test_kinex_errors_exit_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, override, error
+    ):
+        if error == "DrawMismatch":  # raised in the run, at the first batched block
+            break_draw_check(monkeypatch)
         p = write_cfg(tmp_path, {**BASE, **override})
         assert main(["relax", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("kinex: ") and error in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize(
         "override",
-        [{"tail_fraction": 0.9}, {"t_max": 5}, {"n_agents": 1}],
-        ids=["tail_fraction", "t_max", "n_agents"],
+        [
+            {"tail_fraction": 0.9},
+            {"t_max": 5},
+            {"n_agents": 1},
+            {"model": {**BASE["model"], "pairing": "lattice2d", "lattice_side": 3}},
+        ],
+        ids=["tail_fraction", "t_max", "n_agents", "lattice_side"],
     )
     def test_bad_tail_fraction_fails_before_simulating(self, tmp_path, capsys, override):
         p = write_cfg(tmp_path, {**BASE, **override})
         out = tmp_path / "tf"
         assert main(["relax", "--config", str(p), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("kinex: config error") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_lattice_side_is_checked_where_the_model_runs(self, tmp_path):
+        model = {"rule": "pure_gambling", "pairing": "lattice2d", "lattice_side": 4}
+        p = write_cfg(tmp_path, {"n_agents": 20, "model": model, "g_windows": [[0.0, 1.0]]})
+        with pytest.raises(ConfigError, match="lattice_side=4"):
+            load_experiment_config(p, "dist")
+        assert load_experiment_config(p, "rrn").model.lattice_side == 4  # rrn runs no agents
 
     @pytest.mark.parametrize(
         "section",

@@ -6,6 +6,7 @@ condition; run_time_step in turn must reproduce the scalar exchange_* rules.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from kinex.exchange import (
     _draw_pairs,
 )
 from kinex.relaxation import run_relaxation
+from kinex.streams import map_stream_blocks
 
 BLOCK_SIZES = (1, 2, 63, 64, 100)
 SAVING_RULES = ("pure_gambling", "fixed_saving", "distributed_saving")
@@ -195,17 +197,109 @@ def test_time_step_replays_the_scalar_rules(rule):
         assert ens.wealth.tobytes() == replay.wealth.tobytes()
 
 
-def test_relaxation_batched_block_equals_per_config_chunks():
-    """C=130: one batched block at 1 worker, 16-row per-config chunks at 2 workers."""
+def _span(args):
+    return args[-2], args[-1]
+
+
+@pytest.mark.parametrize(
+    "n_streams,workers,batch_rows,size",
+    [
+        (130, 1, 64, 130),
+        (130, 2, 64, 64),
+        (130, 4, 64, 8),  # a worker's share of 33 cannot reach the batched path
+        (500, 4, 64, 64),
+        (2000, 2, 64, 250),
+        (10, 2, 64, 1),
+        (130, 2, 0, 16),  # no batched path: four blocks per worker
+    ],
+)
+def test_fan_out_blocks_reach_the_batched_path(n_streams, workers, batch_rows, size):
+    blocks = map_stream_blocks(_span, (), n_streams, workers, batch_rows)
+    assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
+
+
+# C = 130 streams: one batched block of 130 at 1 worker; at 2 workers batched
+# blocks of 64 and 64 and a 2-row block stepped per configuration; at 4 workers
+# 8-row blocks stepped per configuration.
+@pytest.mark.parametrize("workers", [2, 4])
+def test_relaxation_is_the_same_at_any_worker_count(workers):
     spec = ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5)
     one = run_relaxation(spec, 12, 10, 130, master_seed=5, workers=1)
-    two = run_relaxation(spec, 12, 10, 130, master_seed=5, workers=2)
-    assert one.x_mean.tobytes() == two.x_mean.tobytes()
+    many = run_relaxation(spec, 12, 10, 130, master_seed=5, workers=workers)
+    assert one.x_mean.tobytes() == many.x_mean.tobytes()
 
 
-def test_equilibrium_batched_block_equals_per_config_chunks():
+@pytest.mark.parametrize("workers", [2, 4])
+def test_equilibrium_is_the_same_at_any_worker_count(workers):
     spec = ModelSpec(rule="distributed_saving", lambda_window=(0.2, 0.9))
     one = run_equilibrium(spec, 12, 6, 4, 130, master_seed=9, workers=1)
-    two = run_equilibrium(spec, 12, 6, 4, 130, master_seed=9, workers=2)
+    many = run_equilibrium(spec, 12, 6, 4, 130, master_seed=9, workers=workers)
     for field in ("wealth", "saving", "wealth_time_avg"):
-        assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
+        assert getattr(one, field).tobytes() == getattr(many, field).tobytes()
+
+
+class _RawOnly:
+    """A stream whose generator offers only its bit generator, no Generator calls."""
+
+    def __init__(self, rng):
+        self.gen = SimpleNamespace(bit_generator=rng.gen.bit_generator)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(rule="general", eps1_window=(-0.5, 1.5)),
+        ModelSpec(rule="fixed_saving", lambda_fixed=0.3, pairing=LATTICE_2D, lattice_side=3),
+    ],
+    ids=["general", "fixed_saving_lattice"],
+)
+def test_block_draws_from_raw_words_only(spec):
+    n, rows = 9, 5
+    want_traces, want_final = _per_config(spec, n, 6, 3, range(rows))
+    rngs = [RngStream(3, c) for c in range(rows)]
+    ensembles = [init_ensemble(spec, n, rng) for rng in rngs]
+    block = EnsembleBlock(spec, ensembles, [_RawOnly(rng) for rng in rngs])
+    traces = np.array([block.step() for _ in range(6)]).T
+    assert traces.tobytes() == want_traces.tobytes()
+    assert block.wealth.tobytes() == want_final.tobytes()
+
+
+@pytest.mark.parametrize("rule,pairing", [("general", "mean_field"), ("pure_gambling", LATTICE_2D)])
+def test_block_rows_forced_through_the_exact_reader(rule, pairing):
+    spec = ModelSpec(rule=rule, pairing=pairing, lattice_side=4, eps1_window=(-0.5, 1.5))
+    n, rows, steps = 16, 7, 8
+    want_traces, want_final = _per_config(spec, n, steps, 11, range(rows))
+    rngs = [RngStream(11, c) for c in range(rows)]
+    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    traces = []
+    for _ in range(steps):
+        block._draws._pending[:] = True  # routes every row to RawReader
+        traces.append(block.step())
+    assert np.array(traces).T.tobytes() == want_traces.tobytes()
+    assert block.wealth.tobytes() == want_final.tobytes()
+
+
+def test_block_row_carries_a_pending_half_across_steps():
+    # One integer draw before the block leaves stream 2 with a 32-bit half
+    # pending; each step then reads 2n halves, so the half stays pending from
+    # step to step and row 2 is read through RawReader every time.
+    spec = ModelSpec(rule="distributed_saving", eps_fixed=None)
+    n, rows, steps = 10, 4, 6
+    traces, finals = [], []
+    for c in range(rows):
+        rng = RngStream(13, c)
+        ens = init_ensemble(spec, n, rng)
+        if c == 2:
+            rng.gen.integers(0, 7, size=1)
+        traces.append([run_time_step(ens, spec, rng) for _ in range(steps)])
+        finals.append(ens.wealth)
+    rngs = [RngStream(13, c) for c in range(rows)]
+    ensembles = [init_ensemble(spec, n, rng) for rng in rngs]
+    rngs[2].gen.integers(0, 7, size=1)
+    block = EnsembleBlock(spec, ensembles, rngs)
+    got = []
+    for _ in range(steps):
+        got.append(block.step())
+        assert block._draws._pending.tolist() == [False, False, True, False]
+    assert np.array(got).T.tobytes() == np.array(traces).tobytes()
+    assert block.wealth.tobytes() == np.concatenate(finals).tobytes()
