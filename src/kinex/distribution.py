@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .exchange import BATCH_MIN_ROWS, EnsembleBlock, ModelSpec, init_ensemble, run_time_step
+from .exchange import EnsembleBlock, ModelSpec, init_ensemble, run_time_step
 from .expfit import _linear_fit
-from .streams import RngStream, map_stream_blocks
+from .streams import BATCH_MIN_ROWS, RngStream, map_stream_blocks
 
 
 @dataclass
@@ -84,11 +84,7 @@ def run_equilibrium(
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
     spec.validate()
     parts = map_stream_blocks(
-        _equilibrium_block,
-        (spec, n, equil_steps, sample_steps, master_seed),
-        n_configs,
-        workers,
-        BATCH_MIN_ROWS,
+        _equilibrium_block, (spec, n, equil_steps, sample_steps, master_seed), n_configs, workers
     )
     return EquilibriumSample(
         wealth=np.concatenate([p[0] for p in parts]),

@@ -320,17 +320,6 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     return float(np.abs(after - before).sum())
 
 
-# Blocks of at least this many economies run through EnsembleBlock; smaller ones
-# step each economy with run_time_step.  Against that per-economy loop (mean
-# field at N=100 and N=1000, a 32x32 lattice with eps redrawn), 16 rows ran at
-# 0.75-1.3x, 24 rows at 1.1-1.7x, 32 rows at 1.3-1.8x and 64 rows at 1.9-3.4x.
-# The threshold stays above that crossover for memory: a block holds about ten
-# rows-by-n arrays at once.  With 24, a 2-worker run of 60 economies of 1024
-# agents in two batched 30-row blocks ran 1.5x faster but peaked 6.4% higher in
-# resident memory than in 7-row blocks stepped per economy.
-BATCH_MIN_ROWS = 64
-
-
 class EnsembleBlock:
     """R independent economies of n agents, advanced together slot by slot.
 

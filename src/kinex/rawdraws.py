@@ -26,17 +26,46 @@ def _unit_doubles(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * _DOUBLE_UNIT
 
 
+def _products(halves: np.ndarray, span: int) -> np.ndarray:
+    """Lemire's m = u32 * span for each 32-bit value, always in uint64.
+
+    The dtype is explicit because numpy < 2 keeps uint32 * uint64-scalar in
+    uint32, which would overflow.
+    """
+    return np.multiply(halves, np.uint64(span), dtype=np.uint64)
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit values of ``words`` in the order the bit generator hands them
+    out: each word's low half, then its high half.
+
+    On a little-endian host that is the uint32 view; check_raw_draws holds the
+    decoding to the Generator on the host it runs on.
+    """
+    return words.view(np.uint32)
+
+
+def _store_half(bit_generator, half: int | None) -> None:
+    """Leave ``half`` pending in the bit generator (None: no half pending)."""
+    state = bit_generator.state
+    state["has_uint32"] = int(half is not None)
+    if half is not None:
+        state["uinteger"] = half
+    bit_generator.state = state
+
+
 def replay(source, plan) -> list[np.ndarray]:
     """Make the draws ``plan`` lists, ``(name, *args)`` method calls, on ``source``."""
     return [getattr(source, name)(*args) for name, *args in plan]
 
 
 class RawReader:
-    """numpy's ``Generator.integers``, ``random`` and ``uniform``, re-derived one
-    value at a time from the raw 64-bit words of a PCG64 bit generator.
+    """numpy's ``Generator.integers``, ``random`` and ``uniform``, re-derived from
+    the raw 64-bit words of a PCG64 bit generator.
 
     Words come first from ``words`` (already drawn from ``bit_generator``), then
-    from the bit generator itself.  The rules it reproduces:
+    from the bit generator itself; a half the bit generator holds pending is
+    read first.  The rules it reproduces:
 
     - ``integers(low, high)`` with 1 < high - low <= 2**32 is Lemire's bounded
       method on 32-bit values: m = u32 * span, redrawn while
@@ -48,55 +77,59 @@ class RawReader:
     - ``random()`` is (word >> 11) * 2**-53, one word per value, and
       ``uniform(low, high)`` is low + (high - low) * random().
 
-    :meth:`close` leaves the pending half in the bit generator, which then
-    continues exactly as if the ``Generator`` had made the draws.
+    ``integers`` decodes as many values as it still needs in one vectorized
+    pass, then repeats for the ones rejected.  :meth:`close` leaves the pending
+    half in the bit generator, which then continues exactly as if the
+    ``Generator`` had made the draws.
     """
 
     def __init__(self, bit_generator, words: np.ndarray = ()):
         self._bg = bit_generator
-        self._words = iter(np.asarray(words, dtype=np.uint64).tolist())
+        self._words = np.asarray(words, dtype=np.uint64)
         state = bit_generator.state
         self._half = state["uinteger"] if state["has_uint32"] else None
 
-    def _word(self) -> int:
-        word = next(self._words, None)
-        return int(self._bg.random_raw()) if word is None else word
-
-    def _uint32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        word = self._word()
-        self._half = word >> 32
-        return word & _LOW32
+    def _take(self, count: int) -> np.ndarray:
+        words, self._words = self._words[:count], self._words[count:]
+        if len(words) < count:
+            words = np.concatenate([words, self._bg.random_raw(count - len(words))])
+        return words
 
     def integers(self, low: int, high: int, size: int) -> np.ndarray:
         span = high - low
-        out = np.full(size, low, dtype=np.int64)
         if span == 1:
-            return out
+            return np.full(size, low, dtype=np.int64)
         threshold = (1 << 32) % span
-        for k in range(size):
-            m = self._uint32() * span
-            while m & _LOW32 < threshold:
-                m = self._uint32() * span
-            out[k] += m >> 32
-        return out
+        values = [np.empty(0, dtype=np.uint64)]
+        while size:
+            # just enough words for the values still needed, a pending half first
+            halves = _halves(self._take((size - (self._half is not None) + 1) // 2))
+            if self._half is not None:
+                halves = np.concatenate([np.array([self._half], dtype=np.uint32), halves])
+            m = _products(halves, span)
+            kept = np.flatnonzero((m & _LOW32) >= threshold)[:size]
+            values.append(m[kept] >> 32)
+            size -= len(kept)
+            # at most one half is left over, and only once every value is drawn
+            used = kept[-1] + 1 if not size else len(halves)
+            self._half = int(halves[-1]) if used < len(halves) else None
+        return np.concatenate(values).astype(np.int64) + low
 
     def random(self, size: int) -> np.ndarray:
-        return _unit_doubles(np.array([self._word() for _ in range(size)], dtype=np.uint64))
+        return _unit_doubles(self._take(size))
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
         return low + (high - low) * self.random(size)
 
-    def close(self) -> bool:
-        """Store the pending half in the bit generator; return whether there is one."""
-        state = self._bg.state
-        state["has_uint32"] = int(self._half is not None)
-        if self._half is not None:
-            state["uinteger"] = self._half
-        self._bg.state = state
-        return self._half is not None
+    def close(self) -> int | None:
+        """Store the pending half in the bit generator and return it (None: none)."""
+        _store_half(self._bg, self._half)
+        return self._half
+
+
+def _rejects(m: np.ndarray, threshold: int) -> np.ndarray:
+    """Rows of Lemire products ``m`` with a value the bounded method redraws."""
+    return ((m & _LOW32) < threshold).any(axis=1)
 
 
 class BlockDraws:
@@ -107,14 +140,17 @@ class BlockDraws:
     high, size)``, ``random(size)`` or ``uniform(low, high, size)``: integer draws
     first, and an even number of 32-bit values among them.  :meth:`draw` returns
     one ``(streams, size)`` array per entry, row r equal bit for bit to what
-    ``gens[r]`` returns for the same calls.
+    ``gens[r]`` returns for the same calls, and leaves each bit generator where
+    the ``Generator`` would, its pending half included.
 
     Each step draws, per stream, the words the plan takes when no value is
-    rejected and no half is pending.  Rows are decoded from those words in
-    vectorized passes.  A row that carries a pending half, or that rejected a
-    value (about 2e-8 per value at a span of 100), replays the plan through a
-    :class:`RawReader` that starts from the same words, so every stream is read
-    exactly as the ``Generator`` would read it.
+    rejected, and decodes every row from them in vectorized passes.  A row that
+    carries a pending half reads it first and leaves its last half pending, so
+    it takes as many words as the others.  A row that rejected a value replays
+    the plan through a :class:`RawReader` that starts from the same words.  At
+    a span of N a value is rejected with probability (2**32 mod N) / 2**32 <
+    N / 2**32, so a mean-field step rejects in at most 2 N**2 / 2**32 of its
+    rows: 5e-6 at N = 100, 5e-4 at N = 1000, 0.05 at N = 10**4.
     """
 
     def __init__(self, gens: list[np.random.Generator], plan: tuple):
@@ -127,17 +163,24 @@ class BlockDraws:
         self._int_words = halves // 2
         words = self._int_words + sum(args[-1] for _, *args in plan[n_ints:])
         self._raw = np.empty((len(gens), words), dtype=np.uint64)
-        self._pending = np.array([bool(bg.state["has_uint32"]) for bg in self._bgs])
+        states = [bg.state for bg in self._bgs]
+        self._pending = np.array([bool(s["has_uint32"]) for s in states])
+        self._half = np.array([s["uinteger"] for s in states], dtype=np.uint32)
 
     def draw(self) -> list[np.ndarray]:
         raw = self._raw
         for r, bg in enumerate(self._bgs):
             raw[r] = bg.random_raw(raw.shape[1])
-        # On a little-endian host the uint32 view lists each word's low half
-        # first, as the bit generator hands them out; check_raw_draws holds the
-        # decoding to the Generator on the host it runs on.
-        halves = raw[:, : self._int_words].view(np.uint32)
-        redo = self._pending.copy()
+        halves = _halves(raw[:, : self._int_words])
+        pending = np.flatnonzero(self._pending) if self._int_words else ()
+        if len(pending):
+            # The pending half comes first and the row's last half is left over.
+            left_over = halves[pending, -1]
+            halves = halves.copy()
+            halves[pending, 1:] = halves[pending, :-1]
+            halves[pending, 0] = self._half[pending]
+            self._half[pending] = left_over
+        redo = np.zeros(len(raw), dtype=bool)
         out, pos, word = [], 0, self._int_words
         for name, *args in self._plan:
             if name == "integers":
@@ -146,23 +189,30 @@ class BlockDraws:
                 if span == 1:
                     out.append(np.full((len(raw), size), low, dtype=np.int64))
                     continue
-                m = halves[:, pos : pos + size] * np.uint64(span)
+                m = _products(halves[:, pos : pos + size], span)
                 pos += size
                 threshold = (1 << 32) % span
                 if threshold:
-                    redo |= ((m & _LOW32) < threshold).any(axis=1)
-                values = (m >> 32).view(np.int64)
-                out.append(values + low if low else values)
+                    redo |= _rejects(m, threshold)
+                values = np.right_shift(m, 32, out=m).view(np.int64)
+                if low:
+                    values += low
+                out.append(values)
             else:
                 size = args[-1]
                 u = _unit_doubles(raw[:, word : word + size])
                 word += size
                 out.append(args[0] + (args[1] - args[0]) * u if name == "uniform" else u)
+        for r in pending:
+            if not redo[r]:
+                _store_half(self._bgs[r], int(self._half[r]))
         for r in np.flatnonzero(redo):
             reader = RawReader(self._bgs[r], raw[r])
             for values, row in zip(out, replay(reader, self._plan)):
                 values[r] = row
-            self._pending[r] = reader.close()
+            half = reader.close()
+            self._pending[r] = half is not None
+            self._half[r] = half or 0
         return out
 
 
@@ -172,7 +222,8 @@ _CHECK_PLANS = (
     # size: nearly every row goes through RawReader, and an odd number of
     # rejections leaves a half pending into the next step.
     (("integers", 0, 3 * 2**30 + 7, 7), ("integers", 0, 2**31 + 1, 7), ("uniform", -0.5, 1.5, 7)),
-    # A step of the batched kernel at n = 101: rows decode in vectorized passes.
+    # A step of the batched kernel at n = 101: rows decode in vectorized passes,
+    # the one that starts with a half pending too.
     (("integers", 0, 101, 101), ("integers", 0, 100, 101), ("random", 101)),
 )
 
@@ -189,6 +240,8 @@ def check_raw_draws() -> None:
     for plan in _CHECK_PLANS:
         gens = [RngStream(_CHECK_SEED, c).gen for c in range(3)]
         oracles = [RngStream(_CHECK_SEED, c).gen for c in range(3)]
+        for g in (gens[1], oracles[1]):
+            g.integers(0, 7, 1)  # leaves a half pending in stream 1
         block = BlockDraws(gens, plan)
         for _ in range(3):
             got = block.draw()

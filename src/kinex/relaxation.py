@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientData, InvalidParameter, ShapeError
-from .exchange import BATCH_MIN_ROWS, EnsembleBlock, ModelSpec, init_ensemble, run_time_step
-from .streams import RngStream, map_stream_blocks
+from .exchange import EnsembleBlock, ModelSpec, init_ensemble, run_time_step
+from .streams import BATCH_MIN_ROWS, RngStream, map_stream_blocks
 
 DEFAULT_TAIL_FRACTION = 0.25
 
@@ -81,29 +81,21 @@ def _block_series(args) -> np.ndarray:
 
 
 def average_series(
-    block_fn: Callable,
-    args: tuple,
-    t_max: int,
-    n_configs: int,
-    workers: int,
-    batch_rows: int = 0,
-    **meta,
+    block_fn: Callable, args: tuple, t_max: int, n_configs: int, workers: int, **meta
 ) -> RelaxationSeries:
     """Mean of the per-configuration traces ``block_fn`` returns, summed in stream order.
 
     ``block_fn((*args, start, stop))`` returns the length-``t_max`` traces of
     configurations [start, stop); :func:`streams.map_stream_blocks` spreads the
-    blocks over ``workers`` processes, sized to reach ``block_fn``'s batched path
-    of ``batch_rows`` or more rows (0: it has none).  The sum runs in
-    stream-index order, so any worker count yields bit-identical output.
-    ``meta`` fills the remaining :class:`RelaxationSeries` fields (``n_agents``,
-    ``master_seed``, ``spec``).
+    blocks over ``workers`` processes.  The sum runs in stream-index order, so
+    any worker count yields bit-identical output.  ``meta`` fills the remaining
+    :class:`RelaxationSeries` fields (``n_agents``, ``master_seed``, ``spec``).
     """
     if t_max < 2:
         raise InvalidParameter(f"t_max={t_max} must be >= 2")
     if n_configs < 1:
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
-    blocks = map_stream_blocks(block_fn, args, n_configs, workers, batch_rows)
+    blocks = map_stream_blocks(block_fn, args, n_configs, workers)
     acc = np.zeros(t_max)
     for traces in blocks:
         for xs in traces:
@@ -133,7 +125,6 @@ def run_relaxation(
         t_max,
         n_configs,
         workers,
-        BATCH_MIN_ROWS,
         n_agents=n,
         master_seed=master_seed,
         spec=spec.digest(),

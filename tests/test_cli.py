@@ -9,7 +9,7 @@ import yaml
 
 from kinex.cli import build_model, load_experiment_config, main
 from kinex.errors import ConfigError
-from kinex.exchange import BATCH_MIN_ROWS
+from kinex.streams import BATCH_MIN_ROWS
 
 
 def write_cfg(tmp_path, payload, name="exp.yaml"):

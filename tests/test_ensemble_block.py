@@ -23,9 +23,9 @@ from kinex import (
     init_ensemble,
     run_time_step,
 )
+from kinex import rawdraws
 from kinex.distribution import run_equilibrium
 from kinex.exchange import (
-    BATCH_MIN_ROWS,
     INITS,
     LATTICE_2D,
     PAIRINGS,
@@ -34,7 +34,7 @@ from kinex.exchange import (
     _draw_pairs,
 )
 from kinex.relaxation import run_relaxation
-from kinex.streams import map_stream_blocks
+from kinex.streams import BATCH_MIN_ROWS, map_stream_blocks
 
 BLOCK_SIZES = (1, 2, 63, 64, 100)
 SAVING_RULES = ("pure_gambling", "fixed_saving", "distributed_saving")
@@ -202,19 +202,18 @@ def _span(args):
 
 
 @pytest.mark.parametrize(
-    "n_streams,workers,batch_rows,size",
+    "n_streams,workers,size",
     [
-        (130, 1, 64, 130),
-        (130, 2, 64, 64),
-        (130, 4, 64, 8),  # a worker's share of 33 cannot reach the batched path
-        (500, 4, 64, 64),
-        (2000, 2, 64, 250),
-        (10, 2, 64, 1),
-        (130, 2, 0, 16),  # no batched path: four blocks per worker
+        (130, 1, 130),
+        (130, 2, 64),
+        (130, 4, 8),  # a worker's share of 33 cannot reach the batched path
+        (500, 4, 64),
+        (2000, 2, 250),
+        (10, 2, 1),
     ],
 )
-def test_fan_out_blocks_reach_the_batched_path(n_streams, workers, batch_rows, size):
-    blocks = map_stream_blocks(_span, (), n_streams, workers, batch_rows)
+def test_fan_out_blocks_reach_the_batched_path(n_streams, workers, size):
+    blocks = map_stream_blocks(_span, (), n_streams, workers)
     assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
 
 
@@ -265,24 +264,32 @@ def test_block_draws_from_raw_words_only(spec):
 
 
 @pytest.mark.parametrize("rule,pairing", [("general", "mean_field"), ("pure_gambling", LATTICE_2D)])
-def test_block_rows_forced_through_the_exact_reader(rule, pairing):
-    spec = ModelSpec(rule=rule, pairing=pairing, lattice_side=4, eps1_window=(-0.5, 1.5))
-    n, rows, steps = 16, 7, 8
+def test_block_rows_forced_through_the_exact_reader(monkeypatch, rule, pairing):
+    # Every row counts as rejecting, so every row-step replays through RawReader;
+    # at n = 9 both plans have a span (9, or 8 and 9) that the check applies to.
+    spec = ModelSpec(rule=rule, pairing=pairing, lattice_side=3, eps1_window=(-0.5, 1.5))
+    n, rows, steps = 9, 7, 8
     want_traces, want_final = _per_config(spec, n, steps, 11, range(rows))
     rngs = [RngStream(11, c) for c in range(rows)]
     block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
-    traces = []
-    for _ in range(steps):
-        block._draws._pending[:] = True  # routes every row to RawReader
-        traces.append(block.step())
-    assert np.array(traces).T.tobytes() == want_traces.tobytes()
+    readers, reader = [], rawdraws.RawReader
+
+    def counting_reader(*args):
+        readers.append(args)
+        return reader(*args)
+
+    monkeypatch.setattr(rawdraws, "_rejects", lambda m, threshold: np.ones(len(m), dtype=bool))
+    monkeypatch.setattr(rawdraws, "RawReader", counting_reader)
+    traces = np.array([block.step() for _ in range(steps)]).T
+    assert len(readers) == rows * steps
+    assert traces.tobytes() == want_traces.tobytes()
     assert block.wealth.tobytes() == want_final.tobytes()
 
 
-def test_block_row_carries_a_pending_half_across_steps():
+def test_block_row_carries_a_pending_half_across_steps(monkeypatch):
     # One integer draw before the block leaves stream 2 with a 32-bit half
     # pending; each step then reads 2n halves, so the half stays pending from
-    # step to step and row 2 is read through RawReader every time.
+    # step to step.  The row is decoded with the others, never by RawReader.
     spec = ModelSpec(rule="distributed_saving", eps_fixed=None)
     n, rows, steps = 10, 4, 6
     traces, finals = [], []
@@ -297,6 +304,7 @@ def test_block_row_carries_a_pending_half_across_steps():
     ensembles = [init_ensemble(spec, n, rng) for rng in rngs]
     rngs[2].gen.integers(0, 7, size=1)
     block = EnsembleBlock(spec, ensembles, rngs)
+    monkeypatch.setattr(rawdraws, "RawReader", None)  # a call would fail
     got = []
     for _ in range(steps):
         got.append(block.step())

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kinex import rawdraws
@@ -105,6 +106,40 @@ def test_block_draws_match_generator_per_row(plan):
             assert_same_draws([a[r] for a in got], replay(oracle, plan))
     for g, oracle in zip(gens, oracles):
         assert_continues_alike(g, oracle)
+
+
+def test_block_draws_decode_pending_rows_and_replay_only_rejecting_ones(monkeypatch):
+    # A span where about 1e-3 of all values are rejected: over 40 steps rows
+    # reject now and then, and each odd rejection flips the row's pending half.
+    plan = (("integers", 0, 2**31 - 2**21, 101), ("integers", 0, 999, 101), ("random", 50))
+    rows, steps = 8, 40
+    gens = [RngStream(31, c).gen for c in range(rows)]
+    oracles = [RngStream(31, c).gen for c in range(rows)]
+    readers, reader = [], rawdraws.RawReader
+
+    def counting_reader(*args):
+        readers.append(args)
+        return reader(*args)
+
+    monkeypatch.setattr(rawdraws, "RawReader", counting_reader)
+    block = BlockDraws(gens, plan)
+    pending_row_steps = 0
+    for _ in range(steps):
+        pending_row_steps += block._pending.sum()
+        got = block.draw()
+        for r, oracle in enumerate(oracles):
+            assert_same_draws([a[r] for a in got], replay(oracle, plan))
+    for g, oracle in zip(gens, oracles):
+        assert_continues_alike(g, oracle)
+    # pending rows are decoded with the rest; only rejecting ones replay
+    assert 0 < len(readers) < pending_row_steps
+
+
+def test_lemire_products_are_uint64_under_any_promotion_rules():
+    halves = np.array([0, 7, 2**32 - 1], dtype=np.uint32)
+    m = rawdraws._products(halves, REJECTING[1])
+    assert m.dtype == np.uint64
+    assert m.tolist() == [h * REJECTING[1] for h in halves.tolist()]
 
 
 def test_block_draws_refuse_a_plan_they_cannot_decode():
