@@ -128,6 +128,11 @@ def _typed(cls, raw: dict) -> dict:
     return typed
 
 
+def _cell_label(cell) -> str:
+    """A sweep cell's value as its output file names spell it."""
+    return "_".join(f"{v:g}" for v in (cell if isinstance(cell, tuple) else (cell,)))
+
+
 MODEL_KEYS = {f.name for f in fields(ModelSpec)} - {"eps_fixed"}  # set through `epsilon`
 CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"experiment", "strict"}
 
@@ -220,6 +225,10 @@ def load_experiment_config(
         raise ConfigError(f"lattice_side={side} squared != n_agents={cfg.n_agents}")
     if experiment != "fit" and cfg.t_max < 10:
         raise ConfigError(f"t_max={cfg.t_max} must be >= 10, the shortest series a plateau fits")
+    for name in ("eps_values", "lambda_windows", "g_windows"):
+        labels = [_cell_label(cell) for cell in getattr(cfg, name)]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"{name} would name two cells' output files alike: {labels}")
     n_dense = (cfg.side - 2) * cfg.side
     if experiment == "rrn" and cfg.dense_check and n_dense > DENSE_MAX_INTERIOR:
         raise ConfigError(
@@ -313,7 +322,7 @@ def cmd_lambda_family(cfg: ExperimentConfig) -> list[str]:
             series = run_relaxation(
                 spec, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
             )
-            write_series_csv(series, run.path(f"series_lw_{w[0]:g}_{w[1]:g}.csv"))
+            write_series_csv(series, run.path(f"series_lw_{_cell_label(w)}.csv"))
             fits.append(_fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE])
 
         taus = [fit.tau for fit in fits if not isinstance(fit, KinexError)]
@@ -344,7 +353,7 @@ def cmd_eps_sweep(cfg: ExperimentConfig) -> list[str]:
             series = run_relaxation(
                 spec, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
             )
-            write_series_csv(series, run.path(f"series_eps_{eps:g}.csv"))
+            write_series_csv(series, run.path(f"series_eps_{_cell_label(eps)}.csv"))
             x0, sem = equilibrium_window_stats(series, cfg.tail_fraction)
             rows.append({"eps": eps, "x0": x0, "x0_stderr": sem, "is_argmin": False})
 
@@ -409,7 +418,7 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
             )
             write_series_csv(
                 series,
-                run.path(f"series_g_{w[0]:g}_{w[1]:g}.csv"),
+                run.path(f"series_g_{_cell_label(w)}.csv"),
                 extra={"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"},
             )
             fit = _fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE]

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter, InvalidSize, TopologyMismatch
-from .streams import RngStream
+from .streams import RngStream, replay
 
 # Exchange rules
 PURE_GAMBLING = "pure_gambling"
@@ -218,17 +218,11 @@ def _partners(spec: ModelSpec, ii: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return _lattice_neighbors(spec.lattice_side)[ii, raw]
 
 
-def _draw_pairs(spec: ModelSpec, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One step's pairs: the first agent of each slot, then the partner draw (an
-    index among the other n-1 agents, or a lattice direction) mapped to an agent."""
-    ii = g.integers(0, n, size=n)
-    if spec.pairing == MEAN_FIELD:
-        return ii, _partners(spec, ii, g.integers(0, n - 1, size=n))
-    return ii, _partners(spec, ii, g.integers(0, 4, size=n))
-
-
 def _step_plan(spec: ModelSpec, n: int) -> tuple:
-    """The Generator calls run_time_step makes in one step, as (name, *args)."""
+    """The one statement of a step's draws, as ``(name, *args)`` Generator calls:
+    each slot's first agent, its partner (an index among the other n-1 agents,
+    or a lattice direction), then the split parameters in the modes that draw
+    them.  run_time_step and EnsembleBlock both draw exactly this."""
     partner_span = n - 1 if spec.pairing == MEAN_FIELD else 4
     plan = (("integers", 0, n, n), ("integers", 0, partner_span, n))
     if spec.rule == GENERAL:
@@ -238,6 +232,12 @@ def _step_plan(spec: ModelSpec, n: int) -> tuple:
     return plan
 
 
+def _draw_pairs(spec: ModelSpec, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One step's pairs: the first agent of each slot and its partner."""
+    ii, raw = replay(g, _step_plan(spec, n)[:2])
+    return ii, _partners(spec, ii, raw)
+
+
 def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     """Run one time step (= N pair interactions) in place.
 
@@ -245,23 +245,19 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     boundary snapshots, i.e. sum_i |w_i(after) - w_i(before)|; dividing by N
     gives the relaxation observable for this step.
 
-    Draw order per step: pair indices, then split parameters (only in modes
-    that draw them), so runs are reproducible per (master_seed, stream).
+    Each step draws what :func:`_step_plan` lists, so runs are reproducible
+    per (master_seed, stream).
     """
     n = ens.n_agents
-    g = rng.gen
     before = ens.wealth.copy()
     w = ens.wealth.tolist()
-    ii, jj = _draw_pairs(spec, n, g)
+    ii, raw, *eps = replay(rng.gen, _step_plan(spec, n))
+    jj = _partners(spec, ii, raw).tolist()
     ii = ii.tolist()
-    jj = jj.tolist()
     rule = spec.rule
 
     if rule == GENERAL:
-        lo1, hi1 = spec.eps1_window
-        lo2, hi2 = spec.eps2_window
-        e1 = g.uniform(lo1, hi1, size=n).tolist()
-        e2 = g.uniform(lo2, hi2, size=n).tolist()
+        e1, e2 = (e.tolist() for e in eps)
         for k in range(n):
             i = ii[k]
             j = jj[k]
@@ -271,10 +267,7 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
             w[i] = new_i
             w[j] = (wi + wj) - new_i
     else:
-        if spec.eps_fixed is None:
-            ee = g.random(n).tolist()
-        else:
-            ee = [spec.eps_fixed] * n
+        ee = eps[0].tolist() if eps else [spec.eps_fixed] * n
         if rule == PURE_GAMBLING:
             for k in range(n):
                 i = ii[k]

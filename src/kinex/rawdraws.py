@@ -2,10 +2,12 @@
 
 :class:`BlockDraws` makes one step's draws for a block of streams from one
 ``random_raw`` call per stream, bit for bit what ``Generator.integers``,
-``random`` and ``uniform`` return for the same calls; :class:`RawReader` is its
-exact one-value-at-a-time form, and :func:`check_raw_draws` holds both to the
-``Generator`` once per process.  Only :class:`exchange.EnsembleBlock` uses this
-module, and it imports it when the first block is built.
+``random`` and ``uniform`` return for the same calls, and
+:func:`check_raw_draws` holds it to the ``Generator`` once per process.  It
+decodes only draws in which no value is rejected; numpy's ``Generator`` is the
+only exact decoder, and makes a step's draws again for every stream that
+rejected one.  Only :class:`exchange.EnsembleBlock` uses this module, and it
+imports it when the first block is built.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import functools
 import numpy as np
 
 from .errors import DrawMismatch
-from .streams import RngStream
+from .streams import RngStream, replay
 
 _LOW32 = 0xFFFFFFFF
 _DOUBLE_UNIT = 2.0**-53
@@ -54,77 +56,11 @@ def _store_half(bit_generator, half: int | None) -> None:
     bit_generator.state = state
 
 
-def replay(source, plan) -> list[np.ndarray]:
-    """Make the draws ``plan`` lists, ``(name, *args)`` method calls, on ``source``."""
-    return [getattr(source, name)(*args) for name, *args in plan]
-
-
-class RawReader:
-    """numpy's ``Generator.integers``, ``random`` and ``uniform``, re-derived from
-    the raw 64-bit words of a PCG64 bit generator.
-
-    Words come first from ``words`` (already drawn from ``bit_generator``), then
-    from the bit generator itself; a half the bit generator holds pending is
-    read first.  The rules it reproduces:
-
-    - ``integers(low, high)`` with 1 < high - low <= 2**32 is Lemire's bounded
-      method on 32-bit values: m = u32 * span, redrawn while
-      m mod 2**32 < 2**32 mod span, and the value is low + (m >> 32).  A span of
-      1 draws nothing.
-    - The 32-bit values are the low half, then the high half, of each word.  An
-      unused high half stays pending in the bit generator (``has_uint32``) for
-      the next integer draw; ``random`` neither uses nor clears it.
-    - ``random()`` is (word >> 11) * 2**-53, one word per value, and
-      ``uniform(low, high)`` is low + (high - low) * random().
-
-    ``integers`` decodes as many values as it still needs in one vectorized
-    pass, then repeats for the ones rejected.  :meth:`close` leaves the pending
-    half in the bit generator, which then continues exactly as if the
-    ``Generator`` had made the draws.
-    """
-
-    def __init__(self, bit_generator, words: np.ndarray = ()):
-        self._bg = bit_generator
-        self._words = np.asarray(words, dtype=np.uint64)
-        state = bit_generator.state
-        self._half = state["uinteger"] if state["has_uint32"] else None
-
-    def _take(self, count: int) -> np.ndarray:
-        words, self._words = self._words[:count], self._words[count:]
-        if len(words) < count:
-            words = np.concatenate([words, self._bg.random_raw(count - len(words))])
-        return words
-
-    def integers(self, low: int, high: int, size: int) -> np.ndarray:
-        span = high - low
-        if span == 1:
-            return np.full(size, low, dtype=np.int64)
-        threshold = (1 << 32) % span
-        values = [np.empty(0, dtype=np.uint64)]
-        while size:
-            # just enough words for the values still needed, a pending half first
-            halves = _halves(self._take((size - (self._half is not None) + 1) // 2))
-            if self._half is not None:
-                halves = np.concatenate([np.array([self._half], dtype=np.uint32), halves])
-            m = _products(halves, span)
-            kept = np.flatnonzero((m & _LOW32) >= threshold)[:size]
-            values.append(m[kept] >> 32)
-            size -= len(kept)
-            # at most one half is left over, and only once every value is drawn
-            used = kept[-1] + 1 if not size else len(halves)
-            self._half = int(halves[-1]) if used < len(halves) else None
-        return np.concatenate(values).astype(np.int64) + low
-
-    def random(self, size: int) -> np.ndarray:
-        return _unit_doubles(self._take(size))
-
-    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        return low + (high - low) * self.random(size)
-
-    def close(self) -> int | None:
-        """Store the pending half in the bit generator and return it (None: none)."""
-        _store_half(self._bg, self._half)
-        return self._half
+def _rewind(bit_generator, words: int, half: int | None) -> None:
+    """Take ``bit_generator`` back ``words`` words, exactly (PCG64 advances modulo
+    2**128), and leave ``half`` pending again, as advancing clears it."""
+    bit_generator.advance(-words)
+    _store_half(bit_generator, half)
 
 
 def _rejects(m: np.ndarray, threshold: int) -> np.ndarray:
@@ -146,11 +82,12 @@ class BlockDraws:
     Each step draws, per stream, the words the plan takes when no value is
     rejected, and decodes every row from them in vectorized passes.  A row that
     carries a pending half reads it first and leaves its last half pending, so
-    it takes as many words as the others.  A row that rejected a value replays
-    the plan through a :class:`RawReader` that starts from the same words.  At
-    a span of N a value is rejected with probability (2**32 mod N) / 2**32 <
-    N / 2**32, so a mean-field step rejects in at most 2 N**2 / 2**32 of its
-    rows: 5e-6 at N = 100, 5e-4 at N = 1000, 0.05 at N = 10**4.
+    it takes as many words as the others.  A row that rejected a value is
+    rewound by those words, its pending half restored, and the plan is replayed
+    through numpy's ``Generator`` on its bit generator.  At a span of N a value
+    is rejected with probability (2**32 mod N) / 2**32 < N / 2**32, so a
+    mean-field step rejects in at most 2 N**2 / 2**32 of its rows: 5e-6 at
+    N = 100, 5e-4 at N = 1000, 0.05 at N = 10**4.
     """
 
     def __init__(self, gens: list[np.random.Generator], plan: tuple):
@@ -204,24 +141,27 @@ class BlockDraws:
                 word += size
                 out.append(args[0] + (args[1] - args[0]) * u if name == "uniform" else u)
         for r in pending:
-            if not redo[r]:
-                _store_half(self._bgs[r], int(self._half[r]))
+            _store_half(self._bgs[r], int(self._half[r]))
         for r in np.flatnonzero(redo):
-            reader = RawReader(self._bgs[r], raw[r])
-            for values, row in zip(out, replay(reader, self._plan)):
+            bg = self._bgs[r]
+            # a pending row's first half is the one it held before the step
+            _rewind(bg, raw.shape[1], int(halves[r, 0]) if self._pending[r] else None)
+            for values, row in zip(out, replay(np.random.Generator(bg), self._plan)):
                 values[r] = row
-            half = reader.close()
-            self._pending[r] = half is not None
-            self._half[r] = half or 0
+            state = bg.state
+            self._pending[r] = bool(state["has_uint32"])
+            self._half[r] = state["uinteger"]
         return out
 
 
 _CHECK_SEED = 20260811
 _CHECK_PLANS = (
-    # Spans where about a quarter and half of all values are rejected, at an odd
-    # size: nearly every row goes through RawReader, and an odd number of
-    # rejections leaves a half pending into the next step.
-    (("integers", 0, 3 * 2**30 + 7, 7), ("integers", 0, 2**31 + 1, 7), ("uniform", -0.5, 1.5, 7)),
+    # Spans where about half and a quarter of all values are rejected, at an odd
+    # size: nearly every row is rewound and replayed, and an odd number of
+    # rejections leaves a half pending into the next step.  Stream 1 starts
+    # the first step with a half pending that the first span accepts, so a
+    # rewind that loses it changes the draws.
+    (("integers", 0, 2**31 + 1, 7), ("integers", 0, 3 * 2**30 + 7, 7), ("uniform", -0.5, 1.5, 7)),
     # A step of the batched kernel at n = 101: rows decode in vectorized passes,
     # the one that starts with a half pending too.
     (("integers", 0, 101, 101), ("integers", 0, 100, 101), ("random", 101)),
@@ -230,7 +170,7 @@ _CHECK_PLANS = (
 
 @functools.cache
 def check_raw_draws() -> None:
-    """Hold BlockDraws and RawReader to numpy's Generator, once per process.
+    """Hold BlockDraws to numpy's Generator, once per process.
 
     Raises DrawMismatch when any draw differs, for example under a numpy whose
     Generator maps raw words differently, instead of letting a run continue on

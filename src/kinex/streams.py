@@ -50,6 +50,11 @@ class RngStream:
         return self._gen
 
 
+def replay(source, plan) -> list:
+    """Make the draws ``plan`` lists, ``(name, *args)`` method calls, on ``source``."""
+    return [getattr(source, name)(*args) for name, *args in plan]
+
+
 def map_stream_blocks(fn: Callable, args: tuple, n_streams: int, workers: int = 1) -> list:
     """Run ``fn((*args, start, stop))`` over contiguous blocks of stream indices.
 

@@ -232,8 +232,13 @@ class TestCommands:
             {"t_max": 5},
             {"n_agents": 1},
             {"model": {**BASE["model"], "pairing": "lattice2d", "lattice_side": 3}},
+            # cells whose output files would share a name
+            {"eps_values": [0.1, 0.1000001]},
+            {"lambda_windows": [[0.0, 1.0], [0.5, 1.0], [0.0, 1.0]]},
+            {"g_windows": [[0.2, 1.0], [0.2000001, 1.0]]},
         ],
-        ids=["tail_fraction", "t_max", "n_agents", "lattice_side"],
+        ids=["tail_fraction", "t_max", "n_agents", "lattice_side",
+             "eps_values", "lambda_windows", "g_windows"],
     )
     def test_bad_tail_fraction_fails_before_simulating(self, tmp_path, capsys, override):
         p = write_cfg(tmp_path, {**BASE, **override})

@@ -34,7 +34,7 @@ from kinex.exchange import (
     _draw_pairs,
 )
 from kinex.relaxation import run_relaxation
-from kinex.streams import BATCH_MIN_ROWS, map_stream_blocks
+from kinex.streams import BATCH_MIN_ROWS, map_stream_blocks, replay
 
 BLOCK_SIZES = (1, 2, 63, 64, 100)
 SAVING_RULES = ("pure_gambling", "fixed_saving", "distributed_saving")
@@ -264,24 +264,25 @@ def test_block_draws_from_raw_words_only(spec):
 
 
 @pytest.mark.parametrize("rule,pairing", [("general", "mean_field"), ("pure_gambling", LATTICE_2D)])
-def test_block_rows_forced_through_the_exact_reader(monkeypatch, rule, pairing):
-    # Every row counts as rejecting, so every row-step replays through RawReader;
-    # at n = 9 both plans have a span (9, or 8 and 9) that the check applies to.
+def test_block_rows_forced_through_the_generator_replay(monkeypatch, rule, pairing):
+    # Every row counts as rejecting, so every row-step is rewound and replayed
+    # through the Generator; at n = 9 both plans have a span (9, or 8 and 9)
+    # that the check applies to.
     spec = ModelSpec(rule=rule, pairing=pairing, lattice_side=3, eps1_window=(-0.5, 1.5))
     n, rows, steps = 9, 7, 8
     want_traces, want_final = _per_config(spec, n, steps, 11, range(rows))
     rngs = [RngStream(11, c) for c in range(rows)]
     block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
-    readers, reader = [], rawdraws.RawReader
+    replays = []
 
-    def counting_reader(*args):
-        readers.append(args)
-        return reader(*args)
+    def counting_replay(source, plan):
+        replays.append(source)
+        return replay(source, plan)
 
     monkeypatch.setattr(rawdraws, "_rejects", lambda m, threshold: np.ones(len(m), dtype=bool))
-    monkeypatch.setattr(rawdraws, "RawReader", counting_reader)
+    monkeypatch.setattr(rawdraws, "replay", counting_replay)
     traces = np.array([block.step() for _ in range(steps)]).T
-    assert len(readers) == rows * steps
+    assert len(replays) == rows * steps
     assert traces.tobytes() == want_traces.tobytes()
     assert block.wealth.tobytes() == want_final.tobytes()
 
@@ -289,7 +290,7 @@ def test_block_rows_forced_through_the_exact_reader(monkeypatch, rule, pairing):
 def test_block_row_carries_a_pending_half_across_steps(monkeypatch):
     # One integer draw before the block leaves stream 2 with a 32-bit half
     # pending; each step then reads 2n halves, so the half stays pending from
-    # step to step.  The row is decoded with the others, never by RawReader.
+    # step to step.  The row is decoded with the others, never replayed.
     spec = ModelSpec(rule="distributed_saving", eps_fixed=None)
     n, rows, steps = 10, 4, 6
     traces, finals = [], []
@@ -304,7 +305,7 @@ def test_block_row_carries_a_pending_half_across_steps(monkeypatch):
     ensembles = [init_ensemble(spec, n, rng) for rng in rngs]
     rngs[2].gen.integers(0, 7, size=1)
     block = EnsembleBlock(spec, ensembles, rngs)
-    monkeypatch.setattr(rawdraws, "RawReader", None)  # a call would fail
+    monkeypatch.setattr(rawdraws, "replay", None)  # a call would fail
     got = []
     for _ in range(steps):
         got.append(block.step())

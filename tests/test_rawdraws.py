@@ -1,8 +1,9 @@
 """Raw-word draws against numpy's Generator, byte for byte.
 
-RawReader and BlockDraws must return what ``Generator.integers``, ``random``
-and ``uniform`` return for the same calls on the same stream, and leave the
-stream where the Generator would leave it, a pending 32-bit half included.
+BlockDraws must return what ``Generator.integers``, ``random`` and ``uniform``
+return for the same calls on the same stream, and leave the stream where the
+Generator would leave it, a pending 32-bit half included, whether a row is
+decoded from raw words or rewound and replayed through the Generator.
 """
 
 import os
@@ -15,8 +16,8 @@ import pytest
 
 from kinex import rawdraws
 from kinex.errors import DrawMismatch
-from kinex.rawdraws import BlockDraws, RawReader, replay
-from kinex.streams import RngStream
+from kinex.rawdraws import BlockDraws
+from kinex.streams import RngStream, replay
 
 # Spans where about half and a quarter of all 32-bit values are rejected.
 REJECTING = (2**31 + 1, 3 * 2**30 + 7)
@@ -35,55 +36,6 @@ def assert_continues_alike(g, oracle):
     assert g.random(3).tobytes() == oracle.random(3).tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 8, 99, 100])
-@pytest.mark.parametrize("seed", [0, 5])
-def test_reader_matches_generator_on_kernel_spans(n, seed):
-    # Odd sizes leave a half pending, and random() between integer draws must
-    # neither use nor clear it.
-    plan = (
-        ("integers", 0, n, n),
-        ("random", 3),
-        ("integers", 0, n - 1, n),
-        ("integers", 0, 1, n),
-        ("integers", 0, 4, n),
-        ("uniform", -0.5, 1.5, n),
-        ("integers", 0, n, 1),
-    )
-    g, oracle = RngStream(seed, n).gen, RngStream(seed, n).gen
-    reader = RawReader(g.bit_generator)
-    assert_same_draws(replay(reader, plan), replay(oracle, plan))
-    reader.close()
-    assert_continues_alike(g, oracle)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_reader_matches_generator_where_rejection_is_frequent(seed):
-    plan = (
-        ("integers", 0, REJECTING[0], 9),
-        ("random", 2),
-        ("integers", 0, REJECTING[1], 11),
-        ("uniform", 2.0, 5.0, 3),
-        ("integers", 3, REJECTING[1], 7),
-    )
-    g, oracle = RngStream(seed, 1).gen, RngStream(seed, 1).gen
-    reader = RawReader(g.bit_generator)
-    assert_same_draws(replay(reader, plan), replay(oracle, plan))
-    reader.close()
-    assert_continues_alike(g, oracle)
-
-
-@pytest.mark.parametrize("drawn", [0, 1, 4, 12])
-def test_reader_reads_words_already_drawn_first(drawn):
-    plan = (("integers", 0, REJECTING[1], 15), ("random", 4), ("integers", 0, 10, 3))
-    g, oracle = RngStream(9, 2).gen, RngStream(9, 2).gen
-    oracle.integers(0, 10, 1)  # both streams start with a half pending
-    g.integers(0, 10, 1)
-    reader = RawReader(g.bit_generator, g.bit_generator.random_raw(drawn))
-    assert_same_draws(replay(reader, plan), replay(oracle, plan))
-    reader.close()
-    assert_continues_alike(g, oracle)
-
-
 @pytest.mark.parametrize(
     "plan",
     [
@@ -92,13 +44,20 @@ def test_reader_reads_words_already_drawn_first(drawn):
         (("integers", 0, 2, 2), ("integers", 0, 1, 2), ("uniform", -1.0, 2.0, 2)),
         (("integers", 0, REJECTING[0], 5), ("integers", 0, REJECTING[1], 7), ("random", 3)),
         (("integers", 3, REJECTING[1], 17), ("integers", 0, 4, 3), ("uniform", 0.5, 0.75, 3)),
+        (("integers", 5, 5 + REJECTING[0], 9), ("integers", 2, 2 + REJECTING[1], 11), ("uniform", 2.0, 5.0, 3)),
     ],
-    ids=["odd_n", "lattice", "n2_general", "rejecting", "rejecting_lattice"],
+    ids=["odd_n", "lattice", "n2_general", "rejecting", "rejecting_lattice", "rejecting_low_uniform"],
 )
-def test_block_draws_match_generator_per_row(plan):
+@pytest.mark.parametrize("pending", [(), (1, 4)], ids=["none_pending", "rows_1_4_pending"])
+def test_block_draws_match_generator_per_row(plan, pending):
+    # Rows that start with a half pending read it first; where they reject on
+    # the first step, the rewind has to put that half back.
     rows, steps = 6, 5
     gens = [RngStream(21, c).gen for c in range(rows)]
     oracles = [RngStream(21, c).gen for c in range(rows)]
+    for r in pending:
+        gens[r].integers(0, 7, 1)
+        oracles[r].integers(0, 7, 1)
     block = BlockDraws(gens, plan)
     for _ in range(steps):
         got = block.draw()
@@ -115,13 +74,13 @@ def test_block_draws_decode_pending_rows_and_replay_only_rejecting_ones(monkeypa
     rows, steps = 8, 40
     gens = [RngStream(31, c).gen for c in range(rows)]
     oracles = [RngStream(31, c).gen for c in range(rows)]
-    readers, reader = [], rawdraws.RawReader
+    replays = []
 
-    def counting_reader(*args):
-        readers.append(args)
-        return reader(*args)
+    def counting_replay(source, plan):
+        replays.append(source)
+        return replay(source, plan)
 
-    monkeypatch.setattr(rawdraws, "RawReader", counting_reader)
+    monkeypatch.setattr(rawdraws, "replay", counting_replay)
     block = BlockDraws(gens, plan)
     pending_row_steps = 0
     for _ in range(steps):
@@ -132,7 +91,8 @@ def test_block_draws_decode_pending_rows_and_replay_only_rejecting_ones(monkeypa
     for g, oracle in zip(gens, oracles):
         assert_continues_alike(g, oracle)
     # pending rows are decoded with the rest; only rejecting ones replay
-    assert 0 < len(readers) < pending_row_steps
+    assert 0 < len(replays) < pending_row_steps
+    assert all(isinstance(g, np.random.Generator) for g in replays)
 
 
 def test_lemire_products_are_uint64_under_any_promotion_rules():
@@ -152,9 +112,20 @@ def test_block_draws_refuse_a_plan_they_cannot_decode():
 
 def test_draw_check_passes_here_and_catches_a_mismatch(monkeypatch):
     rawdraws.check_raw_draws.__wrapped__()
-    monkeypatch.setattr(rawdraws, "_unit_doubles", lambda words: (words >> 12) * 2.0**-52)
-    with pytest.raises(DrawMismatch):
-        rawdraws.check_raw_draws.__wrapped__()
+    rewind = rawdraws._rewind
+    # _rewind runs only for rows that rejected a value, so the two broken
+    # rewinds can be caught only there; the second differs from the real one
+    # only for a row that held a half before the step.
+    mutations = [
+        ("_unit_doubles", lambda words: (words >> 12) * 2.0**-52),
+        ("_rewind", lambda bg, words, half: rewind(bg, words - 1, half)),
+        ("_rewind", lambda bg, words, half: rewind(bg, words, None)),
+    ]
+    for name, broken in mutations:
+        with monkeypatch.context() as m:
+            m.setattr(rawdraws, name, broken)
+            with pytest.raises(DrawMismatch):
+                rawdraws.check_raw_draws.__wrapped__()
 
 
 def test_raw_draws_are_not_imported_at_cli_start():
