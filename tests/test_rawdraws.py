@@ -36,6 +36,64 @@ def assert_continues_alike(g, oracle):
     assert g.random(3).tobytes() == oracle.random(3).tobytes()
 
 
+def rewound_replay(g, words, plan):
+    """Draw ``words`` raw words, rewind them as BlockDraws rewinds a row that
+    rejected a value, pending half included, and replay ``plan`` through the
+    Generator, the one exact reader of rejected values."""
+    state = g.bit_generator.state
+    half = state["uinteger"] if state["has_uint32"] else None
+    g.bit_generator.random_raw(words)
+    rawdraws._rewind(g.bit_generator, words, half)
+    return replay(np.random.Generator(g.bit_generator), plan)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 99, 100])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_reader_matches_generator_on_kernel_spans(n, seed):
+    # Odd sizes leave a half pending, and random() between integer draws must
+    # neither use nor clear it; the first replay leaves the half that the
+    # rewinds of the later steps must put back.
+    plan = (
+        ("integers", 0, n, n),
+        ("random", 3),
+        ("integers", 0, n - 1, n),
+        ("integers", 0, 1, n),
+        ("integers", 0, 4, n),
+        ("uniform", -0.5, 1.5, n),
+        ("integers", 0, n, 1),
+    )
+    g, oracle = RngStream(seed, n).gen, RngStream(seed, n).gen
+    for _ in range(3):
+        assert_same_draws(rewound_replay(g, 2 * n + 3, plan), replay(oracle, plan))
+    assert_continues_alike(g, oracle)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reader_matches_generator_where_rejection_is_frequent(seed):
+    plan = (
+        ("integers", 0, REJECTING[0], 9),
+        ("random", 2),
+        ("integers", 0, REJECTING[1], 11),
+        ("uniform", 2.0, 5.0, 3),
+        ("integers", 3, REJECTING[1], 7),
+    )
+    g, oracle = RngStream(seed, 1).gen, RngStream(seed, 1).gen
+    for _ in range(3):
+        assert_same_draws(rewound_replay(g, 19, plan), replay(oracle, plan))
+    assert_continues_alike(g, oracle)
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 4, 12])
+def test_reader_reads_words_already_drawn_first(drawn):
+    # The words a step drew are put back, and the half pending before them.
+    plan = (("integers", 0, REJECTING[1], 15), ("random", 4), ("integers", 0, 10, 3))
+    g, oracle = RngStream(9, 2).gen, RngStream(9, 2).gen
+    oracle.integers(0, 10, 1)  # both streams start with a half pending
+    g.integers(0, 10, 1)
+    assert_same_draws(rewound_replay(g, drawn, plan), replay(oracle, plan))
+    assert_continues_alike(g, oracle)
+
+
 @pytest.mark.parametrize(
     "plan",
     [
