@@ -7,7 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .exchange import EnsembleBlock, ModelSpec, init_ensemble, run_time_step
+from .exchange import (
+    DISTRIBUTED_SAVING,
+    EnsembleBlock,
+    ModelSpec,
+    init_ensemble,
+    run_time_step,
+    saving_propensities,
+)
 from .expfit import _linear_fit
 from .streams import BATCH_MIN_ROWS, RngStream, map_stream_blocks
 
@@ -27,18 +34,20 @@ def _sample(step, wealth, equil_steps: int, sample_steps: int) -> tuple[np.ndarr
     """Equilibrate, then average the wealth over the sampling steps.
 
     ``step()`` advances the economies by one time step and ``wealth()`` reads
-    their current wealth.  Returns (final wealth, time-averaged wealth); with no
-    sampling steps the average is the final snapshot.
+    their current wealth.  Returns (final wealth, time-averaged wealth), the
+    final one being ``wealth()`` itself; with no sampling steps the average is
+    the final snapshot.
     """
     for _ in range(equil_steps):
         step()
     if sample_steps <= 0:
-        return wealth().copy(), wealth().copy()
+        return wealth(), wealth()
     acc = np.zeros_like(wealth())
     for _ in range(sample_steps):
         step()
         acc += wealth()
-    return wealth().copy(), acc / sample_steps
+    acc /= sample_steps
+    return wealth(), acc
 
 
 def _equilibrium_config(spec: ModelSpec, n: int, equil_steps: int, sample_steps: int, rng):
@@ -47,27 +56,30 @@ def _equilibrium_config(spec: ModelSpec, n: int, equil_steps: int, sample_steps:
     final, avg = _sample(
         lambda: run_time_step(ens, spec, rng), lambda: ens.wealth, equil_steps, sample_steps
     )
-    return final, ens.saving.copy(), avg
+    return final, ens.saving, avg
 
 
-def _equilibrium_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _equilibrium_block(args) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Pooled (wealth, saving, time-averaged wealth) of streams [start, stop).
 
     Top-level so a process pool can pickle it.  Blocks of BATCH_MIN_ROWS or more
     run through EnsembleBlock; smaller ones step each configuration on its own.
-    Both give the same bits.
+    Both give the same bits.  Saving is None unless the propensities are
+    drawn: the caller builds constant ones from the spec instead of receiving
+    them from every worker.
     """
     spec, n, equil_steps, sample_steps, master_seed, start, stop = args
     if stop - start < BATCH_MIN_ROWS:
-        parts = [
+        final, saving, avg = zip(*(
             _equilibrium_config(spec, n, equil_steps, sample_steps, RngStream(master_seed, c))
             for c in range(start, stop)
-        ]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        ))
+        drawn = spec.rule == DISTRIBUTED_SAVING
+        return np.concatenate(final), np.concatenate(saving) if drawn else None, np.concatenate(avg)
     rngs = [RngStream(master_seed, c) for c in range(start, stop)]
     block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
     final, avg = _sample(block.step, lambda: block.wealth, equil_steps, sample_steps)
-    return final, block.saving.copy(), avg
+    return final, block.saving, avg
 
 
 def run_equilibrium(
@@ -88,7 +100,11 @@ def run_equilibrium(
     )
     return EquilibriumSample(
         wealth=np.concatenate([p[0] for p in parts]),
-        saving=np.concatenate([p[1] for p in parts]),
+        saving=(
+            np.concatenate([p[1] for p in parts])
+            if spec.rule == DISTRIBUTED_SAVING
+            else saving_propensities(spec, n * n_configs)
+        ),
         wealth_time_avg=np.concatenate([p[2] for p in parts]),
         n_configs=n_configs,
         n_agents=n,

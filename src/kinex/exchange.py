@@ -137,15 +137,16 @@ def init_ensemble(spec: ModelSpec, n: int, rng: RngStream) -> AgentEnsemble:
         wealth = np.zeros(n)
         wealth[0] = total
 
-    if spec.rule == FIXED_SAVING:
-        saving = np.full(n, spec.lambda_fixed)
-    elif spec.rule == DISTRIBUTED_SAVING:
-        lo, hi = spec.lambda_window
-        saving = lo + (hi - lo) * g.random(n)
-    else:
-        saving = np.zeros(n)
+    return AgentEnsemble(wealth=wealth, saving=saving_propensities(spec, n, g), n_agents=n)
 
-    return AgentEnsemble(wealth=wealth, saving=saving, n_agents=n)
+
+def saving_propensities(spec: ModelSpec, n: int, g: np.random.Generator | None = None) -> np.ndarray:
+    """``n`` quenched saving propensities: drawn from ``g`` under distributed
+    saving, else the rule's constant (lambda_fixed, or 0 without saving)."""
+    if spec.rule == DISTRIBUTED_SAVING:
+        lo, hi = spec.lambda_window
+        return lo + (hi - lo) * g.random(n)
+    return np.full(n, spec.lambda_fixed if spec.rule == FIXED_SAVING else 0.0)
 
 
 def exchange_pure_gambling(w_i: float, w_j: float, eps: float) -> tuple[float, float]:
@@ -211,11 +212,34 @@ def _lattice_neighbors(side: int) -> np.ndarray:
     return nbr
 
 
-def _partners(spec: ModelSpec, ii: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Map raw partner draws to agent indices; works row-wise on stacked draws too."""
+@lru_cache(maxsize=8)
+def _lattice_table(side: int) -> np.ndarray:
+    """Partner lookup for :func:`_partners`: entry a < n is agent a itself, and
+    entry (d + 1) * n + a is a's neighbor in direction d."""
+    nbr = _lattice_neighbors(side)
+    return np.concatenate([np.arange(len(nbr)), nbr.T.ravel()])
+
+
+def _partners(spec: ModelSpec, pairs: np.ndarray) -> None:
+    """Map raw partner draws to agent indices, in place.
+
+    ``pairs`` is C-contiguous, ``(2 * rows,)`` for one slot or ``(slots, 2 *
+    rows)``: per slot the first agent of every row, then every row's raw
+    partner draw, which becomes an agent index.  run_time_step passes one
+    economy's step as one slot of n rows.
+    """
+    rows = pairs.shape[-1] // 2
+    first, second = pairs[..., :rows], pairs[..., rows:]
     if spec.pairing == MEAN_FIELD:
-        return raw + (raw >= ii)  # shift past i so that j != i
-    return _lattice_neighbors(spec.lattice_side)[ii, raw]
+        second += second >= first  # shift past i so that j != i
+        return
+    side = spec.lattice_side
+    second += 1
+    second *= side * side
+    second += first
+    # take reads each index before it writes that element, so it can map in
+    # place; "clip" keeps it from buffering the output (indices are in range)
+    np.take(_lattice_table(side), pairs, out=pairs, mode="clip")
 
 
 def _step_plan(spec: ModelSpec, n: int) -> tuple:
@@ -226,7 +250,10 @@ def _step_plan(spec: ModelSpec, n: int) -> tuple:
     partner_span = n - 1 if spec.pairing == MEAN_FIELD else 4
     plan = (("integers", 0, n, n), ("integers", 0, partner_span, n))
     if spec.rule == GENERAL:
-        return plan + (("uniform", *spec.eps1_window, n), ("uniform", *spec.eps2_window, n))
+        # numpy's uniform refuses a window whose high - low is -0.0, as (0.0, -0.0)
+        # gives; adding 0.0 turns a -0.0 bound into 0.0 and changes no draw
+        (lo1, hi1), (lo2, hi2) = spec.eps1_window, spec.eps2_window
+        return plan + (("uniform", lo1, hi1 + 0.0, n), ("uniform", lo2, hi2 + 0.0, n))
     if spec.eps_fixed is None:
         return plan + (("random", n),)
     return plan
@@ -234,8 +261,9 @@ def _step_plan(spec: ModelSpec, n: int) -> tuple:
 
 def _draw_pairs(spec: ModelSpec, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One step's pairs: the first agent of each slot and its partner."""
-    ii, raw = replay(g, _step_plan(spec, n)[:2])
-    return ii, _partners(spec, ii, raw)
+    pairs = np.concatenate(replay(g, _step_plan(spec, n)[:2]))
+    _partners(spec, pairs)
+    return pairs[:n], pairs[n:]
 
 
 def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
@@ -252,8 +280,9 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     before = ens.wealth.copy()
     w = ens.wealth.tolist()
     ii, raw, *eps = replay(rng.gen, _step_plan(spec, n))
-    jj = _partners(spec, ii, raw).tolist()
-    ii = ii.tolist()
+    pairs = np.concatenate((ii, raw))
+    _partners(spec, pairs)
+    ii, jj = pairs[:n].tolist(), pairs[n:].tolist()
     rule = spec.rule
 
     if rule == GENERAL:
@@ -323,7 +352,8 @@ class EnsembleBlock:
     interaction slot k updates slot k of every row at once through flat indices.
     Rows share no agents, so each economy sees the same floating-point operations
     in the same order as under :func:`run_time_step`, and a block reproduces it
-    bit for bit.
+    bit for bit.  A block keeps only what a step reads, and :meth:`step` only
+    advances; the relaxation observable is taken by its caller.
     """
 
     def __init__(self, spec: ModelSpec, ensembles: list[AgentEnsemble], rngs: list[RngStream]):
@@ -335,56 +365,58 @@ class EnsembleBlock:
         rows = len(ensembles)
         n = ensembles[0].n_agents
         self.spec = spec
+        self.rows = rows
         self.n_agents = n
         self.wealth = np.concatenate([e.wealth for e in ensembles])
-        self.saving = np.concatenate([e.saving for e in ensembles])
+        # Only distributed saving reads the propensities; the other rules hold
+        # them in the spec.
+        self.saving = (
+            np.concatenate([e.saving for e in ensembles]) if spec.rule == DISTRIBUTED_SAVING else None
+        )
         self._draws = BlockDraws([rng.gen for rng in rngs], _step_plan(spec, n))
-        self._offsets = np.arange(rows) * n
+        self._offsets = np.tile(np.arange(rows) * n, 2)
         # Buffers reused on every step, all slot-major: row k of _pairs holds the
         # flat index of agent i in every economy, then that of its partner j;
         # row k of _coef holds slot k's split coefficient in every economy.
+        # The draws are decoded straight into them.
         self._pairs = np.empty((n, 2 * rows), dtype=np.int64)
-        self._coef = np.empty((2 if spec.rule == GENERAL else 1, n, rows))
+        self._drawn = [self._pairs[:, :rows].T, self._pairs[:, rows:].T]
         self._redraw = spec.rule == GENERAL or spec.eps_fixed is None
-        if spec.rule == FIXED_SAVING and not self._redraw:
-            self._coef.fill(spec.eps_fixed * (1.0 - spec.lambda_fixed))
-        elif not self._redraw:
-            self._coef.fill(spec.eps_fixed)
+        if self._redraw:
+            self._coef = np.empty((2 if spec.rule == GENERAL else 1, n, rows))
+            self._drawn += [coef.T for coef in self._coef]
+        else:
+            # a fixed split: every slot reads the same row of coefficients
+            fixed = spec.eps_fixed
+            if spec.rule == FIXED_SAVING:
+                fixed *= 1.0 - spec.lambda_fixed
+            self._coef = np.broadcast_to(np.full(rows, fixed), (1, n, rows))
         if spec.rule == DISTRIBUTED_SAVING:
-            self._lam = np.empty((3, n, rows))  # lam_i, 1-lam_i, 1-lam_j per slot
-        self._before = np.empty(rows * n)
+            # per slot: lam_i of every economy, then 1 - lam_j; and 1 - lam_i
+            self._lam = np.empty((n, 2 * rows))
+            self._keep = np.empty((n, rows))
         self._out = np.empty(2 * rows)
         self._total = np.empty(rows)
         self._tmp = np.empty(rows)
 
     def _draw(self) -> None:
-        spec, rows = self.spec, len(self._offsets)
-        first, second = self._pairs[:, :rows], self._pairs[:, rows:]
-        ii, raw, *eps = self._draws.draw()
-        np.copyto(first, ii.T)
-        np.copyto(second, _partners(spec, ii, raw).T)
-        for coef, e in zip(self._coef, eps):
-            np.copyto(coef, e.T)
-        first += self._offsets
-        second += self._offsets
+        spec = self.spec
+        self._draws.draw(self._drawn)
+        _partners(spec, self._pairs)
+        self._pairs += self._offsets
         if spec.rule == FIXED_SAVING and self._redraw:
             self._coef *= 1.0 - spec.lambda_fixed  # eps * (1 - lam), as in run_time_step
         if spec.rule == DISTRIBUTED_SAVING:
-            lam_i, keep_i, keep_j = self._lam
-            np.take(self.saving, first, out=lam_i)
-            np.subtract(1.0, lam_i, out=keep_i)
-            np.take(self.saving, second, out=keep_j)
+            rows = self.rows
+            lam, keep_j = self._lam, self._lam[:, rows:]
+            np.take(self.saving, self._pairs, out=lam, mode="clip")
+            np.subtract(1.0, lam[:, :rows], out=self._keep)
             np.subtract(1.0, keep_j, out=keep_j)
 
-    def step(self) -> np.ndarray:
-        """Run one time step (N slots) of every row in place.
-
-        Returns each row's sum_i |w_i(after) - w_i(before)|, as run_time_step does.
-        """
+    def step(self) -> None:
+        """Run one time step (N slots) of every row in place."""
         self._draw()
-        rows, n = len(self._offsets), self.n_agents
-        w = self.wealth
-        np.copyto(self._before, w)
+        rows, w = self.rows, self.wealth
         out, total, tmp = self._out, self._total, self._tmp
         new_i, new_j = out[:rows], out[rows:]
         rule = self.spec.rule
@@ -414,7 +446,10 @@ class EnsembleBlock:
                 np.subtract(total, new_i, out=new_j)
                 w[pair] = out
         elif rule == DISTRIBUTED_SAVING:
-            for pair, e, lam_i, keep_i, keep_j in zip(self._pairs, self._coef[0], *self._lam):
+            lam = self._lam
+            for pair, e, lam_i, keep_i, keep_j in zip(
+                self._pairs, self._coef[0], lam[:, :rows], self._keep, lam[:, rows:]
+            ):
                 v = w[pair]
                 wi = v[:rows]
                 wj = v[rows:]
@@ -439,7 +474,3 @@ class EnsembleBlock:
                 np.add(wi, wj, out=total)
                 np.subtract(total, new_i, out=new_j)
                 w[pair] = out
-        diff = self._before
-        np.subtract(w, diff, out=diff)
-        np.abs(diff, out=diff)
-        return diff.reshape(rows, n).sum(axis=1)

@@ -19,22 +19,23 @@ import numpy as np
 from .errors import DrawMismatch
 from .streams import RngStream, replay
 
-_LOW32 = 0xFFFFFFFF
 _DOUBLE_UNIT = 2.0**-53
 
 
-def _unit_doubles(words: np.ndarray) -> np.ndarray:
-    """``Generator.random`` from raw words: the top 53 bits scaled to [0, 1)."""
-    return (words >> 11) * _DOUBLE_UNIT
+def _unit_doubles(words: np.ndarray, out: np.ndarray) -> None:
+    """``Generator.random`` from raw words into ``out``: the top 53 bits scaled to
+    [0, 1).  Shifts ``words`` in place."""
+    np.right_shift(words, 11, out=words)
+    np.multiply(words, _DOUBLE_UNIT, out=out)
 
 
-def _products(halves: np.ndarray, span: int) -> np.ndarray:
+def _products(halves: np.ndarray, span: int, out: np.ndarray | None = None) -> np.ndarray:
     """Lemire's m = u32 * span for each 32-bit value, always in uint64.
 
     The dtype is explicit because numpy < 2 keeps uint32 * uint64-scalar in
     uint32, which would overflow.
     """
-    return np.multiply(halves, np.uint64(span), dtype=np.uint64)
+    return np.multiply(halves, np.uint64(span), out=out, dtype=np.uint64)
 
 
 def _halves(words: np.ndarray) -> np.ndarray:
@@ -63,9 +64,19 @@ def _rewind(bit_generator, words: int, half: int | None) -> None:
     _store_half(bit_generator, half)
 
 
-def _rejects(m: np.ndarray, threshold: int) -> np.ndarray:
-    """Rows of Lemire products ``m`` with a value the bounded method redraws."""
-    return ((m & _LOW32) < threshold).any(axis=1)
+def _rejects(low: np.ndarray, threshold: int) -> np.ndarray:
+    """Rows with a value the bounded method redraws, from the low 32 bits
+    ``m mod 2**32`` of each row's Lemire products."""
+    return low.min(axis=1) < threshold
+
+
+def slot_major(plan: tuple, streams: int) -> list[np.ndarray]:
+    """Arrays for :meth:`BlockDraws.draw` laid out as EnsembleBlock's buffers:
+    one ``(streams, size)`` view per plan entry, transposed from slot-major."""
+    return [
+        np.empty((args[-1], streams), dtype=np.int64 if name == "integers" else float).T
+        for name, *args in plan
+    ]
 
 
 class BlockDraws:
@@ -74,19 +85,20 @@ class BlockDraws:
 
     ``plan`` lists a step's draws as ``(name, *args)`` calls of ``integers(low,
     high, size)``, ``random(size)`` or ``uniform(low, high, size)``: integer draws
-    first, and an even number of 32-bit values among them.  :meth:`draw` returns
+    first, and an even number of 32-bit values among them.  :meth:`draw` fills
     one ``(streams, size)`` array per entry, row r equal bit for bit to what
     ``gens[r]`` returns for the same calls, and leaves each bit generator where
     the ``Generator`` would, its pending half included.
 
     Each step draws, per stream, the words the plan takes when no value is
-    rejected, and decodes every row from them in vectorized passes.  A row that
-    carries a pending half reads it first and leaves its last half pending, so
-    it takes as many words as the others.  A row that rejected a value is
-    rewound by those words, its pending half restored, and the plan is replayed
-    through numpy's ``Generator`` on its bit generator.  At a span of N a value
-    is rejected with probability (2**32 mod N) / 2**32 < N / 2**32, so a
-    mean-field step rejects in at most 2 N**2 / 2**32 of its rows: 5e-6 at
+    rejected, and decodes every row from them in vectorized passes, written
+    straight into the caller's arrays; the words themselves serve as scratch.
+    A row that carries a pending half reads it first and leaves its last half
+    pending, so it takes as many words as the others.  A row that rejected a
+    value is rewound by those words, its pending half restored, and the plan is
+    replayed through numpy's ``Generator`` on its bit generator.  At a span of N
+    a value is rejected with probability (2**32 mod N) / 2**32 < N / 2**32, so
+    a mean-field step rejects in at most 2 N**2 / 2**32 of its rows: 5e-6 at
     N = 100, 5e-4 at N = 1000, 0.05 at N = 10**4.
     """
 
@@ -104,54 +116,58 @@ class BlockDraws:
         self._pending = np.array([bool(s["has_uint32"]) for s in states])
         self._half = np.array([s["uinteger"] for s in states], dtype=np.uint32)
 
-    def draw(self) -> list[np.ndarray]:
+    def draw(self, out: list[np.ndarray]) -> None:
+        """Make one step's draws into ``out``: per plan entry an int64 (integers)
+        or float64 array of shape ``(streams, size)``, of any strides."""
         raw = self._raw
         for r, bg in enumerate(self._bgs):
             raw[r] = bg.random_raw(raw.shape[1])
         halves = _halves(raw[:, : self._int_words])
+        held = self._half.copy()  # each row's pending half before the step
         pending = np.flatnonzero(self._pending) if self._int_words else ()
         if len(pending):
             # The pending half comes first and the row's last half is left over.
-            left_over = halves[pending, -1]
-            halves = halves.copy()
+            self._half[pending] = halves[pending, -1]
             halves[pending, 1:] = halves[pending, :-1]
-            halves[pending, 0] = self._half[pending]
-            self._half[pending] = left_over
+            halves[pending, 0] = held[pending]
         redo = np.zeros(len(raw), dtype=bool)
-        out, pos, word = [], 0, self._int_words
-        for name, *args in self._plan:
+        pos, word = 0, self._int_words
+        for values, (name, *args) in zip(out, self._plan):
             if name == "integers":
                 low, high, size = args
                 span = high - low
                 if span == 1:
-                    out.append(np.full((len(raw), size), low, dtype=np.int64))
+                    values.fill(low)
                     continue
-                m = _products(halves[:, pos : pos + size], span)
+                u = halves[:, pos : pos + size]
                 pos += size
-                threshold = (1 << 32) % span
-                if threshold:
-                    redo |= _rejects(m, threshold)
-                values = np.right_shift(m, 32, out=m).view(np.int64)
+                m = values.view(np.uint64)
+                _products(u, span, out=m)
+                np.right_shift(m, 32, out=m)
                 if low:
                     values += low
-                out.append(values)
+                threshold = (1 << 32) % span
+                if threshold:
+                    # m mod 2**32 is the uint32 product, made in place of the halves
+                    redo |= _rejects(np.multiply(u, np.uint32(span), out=u), threshold)
             else:
                 size = args[-1]
-                u = _unit_doubles(raw[:, word : word + size])
+                _unit_doubles(raw[:, word : word + size], values)
                 word += size
-                out.append(args[0] + (args[1] - args[0]) * u if name == "uniform" else u)
+                if name == "uniform":
+                    lo, hi = args[:2]
+                    values *= hi - lo  # lo + (hi - lo) * random(), operation by operation
+                    values += lo
         for r in pending:
             _store_half(self._bgs[r], int(self._half[r]))
         for r in np.flatnonzero(redo):
             bg = self._bgs[r]
-            # a pending row's first half is the one it held before the step
-            _rewind(bg, raw.shape[1], int(halves[r, 0]) if self._pending[r] else None)
+            _rewind(bg, raw.shape[1], int(held[r]) if self._pending[r] else None)
             for values, row in zip(out, replay(np.random.Generator(bg), self._plan)):
                 values[r] = row
             state = bg.state
             self._pending[r] = bool(state["has_uint32"])
             self._half[r] = state["uinteger"]
-        return out
 
 
 _CHECK_SEED = 20260811
@@ -183,8 +199,9 @@ def check_raw_draws() -> None:
         for g in (gens[1], oracles[1]):
             g.integers(0, 7, 1)  # leaves a half pending in stream 1
         block = BlockDraws(gens, plan)
+        got = slot_major(plan, len(gens))
         for _ in range(3):
-            got = block.draw()
+            block.draw(got)
             for r, g in enumerate(oracles):
                 if any(a[r].tobytes() != b.tobytes() for a, b in zip(got, replay(g, plan))):
                     raise mismatch

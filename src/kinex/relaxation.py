@@ -75,9 +75,21 @@ def _block_series(args) -> np.ndarray:
     rngs = [RngStream(master_seed, c) for c in range(start, stop)]
     block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
     xs = np.empty((len(rngs), t_max))
-    for t in range(t_max):
-        xs[:, t] = block.step() / n
+    for t, changes in enumerate(_block_changes(block, t_max)):
+        xs[:, t] = changes / n
     return xs
+
+
+def _block_changes(block: EnsembleBlock, steps: int):
+    """Step ``block`` ``steps`` times, yielding after each step every row's
+    sum_i |w_i(after) - w_i(before)|, the value run_time_step returns."""
+    before = np.empty_like(block.wealth)
+    for _ in range(steps):
+        np.copyto(before, block.wealth)
+        block.step()
+        np.subtract(block.wealth, before, out=before)
+        np.abs(before, out=before)
+        yield before.reshape(block.rows, block.n_agents).sum(axis=1)
 
 
 def average_series(

@@ -16,16 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# Blocks of at least this many economies run through exchange.EnsembleBlock;
+# Blocks of at least BATCH_MIN_ROWS economies run through exchange.EnsembleBlock;
 # smaller ones step each economy with run_time_step.  Against that per-economy
 # loop (mean field at N=100 and N=1000, a 32x32 lattice with eps redrawn), 16
 # rows ran at 0.75-1.3x, 24 rows at 1.1-1.7x, 32 rows at 1.3-1.8x and 64 rows
-# at 1.9-3.4x.  The threshold stays above that crossover for memory: a block
-# holds about ten rows-by-n arrays at once.  With 24, a 2-worker run of 60
-# economies of 1024 agents in two batched 30-row blocks ran 1.5x faster but
-# peaked 6.4% higher in resident memory than in 7-row blocks stepped per
-# economy.
-BATCH_MIN_ROWS = 64
+# at 1.9-3.4x.  The threshold sits at that crossover because a block holds
+# little more than its state and allocates nothing its size per step: a
+# 2-worker run of 60 economies of 1024 agents in two batched 30-row blocks
+# ran 1.74x faster and peaked 3.4% higher in resident memory (72.9 against
+# 70.5 MB) than in 7-row blocks stepped per economy.
+# Where a worker's share reaches BATCH_MIN_ROWS, fan-out blocks hold at least
+# BATCH_ROWS economies, as larger blocks step faster.
+BATCH_MIN_ROWS = 24
+BATCH_ROWS = 64
 
 
 @dataclass
@@ -61,7 +64,7 @@ def map_stream_blocks(fn: Callable, args: tuple, n_streams: int, workers: int = 
     With one worker (or one stream) a single block holds every stream.  With
     more workers the blocks go to a process pool.  Where each worker's share
     ``ceil(C / workers)`` of the C streams can hold BATCH_MIN_ROWS, the blocks
-    hold ``max(BATCH_MIN_ROWS, C // (4 * workers))``, capped at that share, so
+    hold ``max(BATCH_ROWS, C // (4 * workers))``, capped at that share, so
     that the wealth models step them on their batched path; otherwise they hold
     ``max(1, C // (4 * workers))``, four or more per worker for load balance.
     The results come back in stream order, so a reduction over them in list
@@ -72,7 +75,7 @@ def map_stream_blocks(fn: Callable, args: tuple, n_streams: int, workers: int = 
         share = -(-n_streams // workers)
         size = max(1, n_streams // (4 * workers))
         if BATCH_MIN_ROWS <= share:
-            size = min(max(BATCH_MIN_ROWS, size), share)
+            size = min(max(BATCH_ROWS, size), share)
     jobs = [(*args, lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
     if workers > 1 and len(jobs) > 1:
         with multiprocessing.Pool(workers) as pool:

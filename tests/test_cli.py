@@ -33,7 +33,9 @@ def break_draw_check(monkeypatch):
     mapped raw words differently would."""
     import kinex.rawdraws as rawdraws
 
-    monkeypatch.setattr(rawdraws, "_unit_doubles", lambda words: (words >> 12) * 2.0**-52)
+    monkeypatch.setattr(
+        rawdraws, "_unit_doubles", lambda words, out: np.multiply(words >> 12, 2.0**-52, out=out)
+    )
     rawdraws.check_raw_draws.cache_clear()
 
 

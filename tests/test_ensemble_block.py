@@ -6,6 +6,7 @@ condition; run_time_step in turn must reproduce the scalar exchange_* rules.
 """
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,11 +34,19 @@ from kinex.exchange import (
     EnsembleBlock,
     _draw_pairs,
 )
-from kinex.relaxation import run_relaxation
+from kinex.relaxation import _block_changes, run_relaxation
 from kinex.streams import BATCH_MIN_ROWS, map_stream_blocks, replay
 
 BLOCK_SIZES = (1, 2, 63, 64, 100)
 SAVING_RULES = ("pure_gambling", "fixed_saving", "distributed_saving")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def draws_match_the_generator():
+    """Every block runs the draw check when it is built; run it once first, so
+    that broken draws fail each test here at once instead of inside every
+    Hypothesis example."""
+    rawdraws.check_raw_draws()
 
 
 def _per_config(spec, n, steps, seed, streams):
@@ -54,7 +63,7 @@ def _per_config(spec, n, steps, seed, streams):
 def _block(spec, n, steps, seed, streams):
     rngs = [RngStream(seed, c) for c in streams]
     block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
-    traces = np.array([block.step() for _ in range(steps)]).T
+    traces = np.array(list(_block_changes(block, steps))).T
     return traces, block.wealth
 
 
@@ -101,6 +110,20 @@ def test_block_matches_per_config_bit_for_bit(
         got_traces, got_final = _block(spec, n, steps, seed, range(start, start + rows))
         assert got_traces.tobytes() == want_traces[start:].tobytes()
         assert got_final.tobytes() == want_final[start * n:].tobytes()
+
+
+@pytest.mark.parametrize("window", [(0.0, -0.0), (-0.0, -0.0), (-0.5, -0.0)])
+def test_general_rule_takes_windows_bounded_by_negative_zero(window):
+    # (0.0, -0.0) passes validation (lo <= hi) but numpy's uniform refuses its
+    # high - low of -0.0; the draws must be those of the window with +0.0.
+    spec = ModelSpec(rule="general", eps1_window=window, eps2_window=(0.0, -0.0))
+    n, rows, steps = 6, 3, 4
+    want_traces, want_final = _per_config(spec, n, steps, 5, range(rows))
+    got_traces, got_final = _block(spec, n, steps, 5, range(rows))
+    assert got_traces.tobytes() == want_traces.tobytes()
+    assert got_final.tobytes() == want_final.tobytes()
+    plus_zero = ModelSpec(rule="general", eps1_window=(window[0], 0.0), eps2_window=(0.0, 0.0))
+    assert _per_config(plus_zero, n, steps, 5, range(rows))[1].tobytes() == want_final.tobytes()
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -206,7 +229,8 @@ def _span(args):
     [
         (130, 1, 130),
         (130, 2, 64),
-        (130, 4, 8),  # a worker's share of 33 cannot reach the batched path
+        (130, 4, 33),  # a worker's share of 33 is batched whole
+        (60, 2, 30),
         (500, 4, 64),
         (2000, 2, 250),
         (10, 2, 1),
@@ -219,7 +243,7 @@ def test_fan_out_blocks_reach_the_batched_path(n_streams, workers, size):
 
 # C = 130 streams: one batched block of 130 at 1 worker; at 2 workers batched
 # blocks of 64 and 64 and a 2-row block stepped per configuration; at 4 workers
-# 8-row blocks stepped per configuration.
+# batched blocks of 33, 33, 33 and 31.
 @pytest.mark.parametrize("workers", [2, 4])
 def test_relaxation_is_the_same_at_any_worker_count(workers):
     spec = ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5)
@@ -228,13 +252,59 @@ def test_relaxation_is_the_same_at_any_worker_count(workers):
     assert one.x_mean.tobytes() == many.x_mean.tobytes()
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_equilibrium_is_the_same_at_any_worker_count(workers):
-    spec = ModelSpec(rule="distributed_saving", lambda_window=(0.2, 0.9))
-    one = run_equilibrium(spec, 12, 6, 4, 130, master_seed=9, workers=1)
-    many = run_equilibrium(spec, 12, 6, 4, 130, master_seed=9, workers=workers)
-    for field in ("wealth", "saving", "wealth_time_avg"):
-        assert getattr(one, field).tobytes() == getattr(many, field).tobytes()
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(rule="distributed_saving", lambda_window=(0.2, 0.9)),
+        ModelSpec(rule="pure_gambling", pairing=LATTICE_2D, lattice_side=4),
+        ModelSpec(rule="fixed_saving", lambda_fixed=0.4, init="uniform_random"),
+        ModelSpec(rule="general", eps1_window=(-0.5, 1.5), eps2_window=(0.0, 0.5)),
+    ],
+    ids=["distributed_saving", "pure_gambling_lattice", "fixed_saving", "general"],
+)
+def test_equilibrium_is_the_same_at_any_worker_count(spec):
+    # The saving of rules without drawn propensities is built by the caller,
+    # not returned by the workers; it must come out the same all the same.
+    n = 16
+    one = run_equilibrium(spec, n, 6, 4, 130, master_seed=9, workers=1)
+    assert one.saving.tobytes() == np.concatenate(
+        [init_ensemble(spec, n, RngStream(9, c)).saving for c in range(130)]
+    ).tobytes()
+    for workers in (2, 4):
+        many = run_equilibrium(spec, n, 6, 4, 130, master_seed=9, workers=workers)
+        for field in ("wealth", "saving", "wealth_time_avg"):
+            assert getattr(one, field).tobytes() == getattr(many, field).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec,rows,n",
+    [
+        (ModelSpec(rule="pure_gambling", pairing=LATTICE_2D, lattice_side=32), 30, 1024),
+        (ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5), 100, 100),
+    ],
+    ids=["lattice_r30_n1024", "distributed_saving_r100_n100"],
+)
+def test_steady_state_steps_allocate_less_than_one_block_array(spec, rows, n):
+    # The draws are decoded into the block's own buffers and the partners mapped
+    # in place, so a step allocates only row-sized and scratch temporaries.
+    # numpy's ufuncs buffer strided operands in chunks of np.getbufsize()
+    # elements whatever the array size (3 x 64 KB at the default 8192, more than
+    # the 80 KB of one 100 x 100 array); the steps run with 1024-element
+    # chunks, so that what is left is what the block itself allocates.
+    rngs = [RngStream(17, c) for c in range(rows)]
+    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    block.step()
+    block.step()
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            block.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak < rows * n * np.dtype(np.float64).itemsize
 
 
 class _RawOnly:
@@ -258,7 +328,7 @@ def test_block_draws_from_raw_words_only(spec):
     rngs = [RngStream(3, c) for c in range(rows)]
     ensembles = [init_ensemble(spec, n, rng) for rng in rngs]
     block = EnsembleBlock(spec, ensembles, [_RawOnly(rng) for rng in rngs])
-    traces = np.array([block.step() for _ in range(6)]).T
+    traces = np.array(list(_block_changes(block, 6))).T
     assert traces.tobytes() == want_traces.tobytes()
     assert block.wealth.tobytes() == want_final.tobytes()
 
@@ -281,7 +351,7 @@ def test_block_rows_forced_through_the_generator_replay(monkeypatch, rule, pairi
 
     monkeypatch.setattr(rawdraws, "_rejects", lambda m, threshold: np.ones(len(m), dtype=bool))
     monkeypatch.setattr(rawdraws, "replay", counting_replay)
-    traces = np.array([block.step() for _ in range(steps)]).T
+    traces = np.array(list(_block_changes(block, steps))).T
     assert len(replays) == rows * steps
     assert traces.tobytes() == want_traces.tobytes()
     assert block.wealth.tobytes() == want_final.tobytes()
@@ -307,8 +377,8 @@ def test_block_row_carries_a_pending_half_across_steps(monkeypatch):
     block = EnsembleBlock(spec, ensembles, rngs)
     monkeypatch.setattr(rawdraws, "replay", None)  # a call would fail
     got = []
-    for _ in range(steps):
-        got.append(block.step())
+    for changes in _block_changes(block, steps):
+        got.append(changes)
         assert block._draws._pending.tolist() == [False, False, True, False]
     assert np.array(got).T.tobytes() == np.array(traces).tobytes()
     assert block.wealth.tobytes() == np.concatenate(finals).tobytes()

@@ -107,9 +107,12 @@ def test_reader_reads_words_already_drawn_first(drawn):
     ids=["odd_n", "lattice", "n2_general", "rejecting", "rejecting_lattice", "rejecting_low_uniform"],
 )
 @pytest.mark.parametrize("pending", [(), (1, 4)], ids=["none_pending", "rows_1_4_pending"])
-def test_block_draws_match_generator_per_row(plan, pending):
+@pytest.mark.parametrize("layout", ["contiguous", "slot_major"])
+def test_block_draws_match_generator_per_row(plan, pending, layout):
     # Rows that start with a half pending read it first; where they reject on
-    # the first step, the rewind has to put that half back.
+    # the first step, the rewind has to put that half back.  The draws are
+    # decoded into row-major arrays, or into the transposed slot-major views
+    # EnsembleBlock passes, rejected rows' replays included.
     rows, steps = 6, 5
     gens = [RngStream(21, c).gen for c in range(rows)]
     oracles = [RngStream(21, c).gen for c in range(rows)]
@@ -117,8 +120,11 @@ def test_block_draws_match_generator_per_row(plan, pending):
         gens[r].integers(0, 7, 1)
         oracles[r].integers(0, 7, 1)
     block = BlockDraws(gens, plan)
+    got = rawdraws.slot_major(plan, rows)
+    if layout == "contiguous":
+        got = [np.empty(a.shape, a.dtype) for a in got]
     for _ in range(steps):
-        got = block.draw()
+        block.draw(got)
         for r, oracle in enumerate(oracles):
             assert_same_draws([a[r] for a in got], replay(oracle, plan))
     for g, oracle in zip(gens, oracles):
@@ -140,10 +146,11 @@ def test_block_draws_decode_pending_rows_and_replay_only_rejecting_ones(monkeypa
 
     monkeypatch.setattr(rawdraws, "replay", counting_replay)
     block = BlockDraws(gens, plan)
+    got = rawdraws.slot_major(plan, rows)
     pending_row_steps = 0
     for _ in range(steps):
         pending_row_steps += block._pending.sum()
-        got = block.draw()
+        block.draw(got)
         for r, oracle in enumerate(oracles):
             assert_same_draws([a[r] for a in got], replay(oracle, plan))
     for g, oracle in zip(gens, oracles):
@@ -175,7 +182,7 @@ def test_draw_check_passes_here_and_catches_a_mismatch(monkeypatch):
     # rewinds can be caught only there; the second differs from the real one
     # only for a row that held a half before the step.
     mutations = [
-        ("_unit_doubles", lambda words: (words >> 12) * 2.0**-52),
+        ("_unit_doubles", lambda words, out: np.multiply(words >> 12, 2.0**-52, out=out)),
         ("_rewind", lambda bg, words, half: rewind(bg, words - 1, half)),
         ("_rewind", lambda bg, words, half: rewind(bg, words, None)),
     ]
