@@ -23,7 +23,7 @@ import numpy as np
 # at 1.9-3.4x.  The threshold sits at that crossover because a block holds
 # little more than its state and allocates nothing its size per step: a
 # 2-worker run of 60 economies of 1024 agents in two batched 30-row blocks
-# ran 1.74x faster and peaked 3.4% higher in resident memory (72.9 against
+# ran 1.7-2.2x faster and peaked 3.5% higher in resident memory (73.0 against
 # 70.5 MB) than in 7-row blocks stepped per economy.
 # Where a worker's share reaches BATCH_MIN_ROWS, fan-out blocks hold at least
 # BATCH_ROWS economies, as larger blocks step faster.
