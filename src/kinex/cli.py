@@ -225,6 +225,15 @@ def load_experiment_config(
         raise ConfigError(f"lattice_side={side} squared != n_agents={cfg.n_agents}")
     if experiment != "fit" and cfg.t_max < 10:
         raise ConfigError(f"t_max={cfg.t_max} must be >= 10, the shortest series a plateau fits")
+    bad = [eps for eps in cfg.eps_values if not 0.0 <= eps <= 1.0]
+    if bad:
+        raise ConfigError(f"eps_values {bad} outside [0, 1]")
+    bad = [w for w in cfg.lambda_windows if not 0.0 <= w[0] < w[1] <= 1.0]
+    if bad:
+        raise ConfigError(f"lambda_windows {bad} not within 0 <= lo < hi <= 1")
+    bad = [w for w in cfg.g_windows if not 0.0 <= w[0] < w[1]]
+    if bad:
+        raise ConfigError(f"g_windows {bad} need 0 <= lo < hi")
     for name in ("eps_values", "lambda_windows", "g_windows"):
         labels = [_cell_label(cell) for cell in getattr(cfg, name)]
         if len(set(labels)) < len(labels):
@@ -315,13 +324,13 @@ def cmd_lambda_family(cfg: ExperimentConfig) -> list[str]:
     if not cfg.lambda_windows:
         raise ConfigError("lambda-family needs a non-empty lambda_windows list")
     windows = sorted(cfg.lambda_windows, key=sum)
+    specs = tuple(replace(cfg.model, rule=DISTRIBUTED_SAVING, lambda_window=w) for w in windows)
     with _run_dir(cfg) as run:
         fits = []
-        for w in windows:
-            spec = replace(cfg.model, rule=DISTRIBUTED_SAVING, lambda_window=w)
-            series = run_relaxation(
-                spec, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
-            )
+        cells = run_relaxation(
+            specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
+        )
+        for w, series in zip(windows, cells):
             write_series_csv(series, run.path(f"series_lw_{_cell_label(w)}.csv"))
             fits.append(_fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE])
 
@@ -346,13 +355,14 @@ def cmd_eps_sweep(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError("eps-sweep is defined for the distributed-saving model")
     if not cfg.eps_values:
         raise ConfigError("eps-sweep needs a non-empty eps_values list")
+    values = sorted(cfg.eps_values)
+    specs = tuple(replace(cfg.model, eps_fixed=eps) for eps in values)
     with _run_dir(cfg) as run:
         rows = []
-        for eps in sorted(cfg.eps_values):
-            spec = replace(cfg.model, eps_fixed=eps)
-            series = run_relaxation(
-                spec, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
-            )
+        cells = run_relaxation(
+            specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
+        )
+        for eps, series in zip(values, cells):
             write_series_csv(series, run.path(f"series_eps_{_cell_label(eps)}.csv"))
             x0, sem = equilibrium_window_stats(series, cfg.tail_fraction)
             rows.append({"eps": eps, "x0": x0, "x0_stderr": sem, "is_argmin": False})

@@ -9,14 +9,13 @@ import numpy as np
 from .errors import InvalidParameter
 from .exchange import (
     DISTRIBUTED_SAVING,
-    EnsembleBlock,
     ModelSpec,
     init_ensemble,
     run_time_step,
     saving_propensities,
 )
 from .expfit import _linear_fit
-from .streams import BATCH_MIN_ROWS, RngStream, map_stream_blocks
+from .streams import RngStream, batched, map_stream_blocks
 
 
 @dataclass
@@ -62,20 +61,22 @@ def _equilibrium_config(spec: ModelSpec, n: int, equil_steps: int, sample_steps:
 def _equilibrium_block(args) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Pooled (wealth, saving, time-averaged wealth) of streams [start, stop).
 
-    Top-level so a process pool can pickle it.  Blocks of BATCH_MIN_ROWS or more
-    run through EnsembleBlock; smaller ones step each configuration on its own.
-    Both give the same bits.  Saving is None unless the propensities are
+    Top-level so a process pool can pickle it.  Blocks that streams.batched
+    admits run through block.EnsembleBlock; others step each configuration on its
+    own.  Both give the same bits.  Saving is None unless the propensities are
     drawn: the caller builds constant ones from the spec instead of receiving
     them from every worker.
     """
     spec, n, equil_steps, sample_steps, master_seed, start, stop = args
-    if stop - start < BATCH_MIN_ROWS:
+    if not batched(stop - start, 1, n):
         final, saving, avg = zip(*(
             _equilibrium_config(spec, n, equil_steps, sample_steps, RngStream(master_seed, c))
             for c in range(start, stop)
         ))
         drawn = spec.rule == DISTRIBUTED_SAVING
         return np.concatenate(final), np.concatenate(saving) if drawn else None, np.concatenate(avg)
+    from .block import EnsembleBlock  # only batched runs compile the kernel
+
     rngs = [RngStream(master_seed, c) for c in range(start, stop)]
     block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
     final, avg = _sample(block.step, lambda: block.wealth, equil_steps, sample_steps)
@@ -96,7 +97,11 @@ def run_equilibrium(
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
     spec.validate()
     parts = map_stream_blocks(
-        _equilibrium_block, (spec, n, equil_steps, sample_steps, master_seed), n_configs, workers
+        _equilibrium_block,
+        (spec, n, equil_steps, sample_steps, master_seed),
+        n_configs,
+        workers,
+        agents=n,
     )
     return EquilibriumSample(
         wealth=np.concatenate([p[0] for p in parts]),

@@ -1,9 +1,9 @@
-"""Pairwise wealth-exchange rules, the N-interaction time step, and the batched
-block kernel that runs that step for many economies at once.
+"""Pairwise wealth-exchange rules and the N-interaction time step.
 
 The scalar ``exchange_*`` functions state each rule and are the test oracle;
-:func:`run_time_step` inlines them for one economy, and :class:`EnsembleBlock`
-repeats the same operations for a block of economies, bit for bit.
+:func:`run_time_step` inlines them for one economy, and
+:class:`block.EnsembleBlock` repeats the same operations for a block of
+economies, bit for bit.
 
 All rules are zero-sum: every interaction redistributes the pair total
 ``w_i + w_j`` between the two agents.  Conservation is enforced structurally
@@ -340,137 +340,3 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     after = np.asarray(w)
     ens.wealth = after
     return float(np.abs(after - before).sum())
-
-
-class EnsembleBlock:
-    """R independent economies of n agents, advanced together slot by slot.
-
-    Row r is ``ensembles[r]`` driven by ``rngs[r]``; its wealth occupies
-    ``wealth[r*n:(r+1)*n]`` of one flat array.  On every step each row's stream
-    yields exactly what :func:`run_time_step` draws through its Generator, in the
-    same order, read from raw words by :class:`rawdraws.BlockDraws`; then
-    interaction slot k updates slot k of every row at once through flat indices.
-    Rows share no agents, so each economy sees the same floating-point operations
-    in the same order as under :func:`run_time_step`, and a block reproduces it
-    bit for bit.  A block keeps only what a step reads, and :meth:`step` only
-    advances; the relaxation observable is taken by its caller.
-    """
-
-    def __init__(self, spec: ModelSpec, ensembles: list[AgentEnsemble], rngs: list[RngStream]):
-        # Imported here, not with this module: only batched runs need it, and
-        # where no bytecode cache is written every start would compile it.
-        from .rawdraws import BlockDraws, check_raw_draws
-
-        check_raw_draws()
-        rows = len(ensembles)
-        n = ensembles[0].n_agents
-        self.spec = spec
-        self.rows = rows
-        self.n_agents = n
-        self.wealth = np.concatenate([e.wealth for e in ensembles])
-        # Only distributed saving reads the propensities; the other rules hold
-        # them in the spec.
-        self.saving = (
-            np.concatenate([e.saving for e in ensembles]) if spec.rule == DISTRIBUTED_SAVING else None
-        )
-        self._draws = BlockDraws([rng.gen for rng in rngs], _step_plan(spec, n))
-        self._offsets = np.tile(np.arange(rows) * n, 2)
-        # Buffers reused on every step, all slot-major: row k of _pairs holds the
-        # flat index of agent i in every economy, then that of its partner j;
-        # row k of _coef holds slot k's split coefficient in every economy.
-        # The draws are decoded straight into them.
-        self._pairs = np.empty((n, 2 * rows), dtype=np.int64)
-        self._drawn = [self._pairs[:, :rows].T, self._pairs[:, rows:].T]
-        self._redraw = spec.rule == GENERAL or spec.eps_fixed is None
-        if self._redraw:
-            self._coef = np.empty((2 if spec.rule == GENERAL else 1, n, rows))
-            self._drawn += [coef.T for coef in self._coef]
-        else:
-            # a fixed split: every slot reads the same row of coefficients
-            fixed = spec.eps_fixed
-            if spec.rule == FIXED_SAVING:
-                fixed *= 1.0 - spec.lambda_fixed
-            self._coef = np.broadcast_to(np.full(rows, fixed), (1, n, rows))
-        if spec.rule == DISTRIBUTED_SAVING:
-            # per slot: lam_i of every economy, then 1 - lam_j; and 1 - lam_i
-            self._lam = np.empty((n, 2 * rows))
-            self._keep = np.empty((n, rows))
-        self._out = np.empty(2 * rows)
-        self._total = np.empty(rows)
-        self._tmp = np.empty(rows)
-
-    def _draw(self) -> None:
-        spec = self.spec
-        self._draws.draw(self._drawn)
-        _partners(spec, self._pairs)
-        self._pairs += self._offsets
-        if spec.rule == FIXED_SAVING and self._redraw:
-            self._coef *= 1.0 - spec.lambda_fixed  # eps * (1 - lam), as in run_time_step
-        if spec.rule == DISTRIBUTED_SAVING:
-            rows = self.rows
-            lam, keep_j = self._lam, self._lam[:, rows:]
-            np.take(self.saving, self._pairs, out=lam, mode="clip")
-            np.subtract(1.0, lam[:, :rows], out=self._keep)
-            np.subtract(1.0, keep_j, out=keep_j)
-
-    def step(self) -> None:
-        """Run one time step (N slots) of every row in place."""
-        self._draw()
-        rows, w = self.rows, self.wealth
-        out, total, tmp = self._out, self._total, self._tmp
-        new_i, new_j = out[:rows], out[rows:]
-        rule = self.spec.rule
-        # Each line repeats one operation of run_time_step's loop, operands in the
-        # same order.  min(total, new_i) is its clamp: new_j = total - new_i < 0
-        # exactly when new_i > total, and then new_i = total gives new_j = 0.
-        # On a tie np.minimum returns its second operand, so new_i keeps its own
-        # bits (a -0.0 from eps = -0.0 included), as it does in run_time_step.
-        if rule == PURE_GAMBLING:
-            for pair, e in zip(self._pairs, self._coef[0]):
-                v = w[pair]
-                np.add(v[:rows], v[rows:], out=total)
-                np.multiply(e, total, out=new_i)
-                np.minimum(total, new_i, out=new_i)
-                np.subtract(total, new_i, out=new_j)
-                w[pair] = out
-        elif rule == FIXED_SAVING:
-            lam = self.spec.lambda_fixed
-            for pair, c in zip(self._pairs, self._coef[0]):
-                v = w[pair]
-                wi = v[:rows]
-                np.add(wi, v[rows:], out=total)
-                np.multiply(lam, wi, out=new_i)
-                np.multiply(c, total, out=tmp)
-                np.add(new_i, tmp, out=new_i)
-                np.minimum(total, new_i, out=new_i)
-                np.subtract(total, new_i, out=new_j)
-                w[pair] = out
-        elif rule == DISTRIBUTED_SAVING:
-            lam = self._lam
-            for pair, e, lam_i, keep_i, keep_j in zip(
-                self._pairs, self._coef[0], lam[:, :rows], self._keep, lam[:, rows:]
-            ):
-                v = w[pair]
-                wi = v[:rows]
-                wj = v[rows:]
-                np.add(wi, wj, out=total)
-                np.multiply(keep_i, wi, out=tmp)
-                np.multiply(keep_j, wj, out=new_j)
-                np.add(tmp, new_j, out=tmp)
-                np.multiply(e, tmp, out=tmp)
-                np.multiply(lam_i, wi, out=new_i)
-                np.add(new_i, tmp, out=new_i)
-                np.minimum(total, new_i, out=new_i)
-                np.subtract(total, new_i, out=new_j)
-                w[pair] = out
-        else:  # GENERAL: no clamp, outputs may be negative
-            for pair, e1, e2 in zip(self._pairs, *self._coef):
-                v = w[pair]
-                wi = v[:rows]
-                wj = v[rows:]
-                np.multiply(e1, wi, out=new_i)
-                np.multiply(e2, wj, out=tmp)
-                np.add(new_i, tmp, out=new_i)
-                np.add(wi, wj, out=total)
-                np.subtract(total, new_i, out=new_j)
-                w[pair] = out

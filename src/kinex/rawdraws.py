@@ -6,8 +6,8 @@
 :func:`check_raw_draws` holds it to the ``Generator`` once per process.  It
 decodes only draws in which no value is rejected; numpy's ``Generator`` is the
 only exact decoder, and makes a step's draws again for every stream that
-rejected one.  Only :class:`exchange.EnsembleBlock` uses this module, and it
-imports it when the first block is built.
+rejected one.  Only :class:`block.EnsembleBlock` uses this module, and it is
+imported with it, when the first block is built.
 """
 
 from __future__ import annotations

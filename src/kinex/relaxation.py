@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientData, InvalidParameter, ShapeError
-from .exchange import EnsembleBlock, ModelSpec, init_ensemble, run_time_step
-from .streams import BATCH_MIN_ROWS, RngStream, map_stream_blocks
+from .exchange import ModelSpec, init_ensemble, run_time_step
+from .streams import RngStream, batched, map_stream_blocks
 
 DEFAULT_TAIL_FRACTION = 0.25
 
@@ -61,28 +61,43 @@ def _config_series(spec: ModelSpec, n: int, t_max: int, rng: RngStream) -> np.nd
 
 
 def _block_series(args) -> np.ndarray:
-    """Observable traces of streams [start, stop), one row per configuration.
+    """Observable traces of streams [start, stop), shape (cells, configurations, t_max).
 
-    Top-level so a process pool can pickle it.  Blocks of BATCH_MIN_ROWS or more
-    run through EnsembleBlock; smaller ones step each configuration on its own.
-    Both give the same bits.
+    Top-level so a process pool can pickle it.  ``specs`` are sweep cells that
+    share their draws, or one spec.  Blocks that streams.batched admits run
+    through one EnsembleBlock; others step each configuration of each cell on
+    its own.  Both give the same bits.
     """
-    spec, n, t_max, master_seed, start, stop = args
-    if stop - start < BATCH_MIN_ROWS:
-        return np.array(
+    specs, n, t_max, master_seed, start, stop = args
+    if not batched(stop - start, len(specs), n):
+        return np.array([
             [_config_series(spec, n, t_max, RngStream(master_seed, c)) for c in range(start, stop)]
-        )
-    rngs = [RngStream(master_seed, c) for c in range(start, stop)]
-    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
-    xs = np.empty((len(rngs), t_max))
+            for spec in specs
+        ])
+    block = _cells_block(specs, n, master_seed, start, stop)
+    xs = np.empty((block.rows, t_max))
     for t, changes in enumerate(_block_changes(block, t_max)):
         xs[:, t] = changes / n
-    return xs
+    return xs.reshape(len(specs), stop - start, t_max)
 
 
-def _block_changes(block: EnsembleBlock, steps: int):
-    """Step ``block`` ``steps`` times, yielding after each step every row's
-    sum_i |w_i(after) - w_i(before)|, the value run_time_step returns."""
+def _cells_block(specs, n: int, master_seed: int, start: int, stop: int):
+    """One block.EnsembleBlock of every cell's configurations on streams [start, stop)."""
+    from .block import EnsembleBlock  # only batched runs compile the kernel
+
+    ensembles = []
+    for spec in specs:
+        # every cell's init makes the same draws, so the streams left by the
+        # last cell's stand where every cell's would
+        rngs = [RngStream(master_seed, c) for c in range(start, stop)]
+        ensembles += [init_ensemble(spec, n, rng) for rng in rngs]
+    return EnsembleBlock(specs, ensembles, rngs)
+
+
+def _block_changes(block, steps: int):
+    """Step ``block``, an EnsembleBlock, ``steps`` times, yielding after each
+    step every row's sum_i |w_i(after) - w_i(before)|, the value run_time_step
+    returns."""
     before = np.empty_like(block.wealth)
     for _ in range(steps):
         np.copyto(before, block.wealth)
@@ -93,54 +108,85 @@ def _block_changes(block: EnsembleBlock, steps: int):
 
 
 def average_series(
-    block_fn: Callable, args: tuple, t_max: int, n_configs: int, workers: int, **meta
-) -> RelaxationSeries:
-    """Mean of the per-configuration traces ``block_fn`` returns, summed in stream order.
+    block_fn: Callable,
+    args: tuple,
+    t_max: int,
+    n_configs: int,
+    workers: int,
+    labels: list[str],
+    batch: tuple[int, int] = (1, 0),
+    **meta,
+) -> list[RelaxationSeries]:
+    """Per cell, the mean of the per-configuration traces ``block_fn`` returns,
+    summed in stream order.
 
     ``block_fn((*args, start, stop))`` returns the length-``t_max`` traces of
-    configurations [start, stop); :func:`streams.map_stream_blocks` spreads the
-    blocks over ``workers`` processes.  The sum runs in stream-index order, so
-    any worker count yields bit-identical output.  ``meta`` fills the remaining
-    :class:`RelaxationSeries` fields (``n_agents``, ``master_seed``, ``spec``).
+    configurations [start, stop) of every cell, shape (cells, stop - start,
+    t_max); :func:`streams.map_stream_blocks` spreads the blocks over
+    ``workers`` processes, sized by ``batch``, its (cells, agents).  The sums
+    run in stream-index order, so any worker count yields bit-identical output.
+    ``labels`` gives each cell's ``spec`` field and ``meta`` the remaining
+    :class:`RelaxationSeries` fields (``n_agents``, ``master_seed``).
     """
     if t_max < 2:
         raise InvalidParameter(f"t_max={t_max} must be >= 2")
     if n_configs < 1:
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
-    blocks = map_stream_blocks(block_fn, args, n_configs, workers)
-    acc = np.zeros(t_max)
+    blocks = map_stream_blocks(block_fn, args, n_configs, workers, *batch)
+    acc = np.zeros((len(labels), t_max))
     for traces in blocks:
-        for xs in traces:
+        for xs in traces.swapaxes(0, 1):
             acc += xs
-    return RelaxationSeries(
-        t=np.arange(1, t_max + 1), x_mean=acc / n_configs, n_configs=n_configs, **meta
-    )
+    return [
+        RelaxationSeries(
+            t=np.arange(1, t_max + 1), x_mean=x / n_configs, n_configs=n_configs, spec=label, **meta
+        )
+        for x, label in zip(acc, labels)
+    ]
 
 
 def run_relaxation(
-    spec: ModelSpec,
+    spec: ModelSpec | tuple[ModelSpec, ...],
     n: int,
     t_max: int,
     n_configs: int,
     master_seed: int,
     workers: int = 1,
-) -> RelaxationSeries:
+) -> RelaxationSeries | list[RelaxationSeries]:
     """Average the step observable over ``n_configs`` independent configurations.
 
     Configuration c uses stream (master_seed, c); any worker count gives the
-    same bits (see :func:`average_series`).
+    same bits (see :func:`average_series`).  ``spec`` may be a tuple of sweep
+    cells' specs: the result is then a list of their series, each the same
+    bits as the cell's own run, and cells that share their draws
+    (:func:`sweep.draw_groups`) are simulated together, on one set of draws.
     """
-    spec.validate()
-    return average_series(
-        _block_series,
-        (spec, n, t_max, master_seed),
-        t_max,
-        n_configs,
-        workers,
-        n_agents=n,
-        master_seed=master_seed,
-        spec=spec.digest(),
-    )
+    specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
+    for s in specs:
+        s.validate()
+    if len(specs) == 1:
+        groups = [[0]]
+    else:
+        from .sweep import draw_groups
+
+        groups = draw_groups(specs, n)
+    series = [None] * len(specs)
+    for group in groups:
+        cells = tuple(specs[k] for k in group)
+        runs = average_series(
+            _block_series,
+            (cells, n, t_max, master_seed),
+            t_max,
+            n_configs,
+            workers,
+            [cell.digest() for cell in cells],
+            batch=(len(cells), n),
+            n_agents=n,
+            master_seed=master_seed,
+        )
+        for k, run in zip(group, runs):
+            series[k] = run
+    return series[0] if isinstance(spec, ModelSpec) else series
 
 
 def _tail_slice(series: RelaxationSeries, tail_fraction: float) -> np.ndarray:

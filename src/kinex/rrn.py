@@ -195,13 +195,14 @@ def _realization_series(L, g_window, t_max, init, rng: RngStream) -> np.ndarray:
     return xs
 
 
-def _block_series(args) -> list[np.ndarray]:
-    """Sweep traces of realizations [start, stop); top-level so Pool can pickle it."""
+def _block_series(args) -> np.ndarray:
+    """Sweep traces of realizations [start, stop), shape (1, realizations, t_max);
+    top-level so Pool can pickle it."""
     L, g_window, t_max, init, master_seed, start, stop = args
-    return [
+    return np.array([[
         _realization_series(L, g_window, t_max, init, RngStream(master_seed, c))
         for c in range(start, stop)
-    ]
+    ]])
 
 
 def run_rrn_relaxation(
@@ -224,7 +225,7 @@ def run_rrn_relaxation(
         t_max,
         n_configs,
         workers,
+        [f"rrn-L{L}-g{g_window[0]:g}-{g_window[1]:g}"],
         n_agents=(L - 2) * L,
         master_seed=master_seed,
-        spec=f"rrn-L{L}-g{g_window[0]:g}-{g_window[1]:g}",
-    )
+    )[0]

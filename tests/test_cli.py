@@ -250,6 +250,37 @@ class TestCommands:
         assert err.startswith("kinex: config error") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment,override",
+        [
+            ("eps-sweep", {"eps_values": [0.5, 1.5]}),
+            ("eps-sweep", {"eps_values": [-0.1, 0.5]}),
+            ("lambda-family", {"lambda_windows": [[0.0, 1.0], [0.5, 1.2]]}),
+            ("lambda-family", {"lambda_windows": [[0.5, 0.5]]}),
+            ("lambda-family", {"lambda_windows": [[-0.2, 0.5]]}),
+            ("rrn", {"g_windows": [[0.0, 1.0], [0.5, 0.2]]}),
+            ("rrn", {"g_windows": [[-0.1, 1.0]]}),
+        ],
+        ids=["eps_above_1", "eps_below_0", "lambda_hi_above_1", "lambda_empty",
+             "lambda_lo_below_0", "g_hi_below_lo", "g_lo_below_0"],
+    )
+    def test_sweep_values_fail_before_any_cell_is_simulated(
+        self, tmp_path, capsys, monkeypatch, experiment, override
+    ):
+        import kinex.cli as cli
+
+        simulated = []
+        for name in ("run_relaxation", "run_rrn_relaxation"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: simulated.append(args))
+        section = {"side": 8, "t_max": 40, "n_configs": 2} if experiment == "rrn" else {}
+        p = write_cfg(tmp_path, {**BASE, experiment: {**section, **override}})
+        out = tmp_path / "sv"
+        assert main([experiment, "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kinex: config error: ") and err.count("\n") == 1
+        assert simulated == []
+        assert not out.exists()
+
     def test_lattice_side_is_checked_where_the_model_runs(self, tmp_path):
         model = {"rule": "pure_gambling", "pairing": "lattice2d", "lattice_side": 4}
         p = write_cfg(tmp_path, {"n_agents": 20, "model": model, "g_windows": [[0.0, 1.0]]})

@@ -7,6 +7,7 @@ condition; run_time_step in turn must reproduce the scalar exchange_* rules.
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,15 +27,17 @@ from kinex import (
 )
 from kinex import rawdraws
 from kinex.distribution import run_equilibrium
+from kinex.block import EnsembleBlock
 from kinex.exchange import (
     INITS,
     LATTICE_2D,
     PAIRINGS,
     RULES,
-    EnsembleBlock,
     _draw_pairs,
 )
 from kinex.relaxation import _block_changes, run_relaxation
+from kinex import streams as streams_module
+from kinex.errors import InvalidParameter
 from kinex.streams import BATCH_MIN_ROWS, map_stream_blocks, replay
 
 BLOCK_SIZES = (1, 2, 63, 64, 100)
@@ -110,6 +113,102 @@ def test_block_matches_per_config_bit_for_bit(
         got_traces, got_final = _block(spec, n, steps, seed, range(start, start + rows))
         assert got_traces.tobytes() == want_traces[start:].tobytes()
         assert got_final.tobytes() == want_final[start * n:].tobytes()
+
+
+def _cells_block(specs, n, steps, seed, streams):
+    """Every cell's economies on ``streams`` in one block, on shared draws."""
+    ensembles = []
+    for spec in specs:
+        rngs = [RngStream(seed, c) for c in streams]
+        ensembles += [init_ensemble(spec, n, rng) for rng in rngs]
+    block = EnsembleBlock(specs, ensembles, rngs)
+    traces = np.array(list(_block_changes(block, steps))).T
+    return traces, block.wealth, block
+
+
+@pytest.mark.parametrize(
+    "rule,pairing,redraw,init", list(itertools.product(RULES, PAIRINGS, (True, False), INITS))
+)
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 16),
+    side=st.sampled_from([2, 3]),
+    streams=st.integers(1, 5),
+    cells=st.lists(
+        st.tuples(unit, st.floats(0.0, 1.0, exclude_max=True), st.floats(0.5, 1e3)),
+        min_size=1,
+        max_size=3,
+    ),
+    lam_windows=st.lists(
+        st.tuples(unit, unit).filter(lambda w: w[0] != w[1]).map(sorted).map(tuple),
+        min_size=3,
+        max_size=3,
+    ),
+    eps1_window=window,
+    steps=st.integers(1, 4),
+)
+def test_block_in_runs_matches_per_config_bit_for_bit(
+    rule, pairing, redraw, init, seed, size, side, streams, cells, lam_windows, eps1_window, steps
+):
+    # Run stepping forced on at any size; cells share their draws and differ in
+    # split, saving fraction or window, and total wealth.
+    n = side * side if pairing == LATTICE_2D else size
+    specs = tuple(
+        ModelSpec(
+            rule=rule,
+            pairing=pairing,
+            lattice_side=side if pairing == LATTICE_2D else None,
+            eps_fixed=None if redraw else eps,
+            lambda_fixed=lam,
+            lambda_window=lam_window,
+            eps1_window=eps1_window,
+            init=init,
+            init_total=total,
+        )
+        for (eps, lam, total), lam_window in zip(cells, lam_windows)
+    )
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(streams_module, "RUN_AGENTS", 0)
+        got_traces, got_final, block = _cells_block(specs, n, steps, seed, range(3, 3 + streams))
+    assert block._by_runs
+    for k, spec in enumerate(specs):
+        want_traces, want_final = _per_config(spec, n, steps, seed, range(3, 3 + streams))
+        assert got_traces[k * streams : (k + 1) * streams].tobytes() == want_traces.tobytes()
+        assert got_final[k * streams * n : (k + 1) * streams * n].tobytes() == want_final.tobytes()
+
+
+@pytest.mark.parametrize("runs", [False, True], ids=["slots", "runs"])
+def test_cells_keep_splits_that_differ_only_in_the_sign_of_zero(runs):
+    # eps = -0.0 leaves new_i = -0.0 where eps = 0.0 leaves 0.0, which the
+    # observable cannot see, so the final wealth must tell the cells apart.
+    specs = tuple(ModelSpec(rule="pure_gambling", eps_fixed=e) for e in (0.0, -0.0, 0.0))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(streams_module, "RUN_AGENTS", 0 if runs else 10**9)
+        _, got_final, block = _cells_block(specs, 10, 3, 4, range(2))
+    assert block._by_runs == runs
+    for k, spec in enumerate(specs):
+        want_final = _per_config(spec, 10, 3, 4, range(2))[1]
+        assert got_final[k * 20 : (k + 1) * 20].tobytes() == want_final.tobytes()
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        {"pairing": LATTICE_2D, "lattice_side": 4},
+        {"init": "uniform_random"},
+        {"rule": "fixed_saving"},
+        {"eps_fixed": None},
+    ],
+    ids=["pairing", "init", "rule", "eps_drawn"],
+)
+def test_block_refuses_cells_whose_draws_differ(other):
+    spec = ModelSpec(rule="distributed_saving", eps_fixed=0.5)
+    specs = (spec, replace(spec, **other))
+    rngs = [RngStream(1, c) for c in range(2)]
+    ensembles = [init_ensemble(s, 16, RngStream(1, c)) for s in specs for c in range(2)]
+    with pytest.raises(InvalidParameter):
+        EnsembleBlock(specs, ensembles, rngs)
 
 
 @pytest.mark.parametrize("window", [(0.0, -0.0), (-0.0, -0.0), (-0.5, -0.0)])
@@ -238,6 +337,21 @@ def _span(args):
 )
 def test_fan_out_blocks_reach_the_batched_path(n_streams, workers, size):
     blocks = map_stream_blocks(_span, (), n_streams, workers)
+    assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
+
+
+@pytest.mark.parametrize(
+    "n_streams,workers,cells,agents,size",
+    [
+        (10, 2, 3, 1000, 5),  # 15 rows a worker, stepped in runs: 1000 >= 48 * 5
+        (10, 2, 3, 100, 1),  # 15 rows slot by slot would not pay
+        (10, 2, 1, 1000, 1),  # 5 rows do not pay in runs either
+        (60, 2, 3, 100, 22),  # 90 rows a worker: blocks of ceil(64 / 3) streams
+        (130, 2, 1, 0, 64),
+    ],
+)
+def test_fan_out_counts_the_rows_of_every_cell(n_streams, workers, cells, agents, size):
+    blocks = map_stream_blocks(_span, (), n_streams, workers, cells, agents)
     assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
 
 
