@@ -225,6 +225,13 @@ def load_experiment_config(
         raise ConfigError(f"lattice_side={side} squared != n_agents={cfg.n_agents}")
     if experiment != "fit" and cfg.t_max < 10:
         raise ConfigError(f"t_max={cfg.t_max} must be >= 10, the shortest series a plateau fits")
+    least_counts = {
+        "n_configs": 1, "fit_configs": 1, "bins": 1, "sample_steps": 0, "equilibration_steps": 0
+    }
+    for name, least in least_counts.items():
+        value = getattr(cfg, name)
+        if value is not None and value < least:
+            raise ConfigError(f"{name}={value} must be >= {least}")
     bad = [eps for eps in cfg.eps_values if not 0.0 <= eps <= 1.0]
     if bad:
         raise ConfigError(f"eps_values {bad} outside [0, 1]")

@@ -7,15 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .exchange import (
-    DISTRIBUTED_SAVING,
-    ModelSpec,
-    init_ensemble,
-    run_time_step,
-    saving_propensities,
-)
+from .exchange import DISTRIBUTED_SAVING, ModelSpec, init_ensemble, saving_propensities
+from .exchange import run_time_step  # noqa: F401  (perfbench/child.py times it under this name)
 from .expfit import _linear_fit
-from .streams import RngStream, batched, map_stream_blocks
+from .streams import RngStream, map_stream_blocks
 
 
 @dataclass
@@ -29,58 +24,31 @@ class EquilibriumSample:
     n_agents: int
 
 
-def _sample(step, wealth, equil_steps: int, sample_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equilibrate, then average the wealth over the sampling steps.
-
-    ``step()`` advances the economies by one time step and ``wealth()`` reads
-    their current wealth.  Returns (final wealth, time-averaged wealth), the
-    final one being ``wealth()`` itself; with no sampling steps the average is
-    the final snapshot.
-    """
-    for _ in range(equil_steps):
-        step()
-    if sample_steps <= 0:
-        return wealth(), wealth()
-    acc = np.zeros_like(wealth())
-    for _ in range(sample_steps):
-        step()
-        acc += wealth()
-    acc /= sample_steps
-    return wealth(), acc
-
-
-def _equilibrium_config(spec: ModelSpec, n: int, equil_steps: int, sample_steps: int, rng):
-    """One configuration stepped by run_time_step: (wealth, saving, time-averaged wealth)."""
-    ens = init_ensemble(spec, n, rng)
-    final, avg = _sample(
-        lambda: run_time_step(ens, spec, rng), lambda: ens.wealth, equil_steps, sample_steps
-    )
-    return final, ens.saving, avg
-
-
 def _equilibrium_block(args) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Pooled (wealth, saving, time-averaged wealth) of streams [start, stop).
 
-    Top-level so a process pool can pickle it.  Blocks that streams.batched
-    admits run through block.EnsembleBlock; others step each configuration on its
-    own.  Both give the same bits.  Saving is None unless the propensities are
-    drawn: the caller builds constant ones from the spec instead of receiving
-    them from every worker.
+    Top-level so a process pool can pickle it.  The configurations run in one
+    block.EnsembleBlock, bit for bit as run_time_step steps each one: first
+    ``equil_steps`` steps, then ``sample_steps`` steps over which the wealth is
+    averaged (with none, the average is the final snapshot).  Saving is None
+    unless the propensities are drawn: the caller builds constant ones from
+    the spec instead of receiving them from every worker.
     """
     spec, n, equil_steps, sample_steps, master_seed, start, stop = args
-    if not batched(stop - start, 1, n):
-        final, saving, avg = zip(*(
-            _equilibrium_config(spec, n, equil_steps, sample_steps, RngStream(master_seed, c))
-            for c in range(start, stop)
-        ))
-        drawn = spec.rule == DISTRIBUTED_SAVING
-        return np.concatenate(final), np.concatenate(saving) if drawn else None, np.concatenate(avg)
-    from .block import EnsembleBlock  # only batched runs compile the kernel
+    from .block import EnsembleBlock  # not at import: the CLI's start need not compile it
 
     rngs = [RngStream(master_seed, c) for c in range(start, stop)]
     block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
-    final, avg = _sample(block.step, lambda: block.wealth, equil_steps, sample_steps)
-    return final, block.saving, avg
+    for _ in range(equil_steps):
+        block.step()
+    if sample_steps <= 0:
+        return block.wealth, block.saving, block.wealth
+    acc = np.zeros_like(block.wealth)
+    for _ in range(sample_steps):
+        block.step()
+        acc += block.wealth
+    acc /= sample_steps
+    return block.wealth, block.saving, acc
 
 
 def run_equilibrium(
@@ -101,7 +69,6 @@ def run_equilibrium(
         (spec, n, equil_steps, sample_steps, master_seed),
         n_configs,
         workers,
-        agents=n,
     )
     return EquilibriumSample(
         wealth=np.concatenate([p[0] for p in parts]),

@@ -1,9 +1,9 @@
 """Pairwise wealth-exchange rules and the N-interaction time step.
 
-The scalar ``exchange_*`` functions state each rule and are the test oracle;
-:func:`run_time_step` inlines them for one economy, and
-:class:`block.EnsembleBlock` repeats the same operations for a block of
-economies, bit for bit.
+The scalar ``exchange_*`` functions state each rule; :func:`run_time_step`
+applies them, one interaction at a time, to one economy, and is the oracle
+:class:`block.EnsembleBlock` is tested against: the block repeats the same
+operations for a block of economies, bit for bit.
 
 All rules are zero-sum: every interaction redistributes the pair total
 ``w_i + w_j`` between the two agents.  Conservation is enforced structurally
@@ -274,7 +274,8 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     gives the relaxation observable for this step.
 
     Each step draws what :func:`_step_plan` lists, so runs are reproducible
-    per (master_seed, stream).
+    per (master_seed, stream), then applies the rule's ``exchange_*`` function
+    to the N pairs in slot order.
     """
     n = ens.n_agents
     before = ens.wealth.copy()
@@ -284,58 +285,23 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     _partners(spec, pairs)
     ii, jj = pairs[:n].tolist(), pairs[n:].tolist()
     rule = spec.rule
-
     if rule == GENERAL:
         e1, e2 = (e.tolist() for e in eps)
-        for k in range(n):
-            i = ii[k]
-            j = jj[k]
-            wi = w[i]
-            wj = w[j]
-            new_i = e1[k] * wi + e2[k] * wj
-            w[i] = new_i
-            w[j] = (wi + wj) - new_i
+        for i, j, a, b in zip(ii, jj, e1, e2):
+            w[i], w[j] = exchange_general(w[i], w[j], a, b)
     else:
         ee = eps[0].tolist() if eps else [spec.eps_fixed] * n
         if rule == PURE_GAMBLING:
-            for k in range(n):
-                i = ii[k]
-                j = jj[k]
-                total = w[i] + w[j]
-                new_i = ee[k] * total
-                new_j = total - new_i
-                if new_j < 0.0:
-                    new_i, new_j = total, 0.0
-                w[i] = new_i
-                w[j] = new_j
+            for i, j, e in zip(ii, jj, ee):
+                w[i], w[j] = exchange_pure_gambling(w[i], w[j], e)
         elif rule == FIXED_SAVING:
             lam = spec.lambda_fixed
-            one_m_lam = 1.0 - lam
-            for k in range(n):
-                i = ii[k]
-                j = jj[k]
-                total = w[i] + w[j]
-                new_i = lam * w[i] + ee[k] * one_m_lam * total
-                new_j = total - new_i
-                if new_j < 0.0:
-                    new_i, new_j = total, 0.0
-                w[i] = new_i
-                w[j] = new_j
+            for i, j, e in zip(ii, jj, ee):
+                w[i], w[j] = exchange_fixed_saving(w[i], w[j], lam, e)
         else:  # DISTRIBUTED_SAVING
             sav = ens.saving.tolist()
-            for k in range(n):
-                i = ii[k]
-                j = jj[k]
-                wi = w[i]
-                wj = w[j]
-                lam_i = sav[i]
-                total = wi + wj
-                new_i = lam_i * wi + ee[k] * ((1.0 - lam_i) * wi + (1.0 - sav[j]) * wj)
-                new_j = total - new_i
-                if new_j < 0.0:
-                    new_i, new_j = total, 0.0
-                w[i] = new_i
-                w[j] = new_j
+            for i, j, e in zip(ii, jj, ee):
+                w[i], w[j] = exchange_distributed_saving(w[i], w[j], sav[i], sav[j], e)
 
     after = np.asarray(w)
     ens.wealth = after

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientData, InvalidParameter, ShapeError
-from .exchange import ModelSpec, init_ensemble, run_time_step
-from .streams import RngStream, batched, map_stream_blocks
+from .exchange import ModelSpec, init_ensemble
+from .exchange import run_time_step  # noqa: F401  (perfbench/child.py times it under this name)
+from .streams import RngStream, map_stream_blocks
 
 DEFAULT_TAIL_FRACTION = 0.25
 
@@ -51,29 +52,14 @@ def mean_abs_change(prev: np.ndarray, curr: np.ndarray) -> float:
     return float(np.abs(curr - prev).mean())
 
 
-def _config_series(spec: ModelSpec, n: int, t_max: int, rng: RngStream) -> np.ndarray:
-    """One configuration's observable trace, stepped by run_time_step."""
-    ens = init_ensemble(spec, n, rng)
-    xs = np.empty(t_max)
-    for t in range(t_max):
-        xs[t] = run_time_step(ens, spec, rng) / n
-    return xs
-
-
 def _block_series(args) -> np.ndarray:
     """Observable traces of streams [start, stop), shape (cells, configurations, t_max).
 
     Top-level so a process pool can pickle it.  ``specs`` are sweep cells that
-    share their draws, or one spec.  Blocks that streams.batched admits run
-    through one EnsembleBlock; others step each configuration of each cell on
-    its own.  Both give the same bits.
+    share their draws, or one spec; all of them run in one EnsembleBlock, bit
+    for bit as run_time_step steps each configuration of each cell.
     """
     specs, n, t_max, master_seed, start, stop = args
-    if not batched(stop - start, len(specs), n):
-        return np.array([
-            [_config_series(spec, n, t_max, RngStream(master_seed, c)) for c in range(start, stop)]
-            for spec in specs
-        ])
     block = _cells_block(specs, n, master_seed, start, stop)
     xs = np.empty((block.rows, t_max))
     for t, changes in enumerate(_block_changes(block, t_max)):
@@ -83,7 +69,7 @@ def _block_series(args) -> np.ndarray:
 
 def _cells_block(specs, n: int, master_seed: int, start: int, stop: int):
     """One block.EnsembleBlock of every cell's configurations on streams [start, stop)."""
-    from .block import EnsembleBlock  # only batched runs compile the kernel
+    from .block import EnsembleBlock  # not at import: the CLI's start need not compile it
 
     ensembles = []
     for spec in specs:
@@ -114,7 +100,7 @@ def average_series(
     n_configs: int,
     workers: int,
     labels: list[str],
-    batch: tuple[int, int] = (1, 0),
+    cells: int = 1,
     **meta,
 ) -> list[RelaxationSeries]:
     """Per cell, the mean of the per-configuration traces ``block_fn`` returns,
@@ -123,7 +109,7 @@ def average_series(
     ``block_fn((*args, start, stop))`` returns the length-``t_max`` traces of
     configurations [start, stop) of every cell, shape (cells, stop - start,
     t_max); :func:`streams.map_stream_blocks` spreads the blocks over
-    ``workers`` processes, sized by ``batch``, its (cells, agents).  The sums
+    ``workers`` processes, sized for ``cells`` cells per stream.  The sums
     run in stream-index order, so any worker count yields bit-identical output.
     ``labels`` gives each cell's ``spec`` field and ``meta`` the remaining
     :class:`RelaxationSeries` fields (``n_agents``, ``master_seed``).
@@ -132,7 +118,7 @@ def average_series(
         raise InvalidParameter(f"t_max={t_max} must be >= 2")
     if n_configs < 1:
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
-    blocks = map_stream_blocks(block_fn, args, n_configs, workers, *batch)
+    blocks = map_stream_blocks(block_fn, args, n_configs, workers, cells)
     acc = np.zeros((len(labels), t_max))
     for traces in blocks:
         for xs in traces.swapaxes(0, 1):
@@ -180,7 +166,7 @@ def run_relaxation(
             n_configs,
             workers,
             [cell.digest() for cell in cells],
-            batch=(len(cells), n),
+            cells=len(cells),
             n_agents=n,
             master_seed=master_seed,
         )

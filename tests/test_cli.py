@@ -9,7 +9,6 @@ import yaml
 
 from kinex.cli import build_model, load_experiment_config, main
 from kinex.errors import ConfigError
-from kinex.streams import BATCH_MIN_ROWS
 
 
 def write_cfg(tmp_path, payload, name="exp.yaml"):
@@ -211,14 +210,14 @@ class TestCommands:
     @pytest.mark.parametrize(
         "override,error",
         [
-            ({"n_configs": BATCH_MIN_ROWS}, "DrawMismatch"),
+            ({}, "DrawMismatch"),
             ({"model": {**BASE["model"], "lambda_window": [0.5, 0.2]}}, "InvalidParameter"),
         ],
     )
     def test_kinex_errors_exit_2_with_one_line(
         self, tmp_path, capsys, monkeypatch, override, error
     ):
-        if error == "DrawMismatch":  # raised in the run, at the first batched block
+        if error == "DrawMismatch":  # raised in the run, at the first block
             break_draw_check(monkeypatch)
         p = write_cfg(tmp_path, {**BASE, **override})
         assert main(["relax", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
@@ -228,24 +227,39 @@ class TestCommands:
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize(
-        "override",
+        "experiment,override",
         [
-            {"tail_fraction": 0.9},
-            {"t_max": 5},
-            {"n_agents": 1},
-            {"model": {**BASE["model"], "pairing": "lattice2d", "lattice_side": 3}},
+            ("relax", {"tail_fraction": 0.9}),
+            ("relax", {"t_max": 5}),
+            ("relax", {"n_agents": 1}),
+            ("relax", {"model": {**BASE["model"], "pairing": "lattice2d", "lattice_side": 3}}),
             # cells whose output files would share a name
-            {"eps_values": [0.1, 0.1000001]},
-            {"lambda_windows": [[0.0, 1.0], [0.5, 1.0], [0.0, 1.0]]},
-            {"g_windows": [[0.2, 1.0], [0.2000001, 1.0]]},
+            ("relax", {"eps_values": [0.1, 0.1000001]}),
+            ("relax", {"lambda_windows": [[0.0, 1.0], [0.5, 1.0], [0.0, 1.0]]}),
+            ("relax", {"g_windows": [[0.2, 1.0], [0.2000001, 1.0]]}),
+            # counts that would fail only inside the run, or run as 0
+            ("dist", {"dist": {"bins": 0}}),
+            ("dist", {"dist": {"equilibration_steps": -5}}),
+            ("dist", {"dist": {"sample_steps": -2}}),
+            ("dist", {"n_configs": 0}),
+            ("dist", {"fit_configs": 0}),
         ],
         ids=["tail_fraction", "t_max", "n_agents", "lattice_side",
-             "eps_values", "lambda_windows", "g_windows"],
+             "eps_values", "lambda_windows", "g_windows",
+             "bins", "equilibration_steps", "sample_steps", "n_configs", "fit_configs"],
     )
-    def test_bad_tail_fraction_fails_before_simulating(self, tmp_path, capsys, override):
+    def test_bad_tail_fraction_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch, experiment, override
+    ):
+        import kinex.cli as cli
+
+        simulated = []
+        for name in ("run_relaxation", "run_equilibrium"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: simulated.append(args))
         p = write_cfg(tmp_path, {**BASE, **override})
         out = tmp_path / "tf"
-        assert main(["relax", "--config", str(p), "--out", str(out)]) == 2
+        assert main([experiment, "--config", str(p), "--out", str(out)]) == 2
+        assert simulated == []
         err = capsys.readouterr().err
         assert err.startswith("kinex: config error") and err.count("\n") == 1
         assert not out.exists()

@@ -1,4 +1,4 @@
-"""The batched EnsembleBlock kernel against the per-configuration time step.
+"""The EnsembleBlock kernel against run_time_step, the per-configuration time step.
 
 Stepping R economies together must reproduce run_time_step bit for bit, per
 step and in the final wealth, for every rule, pairing, split mode and initial
@@ -38,7 +38,7 @@ from kinex.exchange import (
 from kinex.relaxation import _block_changes, run_relaxation
 from kinex import streams as streams_module
 from kinex.errors import InvalidParameter
-from kinex.streams import BATCH_MIN_ROWS, map_stream_blocks, replay
+from kinex.streams import map_stream_blocks, replay
 
 BLOCK_SIZES = (1, 2, 63, 64, 100)
 SAVING_RULES = ("pure_gambling", "fixed_saving", "distributed_saving")
@@ -239,7 +239,7 @@ def test_block_conserves_each_economy_and_keeps_saving_rules_nonneg(rule, pairin
         eps1_window=(-0.5, 1.5),
         init="uniform_random",
     )
-    rngs = [RngStream(8, c) for c in range(BATCH_MIN_ROWS)]
+    rngs = [RngStream(8, c) for c in range(24)]
     block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
     totals = block.wealth.reshape(-1, n).sum(axis=1)
     for _ in range(100):
@@ -267,8 +267,8 @@ def test_block_clamps_overshoot_like_per_config(spec):
     # eps*(1-lam)*total often rounds above the pair total, so the new_j < 0 clamp
     # fires.  eps = -0.0 on zero-wealth pairs gives new_i = -0.0 = total, a tie
     # the clamp must leave alone.
-    want_traces, want_final = _per_config(spec, 10, 40, 2, range(BATCH_MIN_ROWS))
-    got_traces, got_final = _block(spec, 10, 40, 2, range(BATCH_MIN_ROWS))
+    want_traces, want_final = _per_config(spec, 10, 40, 2, range(24))
+    got_traces, got_final = _block(spec, 10, 40, 2, range(24))
     assert got_final.min() >= 0.0
     assert got_traces.tobytes() == want_traces.tobytes()
     assert got_final.tobytes() == want_final.tobytes()
@@ -293,7 +293,7 @@ def test_block_partners_are_distinct_and_lattice_neighbours():
 
 @pytest.mark.parametrize("rule", RULES)
 def test_time_step_replays_the_scalar_rules(rule):
-    """The scalar exchange_* functions are the oracle for the inlined loop."""
+    """run_time_step applies the scalar exchange_* functions to its draws in slot order."""
     spec = ModelSpec(rule=rule, lambda_fixed=0.3, eps1_window=(-0.5, 1.5), init="uniform_random")
     n = 30
     rng, oracle = RngStream(4, 0), RngStream(4, 0)
@@ -328,11 +328,11 @@ def _span(args):
     [
         (130, 1, 130),
         (130, 2, 64),
-        (130, 4, 33),  # a worker's share of 33 is batched whole
+        (130, 4, 33),  # a worker's share of 33 is one block
         (60, 2, 30),
         (500, 4, 64),
         (2000, 2, 250),
-        (10, 2, 1),
+        (10, 2, 5),
     ],
 )
 def test_fan_out_blocks_reach_the_batched_path(n_streams, workers, size):
@@ -341,23 +341,21 @@ def test_fan_out_blocks_reach_the_batched_path(n_streams, workers, size):
 
 
 @pytest.mark.parametrize(
-    "n_streams,workers,cells,agents,size",
+    "n_streams,workers,cells,size",
     [
-        (10, 2, 3, 1000, 5),  # 15 rows a worker, stepped in runs: 1000 >= 48 * 5
-        (10, 2, 3, 100, 1),  # 15 rows slot by slot would not pay
-        (10, 2, 1, 1000, 1),  # 5 rows do not pay in runs either
-        (60, 2, 3, 100, 22),  # 90 rows a worker: blocks of ceil(64 / 3) streams
-        (130, 2, 1, 0, 64),
+        (10, 2, 3, 5),  # 15 rows a worker: the share is one block
+        (60, 2, 3, 22),  # 90 rows a worker: blocks of ceil(64 / 3) streams
+        (130, 2, 1, 64),
+        (3000, 1, 3, 682),  # one worker: capped at BATCH_MAX_ROWS // 3 streams
     ],
 )
-def test_fan_out_counts_the_rows_of_every_cell(n_streams, workers, cells, agents, size):
-    blocks = map_stream_blocks(_span, (), n_streams, workers, cells, agents)
+def test_fan_out_counts_the_rows_of_every_cell(n_streams, workers, cells, size):
+    blocks = map_stream_blocks(_span, (), n_streams, workers, cells)
     assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
 
 
-# C = 130 streams: one batched block of 130 at 1 worker; at 2 workers batched
-# blocks of 64 and 64 and a 2-row block stepped per configuration; at 4 workers
-# batched blocks of 33, 33, 33 and 31.
+# C = 130 streams: one block of 130 at 1 worker; at 2 workers blocks of 64 and
+# 64 and a 2-row block; at 4 workers blocks of 33, 33, 33 and 31.
 @pytest.mark.parametrize("workers", [2, 4])
 def test_relaxation_is_the_same_at_any_worker_count(workers):
     spec = ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5)
@@ -388,6 +386,60 @@ def test_equilibrium_is_the_same_at_any_worker_count(spec):
         many = run_equilibrium(spec, n, 6, 4, 130, master_seed=9, workers=workers)
         for field in ("wealth", "saving", "wealth_time_avg"):
             assert getattr(one, field).tobytes() == getattr(many, field).tobytes()
+
+
+# Runs whose blocks hold fewer than 24 rows: C = 1, 2 and 5 configurations at
+# 1 worker, and C = 10 at 4 workers (blocks of 3, 3, 3 and 1).
+SMALL_RUNS = [(1, 1), (2, 1), (5, 1), (10, 4)]
+SMALL_SPECS = [
+    ModelSpec(
+        rule=rule,
+        pairing=pairing,
+        lattice_side=3,
+        lambda_fixed=0.4,
+        lambda_window=(0.1, 0.9),
+        eps1_window=(-0.5, 1.5),
+        init="uniform_random",
+    )
+    for rule, pairing in itertools.product(RULES, PAIRINGS)
+]
+SMALL_IDS = [f"{s.rule}-{s.pairing}" for s in SMALL_SPECS]
+
+
+@pytest.mark.parametrize("configs,workers", SMALL_RUNS)
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_IDS)
+def test_small_relaxation_runs_match_the_time_step(spec, configs, workers):
+    n, t_max = 9, 12
+    acc = np.zeros(t_max)  # the stream-order sum of the per-configuration traces
+    for c in range(configs):
+        rng = RngStream(6, c)
+        ens = init_ensemble(spec, n, rng)
+        acc += np.array([run_time_step(ens, spec, rng) / n for _ in range(t_max)])
+    got = run_relaxation(spec, n, t_max, configs, master_seed=6, workers=workers)
+    assert got.x_mean.tobytes() == (acc / configs).tobytes()
+
+
+@pytest.mark.parametrize("configs,workers", SMALL_RUNS)
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=SMALL_IDS)
+def test_small_equilibrium_runs_match_the_time_step(spec, configs, workers):
+    n, equil_steps, sample_steps = 9, 5, 4
+    finals, savings, averages = [], [], []
+    for c in range(configs):
+        rng = RngStream(6, c)
+        ens = init_ensemble(spec, n, rng)
+        for _ in range(equil_steps):
+            run_time_step(ens, spec, rng)
+        acc = np.zeros(n)
+        for _ in range(sample_steps):
+            run_time_step(ens, spec, rng)
+            acc += ens.wealth
+        finals.append(ens.wealth)
+        savings.append(ens.saving)
+        averages.append(acc / sample_steps)
+    got = run_equilibrium(spec, n, equil_steps, sample_steps, configs, master_seed=6, workers=workers)
+    assert got.wealth.tobytes() == np.concatenate(finals).tobytes()
+    assert got.saving.tobytes() == np.concatenate(savings).tobytes()
+    assert got.wealth_time_avg.tobytes() == np.concatenate(averages).tobytes()
 
 
 @pytest.mark.parametrize(

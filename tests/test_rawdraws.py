@@ -195,7 +195,7 @@ def test_draw_check_passes_here_and_catches_a_mismatch(monkeypatch):
 
 def test_batched_path_modules_are_not_imported_at_cli_start():
     # Every start compiles what it imports where no bytecode cache is written;
-    # these modules serve only batched blocks and sweeps, which import them.
+    # these modules serve only blocks and sweeps, which import them when built.
     lazy = ["kinex.block", "kinex.rawdraws", "kinex.runs", "kinex.sweep"]
     code = f"import sys, kinex.cli; print([m for m in {lazy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(rawdraws.__file__).parents[1])}

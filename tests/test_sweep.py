@@ -22,7 +22,7 @@ DRAWN_EPS = tuple(
 )
 SWEEPS = {"lambda_family": LAMBDA_FAMILY, "eps_sweep": EPS_SWEEP, "drawn_eps": DRAWN_EPS}
 
-# (n, configurations): 12 agents on 130 streams take batched blocks slot by slot
+# (n, configurations): 12 agents on 130 streams take blocks stepped slot by slot
 # at 1, 2 and 4 workers; 1100 agents on 16 streams step their blocks in runs.
 SIZES = {"slots": (12, 130), "runs": (1100, 16)}
 
