@@ -100,7 +100,6 @@ def average_series(
     n_configs: int,
     workers: int,
     labels: list[str],
-    cells: int = 1,
     **meta,
 ) -> list[RelaxationSeries]:
     """Per cell, the mean of the per-configuration traces ``block_fn`` returns,
@@ -109,7 +108,7 @@ def average_series(
     ``block_fn((*args, start, stop))`` returns the length-``t_max`` traces of
     configurations [start, stop) of every cell, shape (cells, stop - start,
     t_max); :func:`streams.map_stream_blocks` spreads the blocks over
-    ``workers`` processes, sized for ``cells`` cells per stream.  The sums
+    ``workers`` processes, sized for one cell per label.  The sums
     run in stream-index order, so any worker count yields bit-identical output.
     ``labels`` gives each cell's ``spec`` field and ``meta`` the remaining
     :class:`RelaxationSeries` fields (``n_agents``, ``master_seed``).
@@ -118,7 +117,7 @@ def average_series(
         raise InvalidParameter(f"t_max={t_max} must be >= 2")
     if n_configs < 1:
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
-    blocks = map_stream_blocks(block_fn, args, n_configs, workers, cells)
+    blocks = map_stream_blocks(block_fn, args, n_configs, workers, len(labels))
     acc = np.zeros((len(labels), t_max))
     for traces in blocks:
         for xs in traces.swapaxes(0, 1):
@@ -166,7 +165,6 @@ def run_relaxation(
             n_configs,
             workers,
             [cell.digest() for cell in cells],
-            cells=len(cells),
             n_agents=n,
             master_seed=master_seed,
         )
