@@ -64,6 +64,9 @@ def run_equilibrium(
     if n_configs < 1:
         raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
     spec.validate()
+    from .kernel import library  # not at import: the CLI's start need not build it
+
+    library()  # here, before a pool forks, so that the workers inherit it checked
     parts = map_stream_blocks(
         _equilibrium_block,
         (spec, n, equil_steps, sample_steps, master_seed),
@@ -86,14 +89,16 @@ def run_equilibrium(
 def wealth_histogram(
     values: np.ndarray, bins: int = 50
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equal-width histogram over [0, max observed]: (edges, counts, density)."""
+    """Equal-width histogram over [min(0, min observed), max(0, max observed)]:
+    (edges, counts, density).  Every sample is counted, the negative wealths
+    the general rule can reach included."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise InvalidParameter("no samples to histogram")
-    vmax = float(values.max())
-    if vmax <= 0.0:
+    lo, hi = min(0.0, float(values.min())), max(0.0, float(values.max()))
+    if lo == hi:
         raise InvalidParameter("all samples are zero; histogram range is empty")
-    counts, edges = np.histogram(values, bins=bins, range=(0.0, vmax))
+    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     width = edges[1] - edges[0]
     density = counts / (values.size * width)
     return edges, counts, density

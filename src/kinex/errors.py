@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every one is a :class:`KinexError`, which the CLI reports as exit code 2 and
+one line.  :class:`KernelBuildError` and :class:`DrawMismatch` come from
+loading the step kernel (:func:`kernel.library`), which a run does before it
+simulates, so a run that raises them has written nothing.
+"""
 
 
 class KinexError(Exception):
@@ -46,4 +52,8 @@ class ConfigError(KinexError):
 
 
 class DrawMismatch(KinexError):
-    """The raw-word draws disagree with numpy's Generator on this platform."""
+    """The step kernel's draws disagree with numpy's Generator on this platform."""
+
+
+class KernelBuildError(KinexError):
+    """The step kernel could not be compiled: no C compiler, or the compile failed."""

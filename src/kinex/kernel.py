@@ -1,0 +1,133 @@
+"""The compiled step kernel, ``_kernel.c``, built on first use and loaded with ctypes.
+
+:func:`library` compiles the source with the system C compiler (``cc``) into
+``_build/`` beside it, under a name keyed by the source digest, the flags and
+the platform, loads it, and holds its draws to numpy's ``Generator``, once per
+process.  The wealth-model runs call it in the main process, before a pool
+forks, so that workers inherit the library loaded and checked.  Only those
+runs and :mod:`block` import this module: the CLI's start neither builds nor
+loads the kernel.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from .errors import DrawMismatch, KernelBuildError
+from .streams import RngStream, replay
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+BUILD_DIR = Path(__file__).with_name("_build")
+# No FMA contraction, no fast-math and no -march=native: the kernel has to do
+# run_time_step's floating-point operations exactly as they are written.
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_int, _i64, _u64, _f64, _ptr = (
+    ctypes.c_int, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
+)
+_ARGTYPES = {
+    "kx_integers": (_ptr, _u64, _i64, _ptr),
+    "kx_uniform": (_ptr, _f64, _f64, _i64, _ptr),
+    "kx_step": (_int, _i64, _i64, _i64, _ptr, _u64, _ptr, _int, *[_ptr] * 9),
+}
+
+
+def _compile(path: Path) -> None:
+    """Compile SOURCE to ``path``, atomically: a concurrent build or load sees
+    the whole library or none."""
+    cc = shutil.which("cc")
+    if cc is None:
+        raise KernelBuildError("no C compiler (cc) on PATH to build the step kernel")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    os.close(fd)
+    try:
+        done = subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE)], capture_output=True, text=True)
+        if done.returncode:
+            why = (done.stderr.strip().splitlines() or [f"exit status {done.returncode}"])[0]
+            raise KernelBuildError(f"cc could not build the step kernel: {why}")
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
+@functools.cache
+def library() -> ctypes.CDLL:
+    """The step kernel, built if its cache holds no build of this source,
+    loaded and checked (:func:`check_draws`), once per process."""
+    key = hashlib.blake2b(SOURCE.read_bytes(), digest_size=8)
+    key.update(repr((FLAGS, sys.platform, platform.machine())).encode())
+    path = BUILD_DIR / f"kernel-{key.hexdigest()}.so"
+    if not path.is_file():
+        _compile(path)
+    lib = ctypes.CDLL(str(path))
+    for name, argtypes in _ARGTYPES.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, None
+    check_draws(lib)
+    return lib
+
+
+def kernel_draws(lib: ctypes.CDLL, bit_generator, plan: tuple) -> list[np.ndarray]:
+    """Make the draws ``plan`` lists, ``(name, *args)`` Generator calls as in
+    :func:`exchange._step_plan`, through the kernel on ``bit_generator``."""
+    bitgen = bit_generator.ctypes.bit_generator
+    out = []
+    for name, *args in plan:
+        if name == "integers":
+            low, high, size = args
+            values = np.empty(size, dtype=np.int64)
+            lib.kx_integers(bitgen, high - low, size, values.ctypes.data)
+            values += low
+        else:  # random(size) is uniform(0.0, 1.0, size)
+            lo, hi, size = args if name == "uniform" else (0.0, 1.0, *args)
+            values = np.empty(size)
+            lib.kx_uniform(bitgen, lo, hi, size, values.ctypes.data)
+        out.append(values)
+    return out
+
+
+_CHECK_SEED = 20260811
+_CHECK_PLANS = (
+    # Spans where about half and a quarter of all values are rejected, at an odd
+    # size, so that an odd number of rejections leaves a half pending into the
+    # next step.  Stream 1 starts with a half pending.
+    (("integers", 0, 2**31 + 1, 7), ("integers", 0, 3 * 2**30 + 7, 7), ("uniform", -0.5, 1.5, 7)),
+    # A mean-field step at n = 101.
+    (("integers", 0, 101, 101), ("integers", 0, 100, 101), ("random", 101)),
+)
+
+
+def check_draws(lib: ctypes.CDLL) -> None:
+    """Hold the kernel's draws to numpy's Generator on three streams.
+
+    Raises DrawMismatch when any draw differs, or when a stream does not
+    continue as the Generator's does (a pending half lost or kept wrongly),
+    for example under a numpy whose Generator maps the bit generator's output
+    differently, instead of letting a run continue on different bits.
+    """
+    mismatch = DrawMismatch(f"the step kernel's draws differ from the Generator of numpy {np.__version__}")
+    for plan in _CHECK_PLANS:
+        gens = [RngStream(_CHECK_SEED, c).gen for c in range(3)]
+        oracles = [RngStream(_CHECK_SEED, c).gen for c in range(3)]
+        for g in (gens[1], oracles[1]):
+            g.integers(0, 7, 1)  # leaves a half pending in stream 1
+        for _ in range(3):
+            for g, oracle in zip(gens, oracles):
+                got = kernel_draws(lib, g.bit_generator, plan)
+                if any(a.tobytes() != b.tobytes() for a, b in zip(got, replay(oracle, plan))):
+                    raise mismatch
+        for g, oracle in zip(gens, oracles):
+            if g.integers(0, 2**31 + 1, 3).tobytes() != oracle.integers(0, 2**31 + 1, 3).tobytes():
+                raise mismatch

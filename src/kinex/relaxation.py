@@ -149,6 +149,9 @@ def run_relaxation(
     specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
     for s in specs:
         s.validate()
+    from .kernel import library  # not at import: the CLI's start need not build it
+
+    library()  # here, before a pool forks, so that the workers inherit it checked
     if len(specs) == 1:
         groups = [[0]]
     else:

@@ -4,7 +4,8 @@ Ensemble runs average over many initial configurations.  Each configuration
 gets its own stream, keyed by (master_seed, stream_index), so that runs are
 reproducible and configurations can be simulated in any order or in parallel
 without changing the results.  :func:`map_stream_blocks` is the one fan-out
-that spreads contiguous blocks of streams over worker processes.
+that spreads contiguous blocks of streams over worker processes, never more
+processes than blocks.
 """
 
 from __future__ import annotations
@@ -17,19 +18,13 @@ import numpy as np
 
 
 # With several workers, fan-out blocks hold at least BATCH_ROWS economies where
-# a worker's share allows, as larger blocks step faster.  At any worker count
-# they hold at most BATCH_MAX_ROWS: from 512 rows on a step cost about the same
-# per interaction (82-102 ns at N = 100, 512 to 4096 rows), while a block's
-# memory grows with its rows, and so with a sweep's cells.
+# a worker's share allows, as larger blocks stepped faster under the numpy
+# block kernel.  At any worker count they hold at most BATCH_MAX_ROWS: from 512
+# rows on a numpy step cost about the same per interaction (82-102 ns at
+# N = 100, 512 to 4096 rows), while a block's memory grows with its rows, and
+# so with a sweep's cells.  Both were measured before the compiled kernel.
 BATCH_ROWS = 64
 BATCH_MAX_ROWS = 2048
-# A block steps run by run (block.EnsembleBlock) when its economies have at
-# least RUN_AGENTS agents per stream it draws from: the runs then grow long
-# enough to pay for finding them.  Against slot by slot (mean field at N = 100
-# and 1000, a 32x32 lattice), runs stepped 1.1-1.5x as fast at 40-51 agents
-# per stream, 1.3-2.1x at 62-85 and 1.8-5.4x at 100 and more, but 1.07x at 33
-# (mean field) and 0.61x at 34 (the lattice).
-RUN_AGENTS = 48
 
 
 @dataclass
@@ -59,12 +54,6 @@ def replay(source, plan) -> list:
     return [getattr(source, name)(*args) for name, *args in plan]
 
 
-def steps_in_runs(streams: int, agents: int) -> bool:
-    """Whether a block on ``streams`` streams of ``agents``-agent economies
-    steps run by run rather than slot by slot (see block.EnsembleBlock)."""
-    return agents >= RUN_AGENTS * streams
-
-
 def map_stream_blocks(
     fn: Callable, args: tuple, n_streams: int, workers: int = 1, cells: int = 1
 ) -> list:
@@ -75,7 +64,8 @@ def map_stream_blocks(
     resistor network, one realization per stream).  With one worker (or one
     stream) a single block holds every stream; with W > 1 workers the blocks
     hold ``max(ceil(BATCH_ROWS / cells), C // (4 W))`` of the C streams,
-    capped at a worker's share ``ceil(C / W)``, and go to a process pool.
+    capped at a worker's share ``ceil(C / W)``, and go to a pool of at most W
+    processes, one per block where there are fewer.
     Either way a block never holds more than ``BATCH_MAX_ROWS // cells``
     streams.  The results come back in stream order, so a reduction over them
     in list order is the same for every worker count.
@@ -87,6 +77,6 @@ def map_stream_blocks(
     size = min(size, max(1, BATCH_MAX_ROWS // cells))
     jobs = [(*args, lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
     if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
             return pool.map(fn, jobs, chunksize=1)
     return [fn(job) for job in jobs]

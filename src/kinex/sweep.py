@@ -3,9 +3,10 @@
 In a sweep, configuration c of every cell draws from stream (master_seed, c).
 Cells whose draws are the same on every stream, call for call, differ only in
 the parameters the draws feed (the saving-propensity window, a fixed split or
-saving fraction), so :class:`block.EnsembleBlock` can step them together on
-one set of draws.  Imported with :mod:`block`, and by runs of more than one
-cell.
+saving fraction), so :class:`block.EnsembleBlock` can step them together: the
+step kernel draws once per stream and applies the draws to every cell's
+economy on that stream.  Imported with :mod:`block`, and by runs of more than
+one cell.
 """
 
 from __future__ import annotations

@@ -27,15 +27,27 @@ def break_fit_writer(monkeypatch):
     monkeypatch.setattr(cli, "write_fit_csv", broken_write)
 
 
-def break_draw_check(monkeypatch):
-    """Make the raw-word draws disagree with numpy's Generator, as a numpy that
-    mapped raw words differently would."""
-    import kinex.rawdraws as rawdraws
+def break_draw_check(monkeypatch, tmp_path):
+    """Make numpy's Generator, the draw check's oracle, disagree with the step
+    kernel's draws, as a numpy that mapped its bit generator's output
+    differently would."""
+    from kinex import kernel
+    from kinex.streams import replay
 
-    monkeypatch.setattr(
-        rawdraws, "_unit_doubles", lambda words, out: np.multiply(words >> 12, 2.0**-52, out=out)
-    )
-    rawdraws.check_raw_draws.cache_clear()
+    def shifted(source, plan):
+        return [np.nextafter(a, np.inf) if a.dtype.kind == "f" else a for a in replay(source, plan)]
+
+    monkeypatch.setattr(kernel, "replay", shifted)
+    kernel.library.cache_clear()
+
+
+def break_build(monkeypatch, tmp_path):
+    """Leave no C compiler to build the step kernel with, and no build of it."""
+    from kinex import kernel
+
+    monkeypatch.setenv("PATH", "")
+    monkeypatch.setattr(kernel, "BUILD_DIR", tmp_path / "kernel_cache")
+    kernel.library.cache_clear()
 
 
 BASE = {
@@ -171,6 +183,22 @@ class TestCommands:
         assert (tmp_path / "d" / "hist_wealth.csv").exists()
         assert (tmp_path / "d" / "lambda_bins.csv").exists()  # distributed model
 
+    def test_dist_counts_every_sample_of_the_general_rule(self, tmp_path):
+        # The general rule's wealth can go negative; every pooled sample is binned.
+        payload = {
+            **BASE,
+            "n_agents": 100,
+            "n_configs": 20,
+            "model": {"rule": "general", "eps1_window": [-0.5, 1.0]},
+            "dist": {"equilibration_steps": 50, "sample_steps": 0, "bins": 20},
+        }
+        p = write_cfg(tmp_path, payload)
+        assert main(["dist", "--config", str(p), "--out", str(tmp_path / "g")]) == 0
+        text = (tmp_path / "g" / "hist_wealth.csv").read_text()
+        rows = [r.split(",") for r in text.splitlines() if r[:1] not in ("", "#", "b")]
+        assert sum(int(r[2]) for r in rows) == 20 * 100
+        assert float(rows[0][0]) < 0.0
+
     def test_dist_auto_equilibration(self, tmp_path):
         payload = {**BASE, "t_max": 40, "dist": {"sample_steps": 5}}
         p = write_cfg(tmp_path, payload)
@@ -211,14 +239,17 @@ class TestCommands:
         "override,error",
         [
             ({}, "DrawMismatch"),
+            ({}, "KernelBuildError"),
             ({"model": {**BASE["model"], "lambda_window": [0.5, 0.2]}}, "InvalidParameter"),
         ],
     )
     def test_kinex_errors_exit_2_with_one_line(
         self, tmp_path, capsys, monkeypatch, override, error
     ):
-        if error == "DrawMismatch":  # raised in the run, at the first block
-            break_draw_check(monkeypatch)
+        # raised in the run, where it loads the step kernel
+        breaks = {"DrawMismatch": break_draw_check, "KernelBuildError": break_build}
+        if error in breaks:
+            breaks[error](monkeypatch, tmp_path)
         p = write_cfg(tmp_path, {**BASE, **override})
         assert main(["relax", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err

@@ -33,6 +33,17 @@ class TestWealthHistogram:
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidParameter):
             wealth_histogram(np.array([]))
+        with pytest.raises(InvalidParameter):
+            wealth_histogram(np.zeros(5))
+
+    def test_negative_samples_are_counted(self):
+        values = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
+        edges, counts, _ = wealth_histogram(values, 5)
+        assert (edges[0], edges[-1]) == (-2.0, 3.0)
+        assert counts.tolist() == [1, 1, 1, 1, 1]
+        edges, counts, _ = wealth_histogram(np.array([-2.0, -0.5, -1.0]), 4)
+        assert (edges[0], edges[-1]) == (-2.0, 0.0)
+        assert counts.tolist() == [1, 0, 1, 1]
 
 
 class TestLambdaBins:

@@ -25,7 +25,8 @@ from kinex import (
     init_ensemble,
     run_time_step,
 )
-from kinex import rawdraws
+from kinex import exchange, kernel
+from kinex import streams as streams_module
 from kinex.distribution import run_equilibrium
 from kinex.block import EnsembleBlock
 from kinex.exchange import (
@@ -36,9 +37,8 @@ from kinex.exchange import (
     _draw_pairs,
 )
 from kinex.relaxation import _block_changes, run_relaxation
-from kinex import streams as streams_module
 from kinex.errors import InvalidParameter
-from kinex.streams import map_stream_blocks, replay
+from kinex.streams import map_stream_blocks
 
 BLOCK_SIZES = (1, 2, 63, 64, 100)
 SAVING_RULES = ("pure_gambling", "fixed_saving", "distributed_saving")
@@ -46,10 +46,10 @@ SAVING_RULES = ("pure_gambling", "fixed_saving", "distributed_saving")
 
 @pytest.fixture(scope="module", autouse=True)
 def draws_match_the_generator():
-    """Every block runs the draw check when it is built; run it once first, so
-    that broken draws fail each test here at once instead of inside every
-    Hypothesis example."""
-    rawdraws.check_raw_draws()
+    """Every block loads the kernel, which runs the draw check; load it once
+    first, so that a failed build or broken draws fail each test here at once
+    instead of inside every Hypothesis example."""
+    kernel.library()
 
 
 def _per_config(spec, n, steps, seed, streams):
@@ -123,7 +123,7 @@ def _cells_block(specs, n, steps, seed, streams):
         ensembles += [init_ensemble(spec, n, rng) for rng in rngs]
     block = EnsembleBlock(specs, ensembles, rngs)
     traces = np.array(list(_block_changes(block, steps))).T
-    return traces, block.wealth, block
+    return traces, block.wealth
 
 
 @pytest.mark.parametrize(
@@ -148,11 +148,11 @@ def _cells_block(specs, n, steps, seed, streams):
     eps1_window=window,
     steps=st.integers(1, 4),
 )
-def test_block_in_runs_matches_per_config_bit_for_bit(
+def test_block_of_cells_matches_per_config_bit_for_bit(
     rule, pairing, redraw, init, seed, size, side, streams, cells, lam_windows, eps1_window, steps
 ):
-    # Run stepping forced on at any size; cells share their draws and differ in
-    # split, saving fraction or window, and total wealth.
+    # Cells share their draws and differ in split, saving fraction or window,
+    # and total wealth.
     n = side * side if pairing == LATTICE_2D else size
     specs = tuple(
         ModelSpec(
@@ -168,25 +168,18 @@ def test_block_in_runs_matches_per_config_bit_for_bit(
         )
         for (eps, lam, total), lam_window in zip(cells, lam_windows)
     )
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(streams_module, "RUN_AGENTS", 0)
-        got_traces, got_final, block = _cells_block(specs, n, steps, seed, range(3, 3 + streams))
-    assert block._by_runs
+    got_traces, got_final = _cells_block(specs, n, steps, seed, range(3, 3 + streams))
     for k, spec in enumerate(specs):
         want_traces, want_final = _per_config(spec, n, steps, seed, range(3, 3 + streams))
         assert got_traces[k * streams : (k + 1) * streams].tobytes() == want_traces.tobytes()
         assert got_final[k * streams * n : (k + 1) * streams * n].tobytes() == want_final.tobytes()
 
 
-@pytest.mark.parametrize("runs", [False, True], ids=["slots", "runs"])
-def test_cells_keep_splits_that_differ_only_in_the_sign_of_zero(runs):
+def test_cells_keep_splits_that_differ_only_in_the_sign_of_zero():
     # eps = -0.0 leaves new_i = -0.0 where eps = 0.0 leaves 0.0, which the
     # observable cannot see, so the final wealth must tell the cells apart.
     specs = tuple(ModelSpec(rule="pure_gambling", eps_fixed=e) for e in (0.0, -0.0, 0.0))
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(streams_module, "RUN_AGENTS", 0 if runs else 10**9)
-        _, got_final, block = _cells_block(specs, 10, 3, 4, range(2))
-    assert block._by_runs == runs
+    _, got_final = _cells_block(specs, 10, 3, 4, range(2))
     for k, spec in enumerate(specs):
         want_final = _per_config(spec, 10, 3, 4, range(2))[1]
         assert got_final[k * 20 : (k + 1) * 20].tobytes() == want_final.tobytes()
@@ -274,17 +267,27 @@ def test_block_clamps_overshoot_like_per_config(spec):
     assert got_final.tobytes() == want_final.tobytes()
 
 
-def test_block_partners_are_distinct_and_lattice_neighbours():
+def test_block_partners_are_distinct_and_lattice_neighbours(monkeypatch):
+    # The block steps each economy bit for bit as run_time_step does (above),
+    # and each keeps its own total (the conservation test), so its pairs are
+    # run_time_step's.  There, a rule that leaves both wealths alone keeps each
+    # wealth equal to its agent's index, so the rule's calls name the pairs.
     side = 4
-    spec = ModelSpec(pairing=LATTICE_2D, lattice_side=side)
-    rngs = [RngStream(3, c) for c in range(3)]
-    block = EnsembleBlock(spec, [init_ensemble(spec, side * side, rng) for rng in rngs], rngs)
-    block.step()
-    ii, jj = np.split(block._pairs, 2, axis=1)
-    row_i, row_j = ii // (side * side), jj // (side * side)
-    assert np.array_equal(row_i, row_j)  # partners never cross economies
-    ri, ci = np.divmod(ii % (side * side), side)
-    rj, cj = np.divmod(jj % (side * side), side)
+    n = side * side
+    spec = ModelSpec(pairing=LATTICE_2D, lattice_side=side, eps_fixed=0.5)
+    pairs = []
+    monkeypatch.setattr(
+        exchange, "exchange_pure_gambling", lambda w_i, w_j, eps: pairs.append((w_i, w_j)) or (w_i, w_j)
+    )
+    for c in range(3):
+        rng = RngStream(3, c)
+        ens = init_ensemble(spec, n, rng)
+        ens.wealth = np.arange(n, dtype=float)
+        run_time_step(ens, spec, rng)
+    ii, jj = np.array(pairs, dtype=np.int64).T
+    assert len(ii) == 3 * n
+    ri, ci = np.divmod(ii, side)
+    rj, cj = np.divmod(jj, side)
     dist = np.minimum(np.abs(ri - rj), side - np.abs(ri - rj)) + np.minimum(
         np.abs(ci - cj), side - np.abs(ci - cj)
     )
@@ -352,6 +355,33 @@ def test_fan_out_blocks_reach_the_batched_path(n_streams, workers, size):
 def test_fan_out_counts_the_rows_of_every_cell(n_streams, workers, cells, size):
     blocks = map_stream_blocks(_span, (), n_streams, workers, cells)
     assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
+
+
+@pytest.mark.parametrize(
+    "n_streams,workers,processes",
+    [(2, 8, [2]), (10, 8, [5]), (130, 2, [2]), (1, 8, [])],
+)
+def test_fan_out_starts_no_more_processes_than_blocks(monkeypatch, n_streams, workers, processes):
+    # A stub pool records its size and runs the blocks here, so no process starts.
+    started = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            started.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(streams_module.multiprocessing, "Pool", RecordingPool)
+    blocks = map_stream_blocks(_span, (), n_streams, workers)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n_streams
+    assert started == processes
 
 
 # C = 130 streams: one block of 130 at 1 worker; at 2 workers blocks of 64 and
@@ -451,17 +481,12 @@ def test_small_equilibrium_runs_match_the_time_step(spec, configs, workers):
     ids=["lattice_r30_n1024", "distributed_saving_r100_n100"],
 )
 def test_steady_state_steps_allocate_less_than_one_block_array(spec, rows, n):
-    # The draws are decoded into the block's own buffers and the partners mapped
-    # in place, so a step allocates only row-sized and scratch temporaries.
-    # numpy's ufuncs buffer strided operands in chunks of np.getbufsize()
-    # elements whatever the array size (3 x 64 KB at the default 8192, more than
-    # the 80 KB of one 100 x 100 array); the steps run with 1024-element
-    # chunks, so that what is left is what the block itself allocates.
+    # The kernel draws into the block's own buffers and updates the wealth in
+    # place, so a step allocates nothing the size of the block.
     rngs = [RngStream(17, c) for c in range(rows)]
     block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
     block.step()
     block.step()
-    bufsize = np.setbufsize(1024)
     tracemalloc.start()
     try:
         for _ in range(10):
@@ -469,7 +494,6 @@ def test_steady_state_steps_allocate_less_than_one_block_array(spec, rows, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        np.setbufsize(bufsize)
     assert peak < rows * n * np.dtype(np.float64).itemsize
 
 
@@ -499,36 +523,18 @@ def test_block_draws_from_raw_words_only(spec):
     assert block.wealth.tobytes() == want_final.tobytes()
 
 
-@pytest.mark.parametrize("rule,pairing", [("general", "mean_field"), ("pure_gambling", LATTICE_2D)])
-def test_block_rows_forced_through_the_generator_replay(monkeypatch, rule, pairing):
-    # Every row counts as rejecting, so every row-step is rewound and replayed
-    # through the Generator; at n = 9 both plans have a span (9, or 8 and 9)
-    # that the check applies to.
-    spec = ModelSpec(rule=rule, pairing=pairing, lattice_side=3, eps1_window=(-0.5, 1.5))
-    n, rows, steps = 9, 7, 8
-    want_traces, want_final = _per_config(spec, n, steps, 11, range(rows))
-    rngs = [RngStream(11, c) for c in range(rows)]
-    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
-    replays = []
-
-    def counting_replay(source, plan):
-        replays.append(source)
-        return replay(source, plan)
-
-    monkeypatch.setattr(rawdraws, "_rejects", lambda m, threshold: np.ones(len(m), dtype=bool))
-    monkeypatch.setattr(rawdraws, "replay", counting_replay)
-    traces = np.array(list(_block_changes(block, steps))).T
-    assert len(replays) == rows * steps
-    assert traces.tobytes() == want_traces.tobytes()
-    assert block.wealth.tobytes() == want_final.tobytes()
-
-
-def test_block_row_carries_a_pending_half_across_steps(monkeypatch):
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(rule="distributed_saving", eps_fixed=None),
+        ModelSpec(rule="general", pairing=LATTICE_2D, lattice_side=3, eps1_window=(-0.5, 1.5)),
+    ],
+    ids=["distributed_saving", "general_lattice"],
+)
+def test_block_row_carries_a_pending_half_across_steps(spec):
     # One integer draw before the block leaves stream 2 with a 32-bit half
-    # pending; each step then reads 2n halves, so the half stays pending from
-    # step to step.  The row is decoded with the others, never replayed.
-    spec = ModelSpec(rule="distributed_saving", eps_fixed=None)
-    n, rows, steps = 10, 4, 6
+    # pending, which the kernel's first integer draw must read first.
+    n, rows, steps = 9, 4, 6
     traces, finals = [], []
     for c in range(rows):
         rng = RngStream(13, c)
@@ -540,11 +546,8 @@ def test_block_row_carries_a_pending_half_across_steps(monkeypatch):
     rngs = [RngStream(13, c) for c in range(rows)]
     ensembles = [init_ensemble(spec, n, rng) for rng in rngs]
     rngs[2].gen.integers(0, 7, size=1)
+    assert rngs[2].gen.bit_generator.state["has_uint32"]
     block = EnsembleBlock(spec, ensembles, rngs)
-    monkeypatch.setattr(rawdraws, "replay", None)  # a call would fail
-    got = []
-    for changes in _block_changes(block, steps):
-        got.append(changes)
-        assert block._draws._pending.tolist() == [False, False, True, False]
-    assert np.array(got).T.tobytes() == np.array(traces).tobytes()
+    got = np.array(list(_block_changes(block, steps))).T
+    assert got.tobytes() == np.array(traces).tobytes()
     assert block.wealth.tobytes() == np.concatenate(finals).tobytes()
