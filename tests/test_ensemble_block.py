@@ -5,6 +5,7 @@ step and in the final wealth, for every rule, pairing, split mode and initial
 condition; run_time_step in turn must reproduce the scalar exchange_* rules.
 """
 
+import gc
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -551,3 +552,26 @@ def test_block_row_carries_a_pending_half_across_steps(spec):
     got = np.array(list(_block_changes(block, steps))).T
     assert got.tobytes() == np.array(traces).tobytes()
     assert block.wealth.tobytes() == np.concatenate(finals).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(rule="pure_gambling", eps_fixed=None),
+        ModelSpec(rule="general", pairing=LATTICE_2D, lattice_side=3, eps1_window=(-0.5, 1.5)),
+    ],
+    ids=["pure_gambling", "general_lattice"],
+)
+def test_block_holds_the_generators_its_kernel_draws_from(spec):
+    # The kernel reads each stream through a pointer into its bit generator;
+    # the block must keep those alive after its caller lets go of the streams.
+    n, rows, steps = 9, 3, 5
+    want_traces, want_final = _per_config(spec, n, steps, 23, range(rows))
+    rngs = [RngStream(23, c) for c in range(rows)]
+    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    del rngs
+    gc.collect()
+    [RngStream(99, c).gen.integers(0, 2**31, 64) for c in range(2 * rows)]  # reuse freed memory
+    traces = np.array(list(_block_changes(block, steps))).T
+    assert traces.tobytes() == want_traces.tobytes()
+    assert block.wealth.tobytes() == want_final.tobytes()

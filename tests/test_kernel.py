@@ -96,6 +96,72 @@ def test_kernel_draws_match_generator_per_stream(plan, pending):
         assert_continues_alike(g, oracle)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_draws_match_generator_where_rejection_is_frequent(seed):
+    plan = (
+        ("integers", 0, REJECTING[0], 9),
+        ("random", 2),
+        ("integers", 0, REJECTING[1], 11),
+        ("uniform", 2.0, 5.0, 3),
+        ("integers", 3, REJECTING[1], 7),
+    )
+    lib = kernel.library()
+    g, oracle = RngStream(seed, 1).gen, RngStream(seed, 1).gen
+    for _ in range(3):
+        assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+    assert_continues_alike(g, oracle)
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 4, 13])
+def test_kernel_reads_what_the_generator_left_first(drawn):
+    # The Generator's own draws before the kernel's leave a half pending after
+    # an odd count, and the kernel's first 32-bit value must be that half.
+    plan = (("integers", 0, REJECTING[1], 15), ("random", 4), ("integers", 0, 10, 3))
+    lib = kernel.library()
+    g, oracle = RngStream(9, 2).gen, RngStream(9, 2).gen
+    g.integers(0, 10, drawn)
+    oracle.integers(0, 10, drawn)
+    assert g.bit_generator.state["has_uint32"] == drawn % 2
+    assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+    assert_continues_alike(g, oracle)
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 2**16 + 1, 2**31, 2**31 + 1, 2**32 - 1])
+def test_kernel_integers_match_generator_at_the_edges_of_the_32_bit_path(span):
+    # Lemire's product of a 32-bit value and a span just under 2**32 needs all
+    # 64 bits; a span of 1 draws nothing, so the stream stays where it was.
+    plan = (("integers", 0, span, 33), ("integers", 7, 7 + span, 8))
+    lib = kernel.library()
+    g, oracle = RngStream(4, span % 1000).gen, RngStream(4, span % 1000).gen
+    for _ in range(3):
+        assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+    assert_continues_alike(g, oracle)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("out[k] = (int64_t)(m >> 32);", "out[k] = (int64_t)(m >> 32) ^ 1;"),
+        ("bg->next_double(bg->state)", "(double)(bg->next_uint64(bg->state) >> 12) * 0x1.0p-52"),
+        ("bg->next_uint32(bg->state)", "(uint32_t)bg->next_uint64(bg->state)"),
+    ],
+    ids=["integers_off_by_one_bit", "doubles_on_52_bits", "no_pending_half"],
+)
+def test_library_refuses_a_build_whose_draws_differ(tmp_path, monkeypatch, fresh_library, old, new):
+    # Kernels built from broken copies of the source: integers off in their
+    # lowest bit, doubles one ulp off for half of all values, and 32-bit values
+    # that each use up a whole word, so that no half is ever left pending.
+    source = kernel.SOURCE.read_text()
+    assert old in source
+    broken = tmp_path / "_kernel.c"
+    broken.write_text(source.replace(old, new))
+    monkeypatch.setattr(kernel, "SOURCE", broken)
+    monkeypatch.setattr(kernel, "BUILD_DIR", tmp_path / "cache")
+    with pytest.raises(DrawMismatch):
+        kernel.library()
+    assert kernel.library.cache_info().currsize == 0
+
+
 def test_draw_check_passes_here_and_catches_a_mismatch(monkeypatch):
     lib = kernel.library()
     kernel.check_draws(lib)
