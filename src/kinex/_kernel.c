@@ -74,7 +74,7 @@ void kx_step(int rule, int64_t n, int64_t streams, int64_t cells, bitgen_t *cons
             kx_uniform(bg, windows[0], windows[1], n, e1);
         if (n_eps > 1)
             kx_uniform(bg, windows[2], windows[3], n, e2);
-        for (int64_t k = 0; k < n; k++)  /* as exchange._partners maps them */
+        for (int64_t k = 0; k < n; k++)  /* j from the raw draw, as exchange._partners */
             jj[k] = lattice ? lattice[4 * ii[k] + jj[k]] : jj[k] + (jj[k] >= ii[k]);
 
         for (int64_t c = 0; c < cells; c++) {

@@ -1,9 +1,16 @@
 """The block kernel: economies stepped together by the compiled step kernel
-(:mod:`kernel`), bit for bit as :func:`exchange.run_time_step` steps each one.
+(:mod:`kernel`), bit for bit as :func:`exchange.run_time_step` steps each one,
+and the draw signature that decides which sweep cells share a block.
 
-Runs import this module when they build their first block, and with it the
-kernel's loader and the sweep signature; where no bytecode cache is written,
-every start would otherwise compile them.
+In a sweep, configuration c of every cell draws from stream (master_seed, c).
+Cells whose draws are the same on every stream, call for call, differ only in
+the parameters the draws feed (the saving-propensity window, a fixed split or
+saving fraction), so one block steps them together: the kernel draws once per
+stream and applies the draws to every cell's economy on that stream.
+
+Wealth-model runs import this module, and with it the kernel's loader, when
+they start, not at the CLI's start: where no bytecode cache is written, every
+start would otherwise compile them.
 """
 
 from __future__ import annotations
@@ -22,14 +29,29 @@ from .exchange import (
 )
 from .kernel import library
 from .streams import RngStream
-from .sweep import draw_signature
+
+
+def draw_signature(spec: ModelSpec, n: int) -> tuple:
+    """What fixes a run's draws and the block's update: rule, pairing and
+    lattice side, n, init and the step's draws (:func:`exchange._step_plan`).
+    Cells with equal signatures draw the same values from the same stream."""
+    side = spec.lattice_side if spec.pairing == LATTICE_2D else None
+    return (spec.rule, spec.pairing, side, n, spec.init, _step_plan(spec, n))
+
+
+def draw_groups(specs: tuple[ModelSpec, ...], n: int) -> list[list[int]]:
+    """Indices of ``specs`` grouped by draw signature, in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for k, spec in enumerate(specs):
+        groups.setdefault(draw_signature(spec, n), []).append(k)
+    return list(groups.values())
 
 
 class EnsembleBlock:
     """Economies of n agents advanced together, one time step per :meth:`step`.
 
     ``spec`` is one ModelSpec, or the specs of sweep cells that share their
-    draws (see :func:`sweep.draw_signature`); with C cells and S ``rngs``,
+    draws (see :func:`draw_signature`); with C cells and S ``rngs``,
     ``ensembles`` holds C * S economies, cell by cell, and row ``k * S + s`` is
     cell k's economy on stream s.  Its wealth occupies ``wealth[r*n:(r+1)*n]``
     of one flat array.  On every step each stream makes exactly the draws

@@ -212,34 +212,13 @@ def _lattice_neighbors(side: int) -> np.ndarray:
     return nbr
 
 
-@lru_cache(maxsize=8)
-def _lattice_table(side: int) -> np.ndarray:
-    """Partner lookup for :func:`_partners`: entry a < n is agent a itself, and
-    entry (d + 1) * n + a is a's neighbor in direction d."""
-    nbr = _lattice_neighbors(side)
-    return np.concatenate([np.arange(len(nbr)), nbr.T.ravel()])
-
-
-def _partners(spec: ModelSpec, pairs: np.ndarray) -> None:
-    """Map raw partner draws to agent indices, in place.
-
-    ``pairs`` is C-contiguous, ``(2 * rows,)`` for one slot or ``(slots, 2 *
-    rows)``: per slot the first agent of every row, then every row's raw
-    partner draw, which becomes an agent index.  run_time_step passes one
-    economy's step as one slot of n rows.
-    """
-    rows = pairs.shape[-1] // 2
-    first, second = pairs[..., :rows], pairs[..., rows:]
+def _partners(spec: ModelSpec, ii: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """One economy's partners for its first agents ``ii``, from the raw partner
+    draws: an index among the other n-1 agents, shifted past i so that j != i,
+    or a direction in the lattice's neighbor table."""
     if spec.pairing == MEAN_FIELD:
-        second += second >= first  # shift past i so that j != i
-        return
-    side = spec.lattice_side
-    second += 1
-    second *= side * side
-    second += first
-    # take reads each index before it writes that element, so it can map in
-    # place; "clip" keeps it from buffering the output (indices are in range)
-    np.take(_lattice_table(side), pairs, out=pairs, mode="clip")
+        return raw + (raw >= ii)
+    return _lattice_neighbors(spec.lattice_side)[ii, raw]
 
 
 def _step_plan(spec: ModelSpec, n: int) -> tuple:
@@ -261,9 +240,8 @@ def _step_plan(spec: ModelSpec, n: int) -> tuple:
 
 def _draw_pairs(spec: ModelSpec, n: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One step's pairs: the first agent of each slot and its partner."""
-    pairs = np.concatenate(replay(g, _step_plan(spec, n)[:2]))
-    _partners(spec, pairs)
-    return pairs[:n], pairs[n:]
+    ii, raw = replay(g, _step_plan(spec, n)[:2])
+    return ii, _partners(spec, ii, raw)
 
 
 def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
@@ -281,9 +259,7 @@ def run_time_step(ens: AgentEnsemble, spec: ModelSpec, rng: RngStream) -> float:
     before = ens.wealth.copy()
     w = ens.wealth.tolist()
     ii, raw, *eps = replay(rng.gen, _step_plan(spec, n))
-    pairs = np.concatenate((ii, raw))
-    _partners(spec, pairs)
-    ii, jj = pairs[:n].tolist(), pairs[n:].tolist()
+    ii, jj = ii.tolist(), _partners(spec, ii, raw).tolist()
     rule = spec.rule
     if rule == GENERAL:
         e1, e2 = (e.tolist() for e in eps)

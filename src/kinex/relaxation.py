@@ -144,22 +144,18 @@ def run_relaxation(
     same bits (see :func:`average_series`).  ``spec`` may be a tuple of sweep
     cells' specs: the result is then a list of their series, each the same
     bits as the cell's own run, and cells that share their draws
-    (:func:`sweep.draw_groups`) are simulated together, on one set of draws.
+    (:func:`block.draw_groups`) are simulated together, on one set of draws.
     """
     specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
     for s in specs:
         s.validate()
-    from .kernel import library  # not at import: the CLI's start need not build it
+    # not at import: the CLI's start need not build the kernel
+    from .block import draw_groups
+    from .kernel import library
 
     library()  # here, before a pool forks, so that the workers inherit it checked
-    if len(specs) == 1:
-        groups = [[0]]
-    else:
-        from .sweep import draw_groups
-
-        groups = draw_groups(specs, n)
     series = [None] * len(specs)
-    for group in groups:
+    for group in draw_groups(specs, n):
         cells = tuple(specs[k] for k in group)
         runs = average_series(
             _block_series,

@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# With several workers, fan-out blocks hold at least BATCH_ROWS economies where
-# a worker's share allows, as larger blocks stepped faster under the numpy
-# block kernel.  At any worker count they hold at most BATCH_MAX_ROWS: from 512
-# rows on a numpy step cost about the same per interaction (82-102 ns at
-# N = 100, 512 to 4096 rows), while a block's memory grows with its rows, and
-# so with a sweep's cells.  Both were measured before the compiled kernel.
-BATCH_ROWS = 64
+# A block holds at most BATCH_MAX_ROWS economies, for memory alone: its rows
+# hold every cell's wealth and saving.  The full-scale eps-sweep (5 cells x
+# 10,000 configurations, N = 100, 1 worker) peaked at 120 MB resident with the
+# cap and at 343 MB as one uncapped block, and ran faster with it (9.5 s
+# against 12.9 s).
 BATCH_MAX_ROWS = 2048
 
 
@@ -61,20 +59,15 @@ def map_stream_blocks(
 
     A block of S streams holds S * ``cells`` economies: the wealth models run
     every cell of a sweep that shares its draws on the block's streams (the
-    resistor network, one realization per stream).  With one worker (or one
-    stream) a single block holds every stream; with W > 1 workers the blocks
-    hold ``max(ceil(BATCH_ROWS / cells), C // (4 W))`` of the C streams,
-    capped at a worker's share ``ceil(C / W)``, and go to a pool of at most W
-    processes, one per block where there are fewer.
-    Either way a block never holds more than ``BATCH_MAX_ROWS // cells``
-    streams.  The results come back in stream order, so a reduction over them
-    in list order is the same for every worker count.
+    resistor network, one realization per stream).  Blocks hold a worker's
+    share, ``ceil(C / W)`` of the C streams, or ``max(1, BATCH_MAX_ROWS //
+    cells)`` streams where that is fewer: each of the W workers gets one block
+    unless its share would hold more than ``BATCH_MAX_ROWS`` economies.  With
+    W > 1 the blocks go to a pool of at most W processes, one per block where
+    there are fewer.  The results come back in stream order, so a reduction
+    over them in list order is the same for every worker count.
     """
-    size = n_streams
-    if workers > 1:
-        share = -(-n_streams // workers)
-        size = min(max(-(-BATCH_ROWS // cells), n_streams // (4 * workers)), share)
-    size = min(size, max(1, BATCH_MAX_ROWS // cells))
+    size = min(-(-n_streams // max(workers, 1)), max(1, BATCH_MAX_ROWS // cells))
     jobs = [(*args, lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
     if workers > 1 and len(jobs) > 1:
         with multiprocessing.Pool(min(workers, len(jobs))) as pool:

@@ -463,6 +463,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PRESET = ROOT / "configs" / "experiments.yaml"
 
 
+def test_preset_lambda_family_reproduces_committed_digests_at_two_workers(tmp_path):
+    """The lambda-family preset at 2 workers, whose three cells share one block
+    of 250 streams a worker, writes every output of the committed run."""
+    out = tmp_path / "lambda_family"
+    assert main(["lambda-family", "--config", str(PRESET), "--out", str(out), "--threads", "2"]) == 0
+    got = json.loads((out / "manifest.json").read_text())["outputs"]
+    want = json.loads((ROOT / "out" / "lambda_family" / "manifest.json").read_text())["outputs"]
+    assert got == want
+
+
 def _data_rows(path, n=None):
     rows = [r for r in path.read_text().splitlines() if r and r[0].isdigit()]
     return rows[:n] if n is not None else rows

@@ -327,43 +327,10 @@ def _span(args):
     return args[-2], args[-1]
 
 
-@pytest.mark.parametrize(
-    "n_streams,workers,size",
-    [
-        (130, 1, 130),
-        (130, 2, 64),
-        (130, 4, 33),  # a worker's share of 33 is one block
-        (60, 2, 30),
-        (500, 4, 64),
-        (2000, 2, 250),
-        (10, 2, 5),
-    ],
-)
-def test_fan_out_blocks_reach_the_batched_path(n_streams, workers, size):
-    blocks = map_stream_blocks(_span, (), n_streams, workers)
-    assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
-
-
-@pytest.mark.parametrize(
-    "n_streams,workers,cells,size",
-    [
-        (10, 2, 3, 5),  # 15 rows a worker: the share is one block
-        (60, 2, 3, 22),  # 90 rows a worker: blocks of ceil(64 / 3) streams
-        (130, 2, 1, 64),
-        (3000, 1, 3, 682),  # one worker: capped at BATCH_MAX_ROWS // 3 streams
-    ],
-)
-def test_fan_out_counts_the_rows_of_every_cell(n_streams, workers, cells, size):
-    blocks = map_stream_blocks(_span, (), n_streams, workers, cells)
-    assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
-
-
-@pytest.mark.parametrize(
-    "n_streams,workers,processes",
-    [(2, 8, [2]), (10, 8, [5]), (130, 2, [2]), (1, 8, [])],
-)
-def test_fan_out_starts_no_more_processes_than_blocks(monkeypatch, n_streams, workers, processes):
-    # A stub pool records its size and runs the blocks here, so no process starts.
+@pytest.fixture
+def pools(monkeypatch):
+    """The sizes of the pools a fan-out starts.  A stub pool records its size
+    and runs the blocks here, so no process starts."""
     started = []
 
     class RecordingPool:
@@ -380,13 +347,77 @@ def test_fan_out_starts_no_more_processes_than_blocks(monkeypatch, n_streams, wo
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(streams_module.multiprocessing, "Pool", RecordingPool)
+    return started
+
+
+@pytest.mark.parametrize(
+    "n_streams,workers,size",
+    [
+        (130, 1, 130),
+        (130, 2, 65),
+        (130, 4, 33),  # shares of 33: three blocks of 33 and one of 31
+        (60, 2, 30),  # dist-lattice-n1024's 2 x 30
+        (500, 4, 125),
+        (2000, 2, 1000),
+        (10, 2, 5),
+        (3000, 1, 2048),  # one worker: capped at BATCH_MAX_ROWS streams
+    ],
+)
+def test_fan_out_gives_each_worker_one_block(pools, n_streams, workers, size):
+    blocks = map_stream_blocks(_span, (), n_streams, workers)
+    assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
+
+
+@pytest.mark.parametrize(
+    "n_streams,workers,cells,size",
+    [
+        (10, 2, 3, 5),  # lambda-family-n1000's 2 x 5 streams of 3 cells
+        (60, 2, 3, 30),
+        (500, 2, 3, 250),  # the lambda-family preset at 2 workers
+        (3000, 1, 3, 682),  # one worker: capped at BATCH_MAX_ROWS // 3 streams
+        (10000, 1, 5, 409),  # the full-scale eps-sweep
+        (3000, 2, 2, 1024),  # a worker's share of 1500 streams is two blocks
+        (5, 2, 4096, 1),  # more cells than the cap's rows: one stream a block
+    ],
+)
+def test_fan_out_counts_the_rows_of_every_cell(pools, n_streams, workers, cells, size):
+    blocks = map_stream_blocks(_span, (), n_streams, workers, cells)
+    assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
+
+
+@pytest.mark.parametrize(
+    "n_streams,workers,cells",
+    list(itertools.product((1, 7, 60, 130, 1000, 5000), (1, 2, 3, 4, 8), (1, 3, 5, 700))),
+)
+def test_fan_out_blocks_cover_the_streams_one_per_worker(pools, n_streams, workers, cells):
+    blocks = map_stream_blocks(_span, (), n_streams, workers, cells)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n_streams
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))  # contiguous, in order
+    cap = max(1, 2048 // cells)
+    share = -(-n_streams // workers)
+    assert all(0 < hi - lo <= min(cap, share) for lo, hi in blocks)
+    assert all(size <= workers for size in pools)
+    if cells * share <= 2048:
+        # one block per worker's share, so no more blocks than workers: all
+        # but the last hold the whole share, and W blocks whenever W divides C
+        assert len(blocks) <= workers
+        assert all(hi - lo == share for lo, hi in blocks[:-1])
+        if n_streams % workers == 0:
+            assert len(blocks) == workers
+
+
+@pytest.mark.parametrize(
+    "n_streams,workers,processes",
+    [(2, 8, [2]), (10, 8, [5]), (130, 2, [2]), (1, 8, [])],
+)
+def test_fan_out_starts_no_more_processes_than_blocks(pools, n_streams, workers, processes):
     blocks = map_stream_blocks(_span, (), n_streams, workers)
     assert blocks[0][0] == 0 and blocks[-1][1] == n_streams
-    assert started == processes
+    assert pools == processes
 
 
-# C = 130 streams: one block of 130 at 1 worker; at 2 workers blocks of 64 and
-# 64 and a 2-row block; at 4 workers blocks of 33, 33, 33 and 31.
+# C = 130 streams: one block of 130 at 1 worker; at 2 workers blocks of 65 and
+# 65; at 4 workers blocks of 33, 33, 33 and 31.
 @pytest.mark.parametrize("workers", [2, 4])
 def test_relaxation_is_the_same_at_any_worker_count(workers):
     spec = ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5)

@@ -16,7 +16,7 @@ from kinex import (
     init_ensemble,
     run_time_step,
 )
-from kinex.exchange import _lattice_neighbors
+from kinex.exchange import _lattice_neighbors, _partners
 
 wealth = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 lam = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -257,3 +257,12 @@ def test_lattice_neighbor_table():
     assert sorted(nbr[6].tolist()) == sorted([2, 10, 5, 7])
     # corner (0, 0) wraps both directions
     assert sorted(nbr[0].tolist()) == sorted([12, 4, 3, 1])
+    # _partners maps every (agent, raw draw) pair: on a 3x3 lattice direction d
+    # is the table's neighbor d; in mean field at n = 5 a draw in [0, n - 1)
+    # never names i itself and reaches each of the other agents once
+    lattice = ModelSpec(pairing="lattice2d", lattice_side=3)
+    ii, raw = np.divmod(np.arange(9 * 4), 4)
+    assert _partners(lattice, ii, raw).tolist() == _lattice_neighbors(3).ravel().tolist()
+    ii, raw = np.divmod(np.arange(5 * 4), 4)
+    jj = _partners(ModelSpec(), ii, raw).reshape(5, 4)
+    assert [sorted(row) for row in jj.tolist()] == [[j for j in range(5) if j != i] for i in range(5)]

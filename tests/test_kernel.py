@@ -206,11 +206,12 @@ def test_runs_load_the_kernel_in_the_main_process(fresh_library):
     assert kernel.library.cache_info().currsize == 1
 
 
-def test_batched_path_modules_are_not_imported_at_cli_start():
+def test_block_and_kernel_modules_are_not_imported_at_cli_start():
     # Every start compiles what it imports where no bytecode cache is written;
-    # these modules serve only blocks and sweeps, which import them when built.
+    # these modules serve only the wealth models' blocks, and runs import them
+    # when they start.
     # So the CLI's start neither builds nor loads the kernel.
-    lazy = ["kinex.block", "kinex.kernel", "kinex.sweep"]
+    lazy = ["kinex.block", "kinex.kernel"]
     code = f"import sys, kinex.cli; print([m for m in {lazy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(kernel.__file__).parents[1])}
     out = subprocess.run(

@@ -43,7 +43,9 @@ def roll_residuals(cond_h, cond_v, V):
 
 
 def assert_matches_roll_oracle(lat, sweeps=1000):
-    """Per-sweep x, final potentials and node residuals equal the reference byte for byte."""
+    """Per-sweep x, final potentials and node residuals equal the reference byte for byte,
+    from scratch buffers that start on a cache line."""
+    assert [b.ctypes.data % 64 for b in lat._buffers] == [0, 0, 0]
     cond_h, cond_v, V = lat.cond_h.copy(), lat.cond_v.copy(), lat.potential.copy()
     xs, ref = np.empty(sweeps), np.empty(sweeps)
     for t in range(sweeps):

@@ -6,7 +6,7 @@ import pytest
 
 from kinex.exchange import LATTICE_2D, ModelSpec
 from kinex.relaxation import run_relaxation
-from kinex.sweep import draw_groups, draw_signature
+from kinex.block import draw_groups, draw_signature
 
 LAMBDA_FAMILY = tuple(
     ModelSpec(rule="distributed_saving", lambda_window=w, eps_fixed=0.5)
@@ -22,9 +22,10 @@ DRAWN_EPS = tuple(
 )
 SWEEPS = {"lambda_family": LAMBDA_FAMILY, "eps_sweep": EPS_SWEEP, "drawn_eps": DRAWN_EPS}
 
-# (n, configurations): 12 agents on 130 streams take blocks stepped slot by slot
-# at 1, 2 and 4 workers; 1100 agents on 16 streams step their blocks in runs.
-SIZES = {"slots": (12, 130), "runs": (1100, 16)}
+# (n, configurations): small economies on 130 streams, whose cells share one
+# block at 1 worker and one block a worker at 2 and 4; large economies on 16
+# streams, in blocks of 16, 8 and 4 streams.
+SIZES = {"n12": (12, 130), "n1100": (1100, 16)}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
