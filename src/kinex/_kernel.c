@@ -1,13 +1,18 @@
-/* The step kernel of kinex: one time step of a block of economies.
+/* The compiled kernel of kinex: one time step of a block of economies, and
+ * one sweep of a resistor lattice.
  *
  * Each stream makes exactly the draws that exchange._step_plan lists, through
  * numpy's own bit generator, as Generator.integers, random and uniform would;
  * then every economy on that stream applies its rule to the N slots in order,
  * with exchange.run_time_step's operations and clamp.  kernel.py builds this
  * file without FMA contraction or fast-math, so every economy gets the bits
- * run_time_step gives it, and holds the draws to np.random.Generator.
+ * run_time_step gives it, and holds the draws to np.random.Generator.  For the
+ * same reason a sweep's potentials and its sum of |dV| have the same bits on
+ * any host with IEEE doubles.
  */
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* numpy's bitgen_t (numpy/random/bitgen.h): a bit generator's C interface. */
 typedef struct {
@@ -113,4 +118,58 @@ void kx_step(int rule, int64_t n, int64_t streams, int64_t cells, bitgen_t *cons
             }
         }
     }
+}
+
+/* sum_nb g_nb V_nb for the L nodes of one interior row, the terms added in the
+ * order up, down, right, left.  The lattice wraps horizontally: g_h[c] joins
+ * node c to node c + 1 mod L.  v_up, v and v_dn are the potentials of the rows
+ * above, at and below it; out may not alias them. */
+static void neighbor_sum_row(int64_t L, const double *g_up, const double *g_dn, const double *g_h,
+                             const double *v_up, const double *v, const double *v_dn,
+                             double *restrict out)
+{
+    out[0] = g_up[0] * v_up[0] + g_dn[0] * v_dn[0] + g_h[0] * v[1] + g_h[L - 1] * v[L - 1];
+    for (int64_t c = 1; c < L - 1; c++)
+        out[c] = g_up[c] * v_up[c] + g_dn[c] * v_dn[c] + g_h[c] * v[c + 1] + g_h[c - 1] * v[c - 1];
+    out[L - 1] = g_up[L - 1] * v_up[L - 1] + g_dn[L - 1] * v_dn[L - 1] + g_h[L - 1] * v[0]
+                 + g_h[L - 2] * v[L - 2];
+}
+
+/* The neighbour sums of the L - 2 interior rows of an L x L lattice (L >= 3)
+ * into out, (L - 2) x L.  cond_v is (L - 1) x L: cond_v[r, c] joins (r, c) to
+ * (r + 1, c); cond_h and potential are L x L. */
+void kx_neighbor_sum(int64_t L, const double *cond_v, const double *cond_h,
+                     const double *potential, double *out)
+{
+    for (int64_t r = 1; r < L - 1; r++)
+        neighbor_sum_row(L, cond_v + (r - 1) * L, cond_v + r * L, cond_h + r * L,
+                         potential + (r - 1) * L, potential + r * L, potential + (r + 1) * L,
+                         out + (r - 1) * L);
+}
+
+/* One Jacobi sweep in place: every interior potential becomes its neighbour
+ * sum over weight_sum, (L - 2) x L, all from the previous sweep's potentials.
+ * Returns the mean |dV| over the interior, summed in row-major order.  rows
+ * holds 2 L doubles: the old potentials of the row above and of the row being
+ * written. */
+double kx_sweep(int64_t L, const double *cond_v, const double *cond_h, const double *weight_sum,
+                double *potential, double *rows)
+{
+    const double *up = potential;  /* row 0 never changes */
+    double *old = rows, *spare = rows + L;
+    double sum = 0.0;
+    for (int64_t r = 1; r < L - 1; r++) {
+        double *v = potential + r * L;
+        const double *w = weight_sum + (r - 1) * L;
+        memcpy(old, v, (size_t)L * sizeof *v);
+        neighbor_sum_row(L, cond_v + (r - 1) * L, cond_v + r * L, cond_h + r * L, up, old, v + L, v);
+        for (int64_t c = 0; c < L; c++) {
+            v[c] /= w[c];
+            sum += fabs(v[c] - old[c]);
+        }
+        up = old;
+        old = spare;
+        spare = (double *)up;
+    }
+    return sum / (double)((L - 2) * L);
 }

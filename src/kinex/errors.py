@@ -2,7 +2,7 @@
 
 Every one is a :class:`KinexError`, which the CLI reports as exit code 2 and
 one line.  :class:`KernelBuildError` and :class:`DrawMismatch` come from
-loading the step kernel (:func:`kernel.library`), which a run does before it
+loading the compiled kernel (:func:`kernel.library`), which a run does before it
 simulates, so a run that raises them has written nothing.
 """
 
@@ -52,8 +52,8 @@ class ConfigError(KinexError):
 
 
 class DrawMismatch(KinexError):
-    """The step kernel's draws disagree with numpy's Generator on this platform."""
+    """The compiled kernel's draws disagree with numpy's Generator on this platform."""
 
 
 class KernelBuildError(KinexError):
-    """The step kernel could not be compiled: no C compiler, or the compile failed."""
+    """The kernel could not be compiled: no C compiler, or the compile failed."""

@@ -11,11 +11,12 @@ nodes, the direct analog of the wealth-model observable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ShapeError
 from .relaxation import RelaxationSeries, average_series
 from .streams import RngStream
 
@@ -30,16 +31,18 @@ INIT_RANDOM = "random"
 LATTICE_INITS = (INIT_HALF, INIT_RAMP, INIT_RANDOM)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResistorLattice:
     """Node potentials plus bond conductances on the wrapped square lattice.
 
     ``cond_h[r, c]`` joins (r, c) to (r, (c+1) mod L); ``cond_v[r, c]`` joins
     (r, c) to (r+1, c).  Rows 0 and L-1 are boundary rows and never change.
 
-    The stencil (conductance slices, the rolled horizontal conductances and
-    ``weight_sum``) and the sweep's scratch buffers are built once here, so the
-    conductances must not change after construction.
+    The compiled kernel (:mod:`kernel`) sweeps the arrays through pointers
+    taken here, so construction refuses any array whose shape, dtype or layout
+    the kernel would misread, before any call into it, and the lattice is
+    frozen.  The conductances must not change after construction; the
+    potentials may be written in place.
     """
 
     side: int
@@ -48,32 +51,37 @@ class ResistorLattice:
     cond_v: np.ndarray
     g_window: tuple[float, float]
     weight_sum: np.ndarray = field(init=False, repr=False)
-    _stencil: tuple = field(init=False, repr=False)
-    _buffers: tuple = field(init=False, repr=False)
+    _kernel: object = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
+    _sweep_args: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        gv_up, gv_dn = self.cond_v[:-1, :], self.cond_v[1:, :]
-        gh = self.cond_h[1:-1, :]
-        gh_left = np.roll(gh, 1, axis=1)
-        self._stencil = (gv_up, gv_dn, gh, gh_left)
-        self.weight_sum = gv_up + gv_dn + gh + gh_left
-        self._buffers = tuple(_line_aligned_empty(gh.shape) for _ in range(3))
+        L = self.side
+        if not L >= 3:
+            raise InvalidParameter(f"lattice side {L} leaves no interior rows; need L >= 3")
+        for name, shape in (("potential", (L, L)), ("cond_h", (L, L)), ("cond_v", (L - 1, L))):
+            a = getattr(self, name)
+            if np.shape(a) != shape:
+                raise ShapeError(f"{name} has shape {np.shape(a)}; a side-{L} lattice needs {shape}")
+            if not isinstance(a, np.ndarray) or a.dtype != np.float64 or not a.flags.c_contiguous:
+                raise InvalidParameter(f"{name} must be a C-contiguous float64 array")
+        if not self.potential.flags.writeable:
+            raise InvalidParameter("potential must be writeable")
+        from .kernel import library  # not at import: the CLI's start need not build the kernel
+
+        setattr_ = functools.partial(object.__setattr__, self)
+        setattr_("_kernel", library())
+        # the neighbor sum of unit potentials, bit for bit the sum of a node's conductances
+        weight_sum = _inflow(self, np.ones((L, L)))
+        if not (weight_sum > 0.0).all():
+            raise InvalidParameter("every interior node needs a positive sum of conductances")
+        setattr_("weight_sum", weight_sum)
+        setattr_("_rows", np.empty(2 * L))  # the sweep's copies of two rows' old potentials
+        arrays = (self.cond_v, self.cond_h, weight_sum, self.potential, self._rows)
+        setattr_("_sweep_args", (int(L), *(a.ctypes.data for a in arrays)))
 
     def n_interior(self) -> int:
         return (self.side - 2) * self.side
-
-
-def _line_aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float64 array whose data starts on a 64-byte cache line.
-
-    Every sweep writes its scratch buffers several times.  At L = 100 a sweep
-    took 20-30% longer when they started mid-line, and where malloc puts them
-    follows whatever the process allocated before, so the speed did too.
-    """
-    size = int(np.prod(shape))
-    raw = np.empty(size + 7)  # numpy data is 8-byte aligned, so a line starts within 7
-    skip = -raw.ctypes.data % 64 // 8
-    return raw[skip : skip + size].reshape(shape)
 
 
 def build_lattice(
@@ -115,44 +123,25 @@ def build_lattice(
     )
 
 
-def _neighbor_sum(lat: ResistorLattice) -> np.ndarray:
-    """sum_nb g_nb V_nb for every interior node, in the lattice's first buffer.
-
-    The terms are added in a fixed order (up, down, right, left) with no
-    allocation; the wrapped neighbor potentials are copied into a buffer.
-    """
-    gv_up, gv_dn, gh, gh_left = lat._stencil
-    num, tmp, nb = lat._buffers
-    V = lat.potential
-    inner = V[1:-1, :]
-    np.multiply(gv_up, V[:-2, :], out=num)
-    np.multiply(gv_dn, V[2:, :], out=tmp)
-    num += tmp
-    nb[:, :-1] = inner[:, 1:]
-    nb[:, -1] = inner[:, 0]
-    np.multiply(gh, nb, out=tmp)
-    num += tmp
-    nb[:, 1:] = inner[:, :-1]
-    nb[:, 0] = inner[:, -1]
-    np.multiply(gh_left, nb, out=tmp)
-    num += tmp
-    return num
+def _inflow(lat: ResistorLattice, potential: np.ndarray) -> np.ndarray:
+    """sum_nb g_nb V_nb at every interior node of ``lat`` under the (L, L)
+    C-contiguous float64 ``potential``, by the kernel's one statement of the
+    stencil."""
+    L = potential.shape[0]
+    out = np.empty((L - 2, L))
+    lat._kernel.kx_neighbor_sum(
+        L, lat.cond_v.ctypes.data, lat.cond_h.ctypes.data, potential.ctypes.data, out.ctypes.data
+    )
+    return out
 
 
 def relax_sweep(lat: ResistorLattice) -> float:
     """One synchronous sweep; every interior node moves to the weighted average
     of its neighbors from the previous sweep.  Updates in place and returns the
-    mean absolute potential change over interior nodes.
+    mean absolute potential change over interior nodes, summed in row-major
+    order, so its bits are the same on any host with IEEE doubles.
     """
-    new_inner = _neighbor_sum(lat)
-    new_inner /= lat.weight_sum
-    diff = lat._buffers[1]
-    inner = lat.potential[1:-1, :]
-    np.subtract(new_inner, inner, out=diff)
-    np.abs(diff, out=diff)
-    x = float(diff.mean())
-    inner[...] = new_inner
-    return x
+    return lat._kernel.kx_sweep(*lat._sweep_args)
 
 
 def node_current_residuals(lat: ResistorLattice) -> np.ndarray:
@@ -160,7 +149,7 @@ def node_current_residuals(lat: ResistorLattice) -> np.ndarray:
 
     Zero everywhere exactly at the Kirchhoff solution.
     """
-    return _neighbor_sum(lat) - lat.weight_sum * lat.potential[1:-1, :]
+    return _inflow(lat, lat.potential) - lat.weight_sum * lat.potential[1:-1, :]
 
 
 def solve_kirchhoff_dense(lat: ResistorLattice) -> np.ndarray:
@@ -232,6 +221,9 @@ def run_rrn_relaxation(
     One time step equals one full lattice sweep; realization c uses stream
     (master_seed, c).
     """
+    from .kernel import library  # not at import: the CLI's start need not build the kernel
+
+    library()  # here, before a pool forks, so that the workers inherit it checked
     return average_series(
         _block_series,
         (L, g_window, t_max, init, master_seed),

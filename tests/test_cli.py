@@ -42,7 +42,7 @@ def break_draw_check(monkeypatch, tmp_path):
 
 
 def break_build(monkeypatch, tmp_path):
-    """Leave no C compiler to build the step kernel with, and no build of it."""
+    """Leave no C compiler to build the kernel with, and no build of it."""
     from kinex import kernel
 
     monkeypatch.setenv("PATH", "")
@@ -252,6 +252,17 @@ class TestCommands:
             breaks[error](monkeypatch, tmp_path)
         p = write_cfg(tmp_path, {**BASE, **override})
         assert main(["relax", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kinex: ") and error in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("error", ["DrawMismatch", "KernelBuildError"])
+    def test_rrn_kernel_errors_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch, error):
+        # the resistor lattice's sweep is the same compiled kernel, loaded by the run
+        {"DrawMismatch": break_draw_check, "KernelBuildError": break_build}[error](monkeypatch, tmp_path)
+        p = write_cfg(tmp_path, {"rrn": {"side": 8, "t_max": 40, "n_configs": 2, "g_windows": [[0.0, 1.0]]}})
+        assert main(["rrn", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("kinex: ") and error in err
         assert err.count("\n") == 1
@@ -514,8 +525,10 @@ def test_preset_series_prefix_matches_committed(tmp_path, experiment, overrides,
 def test_preset_rrn_prefix_matches_committed(tmp_path):
     """The first 200 sweeps of the committed rrn series, within rounding.
 
-    The committed digests do not reproduce on every platform: the stencil's
-    last digit differs, so the values are compared to a relative 1e-12.
+    The sweep's potentials and its sum of |dV| are IEEE operations in a fixed
+    order (row-major, no FMA contraction, no fast-math), so any host should
+    reproduce the committed values exactly.  They are compared to a relative
+    1e-12.
     """
     p = _preset_with(tmp_path, "rrn", t_max=200, g_windows=[[0.0, 1.0]])
     out = tmp_path / "o"

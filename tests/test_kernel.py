@@ -18,6 +18,7 @@ from kinex import kernel
 from kinex.errors import DrawMismatch, KernelBuildError
 from kinex.exchange import ModelSpec
 from kinex.relaxation import run_relaxation
+from kinex.rrn import run_rrn_relaxation
 from kinex.streams import RngStream, replay
 
 # Spans where about half and a quarter of all 32-bit values are rejected.
@@ -203,6 +204,9 @@ def test_a_build_is_cached_and_reused(tmp_path, monkeypatch, fresh_library):
 def test_runs_load_the_kernel_in_the_main_process(fresh_library):
     spec = ModelSpec(rule="distributed_saving", eps_fixed=0.5)
     run_relaxation(spec, 12, 10, 8, master_seed=1, workers=2)
+    assert kernel.library.cache_info().currsize == 1
+    kernel.library.cache_clear()
+    run_rrn_relaxation(6, (0.0, 1.0), 10, 4, master_seed=1, workers=2)
     assert kernel.library.cache_info().currsize == 1
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from kinex import (
     run_rrn_relaxation,
     solve_kirchhoff_dense,
 )
+from kinex.errors import ShapeError
 from kinex.rrn import LATTICE_INITS, ResistorLattice
 
 
@@ -31,9 +34,11 @@ def roll_weight_sum(cond_h, cond_v):
 
 
 def roll_sweep(cond_h, cond_v, V):
-    """Reference Jacobi sweep on plain arrays; updates V in place, returns the mean |dV|."""
+    """Reference Jacobi sweep on plain arrays; updates V in place and returns the
+    mean |dV|, its sum taken strictly in row-major order, left to right."""
     new_inner = roll_neighbor_sum(cond_h, cond_v, V) / roll_weight_sum(cond_h, cond_v)
-    x = float(np.abs(new_inner - V[1:-1, :]).mean())
+    d = np.abs(new_inner - V[1:-1, :]).ravel()
+    x = float(np.add.accumulate(d)[-1] / d.size)
     V[1:-1, :] = new_inner
     return x
 
@@ -43,16 +48,15 @@ def roll_residuals(cond_h, cond_v, V):
 
 
 def assert_matches_roll_oracle(lat, sweeps=1000):
-    """Per-sweep x, final potentials and node residuals equal the reference byte for byte,
-    from scratch buffers that start on a cache line."""
-    assert [b.ctypes.data % 64 for b in lat._buffers] == [0, 0, 0]
+    """Per-sweep x, final potentials and node residuals equal the reference byte for byte."""
+    assert lat.weight_sum.tobytes() == roll_weight_sum(lat.cond_h, lat.cond_v).tobytes()
     cond_h, cond_v, V = lat.cond_h.copy(), lat.cond_v.copy(), lat.potential.copy()
     xs, ref = np.empty(sweeps), np.empty(sweeps)
     for t in range(sweeps):
         xs[t] = relax_sweep(lat)
         ref[t] = roll_sweep(cond_h, cond_v, V)
         if t % 250 == 0:
-            # the residuals share the sweep's buffers; the next sweep must not notice
+            # taking the residuals between sweeps must not change the next sweep
             got = node_current_residuals(lat)
             assert got.tobytes() == roll_residuals(cond_h, cond_v, V).tobytes()
     assert xs.tobytes() == ref.tobytes()
@@ -118,6 +122,17 @@ class TestRelaxSweep:
         lat.potential[-1] = 0.0
         assert_matches_roll_oracle(lat)
 
+    def test_fixed_order_sum_is_within_rounding_of_numpys_mean(self):
+        # The sweep sums |dV| in row-major order; numpy's mean sums pairwise,
+        # so the two may differ in their last bits, and only there.
+        lat = build_lattice(100, (0.0, 1.0), RngStream(11, 100), init="random")
+        xs, means = np.empty(300), np.empty(300)
+        for t in range(300):
+            old = lat.potential[1:-1, :].copy()
+            xs[t] = relax_sweep(lat)
+            means[t] = np.abs(lat.potential[1:-1, :] - old).mean()
+        np.testing.assert_allclose(xs, means, rtol=1e-14, atol=0)
+
     def test_two_resistor_divider(self):
         # unit vertical bonds, vanishing horizontal bonds: each interior node is
         # a divider between its boundary neighbors and lands at 0.5 in one sweep
@@ -168,6 +183,82 @@ class TestRelaxSweep:
         xs = [relax_sweep(lat) for _ in range(3000)]
         assert xs[-1] < 1e-9
         assert xs[-1] < xs[10] < xs[0]
+
+
+def lattice_arrays(L=5):
+    g = np.random.default_rng(3)
+    potential = g.random((L, L))
+    potential[0], potential[-1] = 1.0, 0.0
+    return {
+        "side": L,
+        "potential": potential,
+        "cond_h": g.uniform(0.1, 1.0, (L, L)),
+        "cond_v": g.uniform(0.1, 1.0, (L - 1, L)),
+        "g_window": (0.1, 1.0),
+    }
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class TestLatticeRefusesWhatTheKernelWouldMisread:
+    @pytest.mark.parametrize(
+        "name,bad",
+        [
+            ("potential", lambda a: a[:-1]),
+            ("potential", lambda a: a.ravel()),
+            ("cond_h", lambda a: a[:, :-1]),
+            ("cond_v", lambda a: np.vstack([a, a[:1]])),
+            ("cond_v", lambda a: a.T),
+        ],
+        ids=["potential_rows", "potential_flat", "cond_h_columns", "cond_v_rows", "cond_v_transposed"],
+    )
+    def test_wrong_shapes(self, name, bad):
+        arrays = lattice_arrays()
+        arrays[name] = bad(arrays[name])
+        with pytest.raises(ShapeError, match=name):
+            ResistorLattice(**arrays)
+
+    @pytest.mark.parametrize(
+        "name,bad",
+        [
+            ("potential", np.asfortranarray),
+            ("potential", lambda a: a.astype(np.int64)),
+            ("potential", lambda a: a.astype(np.float32)),
+            ("potential", lambda a: a.tolist()),
+            ("potential", read_only),
+            ("cond_h", np.asfortranarray),
+            ("cond_v", lambda a: np.repeat(a, 2, axis=1)[:, ::2]),
+            ("cond_v", lambda a: a.astype(np.float32)),
+        ],
+        ids=["potential_fortran", "potential_int", "potential_float32", "potential_list",
+             "potential_read_only", "cond_h_fortran", "cond_v_strided", "cond_v_float32"],
+    )
+    def test_wrong_layouts(self, name, bad):
+        arrays = lattice_arrays()
+        arrays[name] = bad(arrays[name])
+        with pytest.raises(InvalidParameter, match=name):
+            ResistorLattice(**arrays)
+
+    def test_a_lattice_without_interior_rows(self):
+        with pytest.raises(InvalidParameter, match="no interior rows"):
+            ResistorLattice(**lattice_arrays(2))
+
+    @pytest.mark.parametrize("g", [0.0, -1.0, np.nan])
+    def test_a_node_without_positive_conductance(self, g):
+        arrays = lattice_arrays()
+        arrays["cond_v"][1, 2] = arrays["cond_v"][2, 2] = g
+        arrays["cond_h"][2, 1] = arrays["cond_h"][2, 2] = g
+        with pytest.raises(InvalidParameter, match="positive sum of conductances"):
+            ResistorLattice(**arrays)
+
+    @pytest.mark.parametrize("name", ["potential", "cond_h", "cond_v", "weight_sum", "side"])
+    def test_attributes_cannot_be_reassigned(self, name):
+        lat = ResistorLattice(**lattice_arrays())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lat, name, getattr(lat, name))
 
 
 class TestKirchhoffOracle:
