@@ -173,3 +173,12 @@ double kx_sweep(int64_t L, const double *cond_v, const double *cond_h, const dou
     }
     return sum / (double)((L - 2) * L);
 }
+
+/* t_max sweeps in place, the mean |dV| of sweep t into xs[t]: one
+ * realization's whole series in one call. */
+void kx_relax(int64_t L, const double *cond_v, const double *cond_h, const double *weight_sum,
+              double *potential, double *rows, int64_t t_max, double *xs)
+{
+    for (int64_t t = 0; t < t_max; t++)
+        xs[t] = kx_sweep(L, cond_v, cond_h, weight_sum, potential, rows);
+}

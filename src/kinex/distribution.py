@@ -27,12 +27,11 @@ class EquilibriumSample:
 def _equilibrium_block(args) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Pooled (wealth, saving, time-averaged wealth) of streams [start, stop).
 
-    Top-level so a process pool can pickle it.  The configurations run in one
-    block.EnsembleBlock, bit for bit as run_time_step steps each one: first
-    ``equil_steps`` steps, then ``sample_steps`` steps over which the wealth is
-    averaged (with none, the average is the final snapshot).  Saving is None
-    unless the propensities are drawn: the caller builds constant ones from
-    the spec instead of receiving them from every worker.
+    The configurations run in one block.EnsembleBlock, bit for bit as
+    run_time_step steps each one: first ``equil_steps`` steps, then
+    ``sample_steps`` steps over which the wealth is averaged (with none, the
+    average is the final snapshot).  Saving is None unless the propensities
+    are drawn: the caller builds constant ones from the spec instead.
     """
     spec, n, equil_steps, sample_steps, master_seed, start, stop = args
     from .block import EnsembleBlock  # not at import: the CLI's start need not compile it
@@ -66,7 +65,7 @@ def run_equilibrium(
     spec.validate()
     from .kernel import library  # not at import: the CLI's start need not build it
 
-    library()  # here, before a pool forks, so that the workers inherit it checked
+    library()  # here, before any block starts, so that no two threads race its load
     parts = map_stream_blocks(
         _equilibrium_block,
         (spec, n, equil_steps, sample_steps, master_seed),

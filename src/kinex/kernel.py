@@ -1,14 +1,14 @@
 """The compiled kernel, ``_kernel.c``, built on first use and loaded with ctypes.
 
 It holds the wealth models' step (``kx_step`` and its draws) and the resistor
-lattice's sweep (``kx_sweep``, ``kx_neighbor_sum``).  :func:`library` compiles
-the source with the system C compiler (``cc``) into ``_build/`` beside it,
-under a name keyed by the source digest, the flags and the platform, loads it,
-and holds its draws to numpy's ``Generator``, once per process.  The
-wealth-model and rrn runs call it in the main process, before a pool forks, so
-that workers inherit the library loaded and checked.  Only the runs,
-:mod:`block` and the lattices of :mod:`rrn` import this module: the CLI's start
-neither builds nor loads the kernel.
+lattice's sweeps (``kx_sweep``, ``kx_relax``, ``kx_neighbor_sum``).
+:func:`library` compiles the source with the system C compiler (``cc``) into
+``_build/`` beside it, under a name keyed by the source digest, the flags and
+the platform, loads it, and holds its draws to numpy's ``Generator``, once per
+process.  The wealth-model and rrn runs call it in the main thread before any
+block starts, so that worker threads never race its build or its draw check.
+Only the runs, :mod:`block` and the lattices of :mod:`rrn` import this module:
+the CLI's start neither builds nor loads the kernel.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ import functools
 import hashlib
 import os
 import platform
-import shutil
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +43,18 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "kx_step": (None, (_int, _i64, _i64, _i64, _ptr, _u64, _ptr, _int, *[_ptr] * 9)),
     "kx_neighbor_sum": (None, (_i64, *[_ptr] * 4)),
     "kx_sweep": (_f64, (_i64, *[_ptr] * 5)),
+    "kx_relax": (None, (_i64, *[_ptr] * 5, _i64, _ptr)),
 }
 
 
 def _compile(path: Path) -> None:
     """Compile SOURCE to ``path``, atomically: a concurrent build or load sees
     the whole library or none."""
+    # here, not at import: a run that finds the kernel built loads none of them
+    import shutil
+    import subprocess
+    import tempfile
+
     cc = shutil.which("cc")
     if cc is None:
         raise KernelBuildError("no C compiler (cc) on PATH to build the kernel")

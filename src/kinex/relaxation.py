@@ -55,9 +55,9 @@ def mean_abs_change(prev: np.ndarray, curr: np.ndarray) -> float:
 def _block_series(args) -> np.ndarray:
     """Observable traces of streams [start, stop), shape (cells, configurations, t_max).
 
-    Top-level so a process pool can pickle it.  ``specs`` are sweep cells that
-    share their draws, or one spec; all of them run in one EnsembleBlock, bit
-    for bit as run_time_step steps each configuration of each cell.
+    ``specs`` are sweep cells that share their draws, or one spec; all of them
+    run in one EnsembleBlock, bit for bit as run_time_step steps each
+    configuration of each cell.
     """
     specs, n, t_max, master_seed, start, stop = args
     block = _cells_block(specs, n, master_seed, start, stop)
@@ -108,7 +108,7 @@ def average_series(
     ``block_fn((*args, start, stop))`` returns the length-``t_max`` traces of
     configurations [start, stop) of every cell, shape (cells, stop - start,
     t_max); :func:`streams.map_stream_blocks` spreads the blocks over
-    ``workers`` processes, sized for one cell per label.  The sums
+    ``workers`` threads, sized for one cell per label.  The sums
     run in stream-index order, so any worker count yields bit-identical output.
     ``labels`` gives each cell's ``spec`` field and ``meta`` the remaining
     :class:`RelaxationSeries` fields (``n_agents``, ``master_seed``).
@@ -153,7 +153,7 @@ def run_relaxation(
     from .block import draw_groups
     from .kernel import library
 
-    library()  # here, before a pool forks, so that the workers inherit it checked
+    library()  # here, before any block starts, so that no two threads race its load
     series = [None] * len(specs)
     for group in draw_groups(specs, n):
         cells = tuple(specs[k] for k in group)

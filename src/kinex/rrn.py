@@ -192,14 +192,12 @@ def solve_kirchhoff_dense(lat: ResistorLattice) -> np.ndarray:
 def _realization_series(L, g_window, t_max, init, rng: RngStream) -> np.ndarray:
     lat = build_lattice(L, g_window, rng, init=init)
     xs = np.empty(t_max)
-    for t in range(t_max):
-        xs[t] = relax_sweep(lat)
+    lat._kernel.kx_relax(*lat._sweep_args, t_max, xs.ctypes.data)  # t_max relax_sweep calls
     return xs
 
 
 def _block_series(args) -> np.ndarray:
-    """Sweep traces of realizations [start, stop), shape (1, realizations, t_max);
-    top-level so Pool can pickle it."""
+    """Sweep traces of realizations [start, stop), shape (1, realizations, t_max)."""
     L, g_window, t_max, init, master_seed, start, stop = args
     return np.array([[
         _realization_series(L, g_window, t_max, init, RngStream(master_seed, c))
@@ -223,7 +221,7 @@ def run_rrn_relaxation(
     """
     from .kernel import library  # not at import: the CLI's start need not build the kernel
 
-    library()  # here, before a pool forks, so that the workers inherit it checked
+    library()  # here, before any block starts, so that no two threads race its load
     return average_series(
         _block_series,
         (L, g_window, t_max, init, master_seed),

@@ -4,13 +4,12 @@ Ensemble runs average over many initial configurations.  Each configuration
 gets its own stream, keyed by (master_seed, stream_index), so that runs are
 reproducible and configurations can be simulated in any order or in parallel
 without changing the results.  :func:`map_stream_blocks` is the one fan-out
-that spreads contiguous blocks of streams over worker processes, never more
-processes than blocks.
+that spreads contiguous blocks of streams over worker threads, never more
+threads than blocks.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -63,13 +62,17 @@ def map_stream_blocks(
     share, ``ceil(C / W)`` of the C streams, or ``max(1, BATCH_MAX_ROWS //
     cells)`` streams where that is fewer: each of the W workers gets one block
     unless its share would hold more than ``BATCH_MAX_ROWS`` economies.  With
-    W > 1 the blocks go to a pool of at most W processes, one per block where
-    there are fewer.  The results come back in stream order, so a reduction
-    over them in list order is the same for every worker count.
+    W > 1 the blocks go to a pool of at most W threads, one per block where
+    there are fewer; the compiled kernel releases the GIL, so they step in
+    parallel.  An exception raised in a block is raised here unchanged.  The
+    results come back in stream order, so a reduction over them in list order
+    is the same for every worker count.
     """
     size = min(-(-n_streams // max(workers, 1)), max(1, BATCH_MAX_ROWS // cells))
     jobs = [(*args, lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
     if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
+        from multiprocessing.pool import ThreadPool  # not at import, so not at the CLI's start
+
+        with ThreadPool(min(workers, len(jobs))) as pool:
             return pool.map(fn, jobs, chunksize=1)
     return [fn(job) for job in jobs]

@@ -206,6 +206,27 @@ class TestCommands:
         manifest = json.loads((tmp_path / "da" / "manifest.json").read_text())
         assert any("equilibration_steps=" in n for n in manifest["notes"])
 
+    @pytest.mark.parametrize(
+        "model,dist",
+        [
+            ({"rule": "pure_gambling", "epsilon": "uniform", "pairing": "lattice2d",
+              "lattice_side": 4, "init": "equal_unit"}, {"equilibration_steps": 40}),
+            # automatic equilibration: the probe's relaxation fans out too
+            (BASE["model"], {"sample_steps": 5}),
+        ],
+        ids=["lattice_pure_gambling", "distributed_saving"],
+    )
+    def test_dist_writes_the_same_bytes_at_any_worker_count(self, tmp_path, model, dist):
+        n = model.get("lattice_side", 5) ** 2
+        p = write_cfg(tmp_path, {**BASE, "n_agents": n, "n_configs": 8, "model": model, "dist": dist})
+        written = {}
+        for threads in (1, 2, 4):
+            out = tmp_path / f"t{threads}"
+            assert main(["dist", "--config", str(p), "--out", str(out), "--threads", str(threads)]) == 0
+            written[threads] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+        assert "hist_wealth.csv" in written[1]
+        assert written[2] == written[1] and written[4] == written[1]
+
     def test_rrn_small_run(self, tmp_path):
         payload = {
             "master_seed": 3,
@@ -243,26 +264,33 @@ class TestCommands:
             ({"model": {**BASE["model"], "lambda_window": [0.5, 0.2]}}, "InvalidParameter"),
         ],
     )
+    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_kinex_errors_exit_2_with_one_line(
-        self, tmp_path, capsys, monkeypatch, override, error
+        self, tmp_path, capsys, monkeypatch, override, error, threads
     ):
-        # raised in the run, where it loads the step kernel
+        # raised in the run, where it loads the step kernel, before the
+        # 6 configurations fan out (at 2 workers, over 2 threads)
         breaks = {"DrawMismatch": break_draw_check, "KernelBuildError": break_build}
         if error in breaks:
             breaks[error](monkeypatch, tmp_path)
         p = write_cfg(tmp_path, {**BASE, **override})
-        assert main(["relax", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
+        argv = ["relax", "--config", str(p), "--out", str(tmp_path / "e"), "--threads", threads]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("kinex: ") and error in err
         assert err.count("\n") == 1
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("error", ["DrawMismatch", "KernelBuildError"])
-    def test_rrn_kernel_errors_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch, error):
+    def test_rrn_kernel_errors_exit_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, error, threads
+    ):
         # the resistor lattice's sweep is the same compiled kernel, loaded by the run
         {"DrawMismatch": break_draw_check, "KernelBuildError": break_build}[error](monkeypatch, tmp_path)
         p = write_cfg(tmp_path, {"rrn": {"side": 8, "t_max": 40, "n_configs": 2, "g_windows": [[0.0, 1.0]]}})
-        assert main(["rrn", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
+        argv = ["rrn", "--config", str(p), "--out", str(tmp_path / "e"), "--threads", threads]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("kinex: ") and error in err
         assert err.count("\n") == 1

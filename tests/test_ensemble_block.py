@@ -5,8 +5,13 @@ step and in the final wealth, for every rule, pairing, split mode and initial
 condition; run_time_step in turn must reproduce the scalar exchange_* rules.
 """
 
+import _posixsubprocess
 import gc
 import itertools
+import multiprocessing.pool
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -27,7 +32,6 @@ from kinex import (
     run_time_step,
 )
 from kinex import exchange, kernel
-from kinex import streams as streams_module
 from kinex.distribution import run_equilibrium
 from kinex.block import EnsembleBlock
 from kinex.exchange import (
@@ -329,8 +333,8 @@ def _span(args):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The sizes of the pools a fan-out starts.  A stub pool records its size
-    and runs the blocks here, so no process starts."""
+    """The sizes of the thread pools a fan-out starts.  A stub pool records
+    its size and runs the blocks here, in order, so no thread starts."""
     started = []
 
     class RecordingPool:
@@ -346,7 +350,7 @@ def pools(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return [fn(job) for job in jobs]
 
-    monkeypatch.setattr(streams_module.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing.pool, "ThreadPool", RecordingPool)
     return started
 
 
@@ -407,13 +411,101 @@ def test_fan_out_blocks_cover_the_streams_one_per_worker(pools, n_streams, worke
 
 
 @pytest.mark.parametrize(
-    "n_streams,workers,processes",
+    "n_streams,workers,threads",
     [(2, 8, [2]), (10, 8, [5]), (130, 2, [2]), (1, 8, [])],
 )
-def test_fan_out_starts_no_more_processes_than_blocks(pools, n_streams, workers, processes):
+def test_fan_out_starts_no_more_threads_than_blocks(pools, n_streams, workers, threads):
     blocks = map_stream_blocks(_span, (), n_streams, workers)
     assert blocks[0][0] == 0 and blocks[-1][1] == n_streams
-    assert pools == processes
+    assert pools == threads
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_fan_out_forks_nothing(monkeypatch, workers):
+    # The blocks run on the pool's threads; no process is forked or spawned,
+    # neither for a stub block nor for a whole run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fan-out started a process")
+
+    spec = ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5)
+    one = run_relaxation(spec, 12, 10, 8, master_seed=5, workers=1)
+    for name in ("fork", "forkpty", "posix_spawn", "posix_spawnp"):
+        monkeypatch.setattr(os, name, refuse)
+    monkeypatch.setattr(_posixsubprocess, "fork_exec", refuse)
+    ran_on = set()
+
+    def span(args):
+        ran_on.add(threading.get_ident())
+        return _span(args)
+
+    size = 8 // workers
+    assert map_stream_blocks(span, (), 8, workers) == [(lo, lo + size) for lo in range(0, 8, size)]
+    assert threading.main_thread().ident not in ran_on
+    many = run_relaxation(spec, 12, 10, 8, master_seed=5, workers=workers)
+    assert one.x_mean.tobytes() == many.x_mean.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_fan_out_raises_a_block_s_exception_unchanged(workers):
+    raised = InvalidParameter("stream 5 failed")
+
+    def block(args):
+        start, stop = _span(args)
+        if start <= 5 < stop:
+            raise raised
+        return start, stop
+
+    with pytest.raises(InvalidParameter) as caught:
+        map_stream_blocks(block, (), 8, workers)
+    assert caught.value is raised
+
+
+def test_blocks_stepped_on_two_threads_match_blocks_stepped_in_turn():
+    # Two blocks whose kernel calls overlap in time, each on its own thread,
+    # must give the bytes each gives alone.
+    cases = [
+        (ModelSpec(rule="pure_gambling", pairing=LATTICE_2D, lattice_side=16), 256, 3),
+        (ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5), 300, 4),
+    ]
+    steps = 200
+
+    def run(spec, n, seed, barrier=None):
+        rngs = [RngStream(seed, c) for c in range(16)]
+        block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        traces = np.array([changes.copy() for changes in _block_changes(block, steps)])
+        return traces.tobytes(), block.wealth.tobytes()
+
+    in_turn = [run(*case) for case in cases]
+    barrier = threading.Barrier(len(cases))
+    together = [None] * len(cases)
+
+    def on_thread(k):
+        together[k] = run(*cases[k], barrier)
+
+    threads = [threading.Thread(target=on_thread, args=(k,)) for k in range(len(cases))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert together == in_turn
+
+
+def test_more_threads_than_cores_switching_often_give_the_same_bytes():
+    # Eight worker threads, each a block of two streams, with the interpreter
+    # switching threads every microsecond: the shared, already-loaded kernel
+    # and the stream-order reduction must still give the 1-worker bytes.
+    spec = ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5)
+    one = run_relaxation(spec, 50, 40, 16, master_seed=3, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = run_relaxation(spec, 50, 40, 16, master_seed=3, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert one.x_mean.tobytes() == many.x_mean.tobytes()
 
 
 # C = 130 streams: one block of 130 at 1 worker; at 2 workers blocks of 65 and

@@ -9,6 +9,7 @@ where the Generator would leave it, a pending 32-bit half included.
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from kinex import kernel
 from kinex.errors import DrawMismatch, KernelBuildError
+from kinex.distribution import run_equilibrium
 from kinex.exchange import ModelSpec
 from kinex.relaxation import run_relaxation
 from kinex.rrn import run_rrn_relaxation
@@ -201,13 +203,37 @@ def test_a_build_is_cached_and_reused(tmp_path, monkeypatch, fresh_library):
     kernel.library()
 
 
-def test_runs_load_the_kernel_in_the_main_process(fresh_library):
-    spec = ModelSpec(rule="distributed_saving", eps_fixed=0.5)
-    run_relaxation(spec, 12, 10, 8, master_seed=1, workers=2)
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_relaxation(ModelSpec(rule="distributed_saving", eps_fixed=0.5), 12, 10, 8,
+                               master_seed=1, workers=2),
+        lambda: run_equilibrium(ModelSpec(pairing="lattice2d", lattice_side=4), 16, 5, 2, 8,
+                                master_seed=1, workers=4),
+        lambda: run_rrn_relaxation(6, (0.0, 1.0), 10, 4, master_seed=1, workers=2),
+    ],
+    ids=["relax", "dist", "rrn"],
+)
+def test_runs_load_the_kernel_in_the_main_thread(fresh_library, monkeypatch, run):
+    # library() is a lock-free cache: it must be built, loaded and checked
+    # once, in the main thread, before the pool's threads start any block.
+    loaded_on = []
+    check = kernel.check_draws
+    monkeypatch.setattr(
+        kernel, "check_draws", lambda lib: (loaded_on.append(threading.current_thread()), check(lib))
+    )
+    run()
+    assert loaded_on == [threading.main_thread()]
     assert kernel.library.cache_info().currsize == 1
-    kernel.library.cache_clear()
-    run_rrn_relaxation(6, (0.0, 1.0), 10, 4, master_seed=1, workers=2)
-    assert kernel.library.cache_info().currsize == 1
+
+
+def _modules_at_cli_start() -> list[str]:
+    code = "import sys, kinex.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(kernel.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
 
 
 def test_block_and_kernel_modules_are_not_imported_at_cli_start():
@@ -216,9 +242,22 @@ def test_block_and_kernel_modules_are_not_imported_at_cli_start():
     # when they start.
     # So the CLI's start neither builds nor loads the kernel.
     lazy = ["kinex.block", "kinex.kernel"]
-    code = f"import sys, kinex.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    assert [m for m in lazy if m in _modules_at_cli_start()] == []
+
+
+def test_a_built_kernel_loads_without_the_compiler_modules():
+    # subprocess and what it imports cost every run a few milliseconds; only
+    # a build needs them.
+    kernel.library()  # built here, if the cache held no build
+    code = "import sys, kinex.kernel as k; k.library(); print('subprocess' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(kernel.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "False"
+
+
+def test_multiprocessing_is_not_imported_at_cli_start():
+    # The fan-out imports its thread pool when a run has more than one block
+    # and more than one worker; a 1-worker start loads none of it.
+    assert [m for m in _modules_at_cli_start() if m.startswith("multiprocessing")] == []

@@ -13,7 +13,7 @@ from kinex import (
     solve_kirchhoff_dense,
 )
 from kinex.errors import ShapeError
-from kinex.rrn import LATTICE_INITS, ResistorLattice
+from kinex.rrn import LATTICE_INITS, ResistorLattice, _realization_series
 
 
 def roll_neighbor_sum(cond_h, cond_v, V):
@@ -282,6 +282,22 @@ class TestKirchhoffOracle:
 
 
 class TestRunRrnRelaxation:
+    @pytest.mark.parametrize("init", LATTICE_INITS)
+    @pytest.mark.parametrize("L", [3, 8, 100])
+    def test_realization_series_is_t_max_relax_sweeps(self, L, init):
+        # A run relaxes each realization in one kernel call (kx_relax); its
+        # series and final potentials are those of t_max relax_sweep calls.
+        t_max = 400 if L < 100 else 150
+        got = _realization_series(L, (0.0, 1.0), t_max, init, RngStream(17, L))
+        lat = build_lattice(L, (0.0, 1.0), RngStream(17, L), init=init)
+        want = np.array([relax_sweep(lat) for _ in range(t_max)])
+        assert got.tobytes() == want.tobytes()
+        again = build_lattice(L, (0.0, 1.0), RngStream(17, L), init=init)
+        xs = np.empty(t_max)
+        again._kernel.kx_relax(*again._sweep_args, t_max, xs.ctypes.data)
+        assert xs.tobytes() == want.tobytes()
+        assert again.potential.tobytes() == lat.potential.tobytes()
+
     def test_homogeneous_ramp_start_is_silent(self):
         s = run_rrn_relaxation(8, (1.0, 1.0 + 1e-12), 30, 3, master_seed=1, init="ramp")
         assert np.all(s.x_mean < 1e-9)
