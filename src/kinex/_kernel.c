@@ -1,84 +1,120 @@
-/* The compiled kernel of kinex: one time step of a block of economies, and
- * one sweep of a resistor lattice.
+/* The compiled kernel of kinex: one time step of a block of economies, a
+ * relaxation block's whole series, and one sweep of a resistor lattice.
  *
- * Each stream makes exactly the draws that exchange._step_plan lists, through
- * numpy's own bit generator, as Generator.integers, random and uniform would;
- * then every economy on that stream applies its rule to the N slots in order,
- * with exchange.run_time_step's operations and clamp.  kernel.py builds this
- * file without FMA contraction or fast-math, so every economy gets the bits
- * run_time_step gives it, and holds the draws to np.random.Generator.  For the
- * same reason a sweep's potentials and its sum of |dV| have the same bits on
- * any host with IEEE doubles.
+ * Each stream makes exactly the draws that exchange._step_plan lists, as
+ * Generator.integers, random and uniform would, on the stream's own PCG64 state,
+ * stepped here as numpy steps it; then every economy on that stream applies its
+ * rule to the N slots in order, with exchange.run_time_step's operations and
+ * clamp.  kernel.py builds this file without FMA contraction or fast-math, so
+ * every economy gets the bits run_time_step gives it, and holds the draws to
+ * np.random.Generator.  For the same reason a sweep's potentials and its sum of
+ * |dV| have the same bits on any host with IEEE doubles.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-/* numpy's bitgen_t (numpy/random/bitgen.h): a bit generator's C interface. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
-
 enum { PURE_GAMBLING, FIXED_SAVING, DISTRIBUTED_SAVING, GENERAL };
 
+/* numpy's PCG64: O'Neill's XSL-RR 128/64 generator (PCG, HMC-CS-2014-0905),
+ * with numpy's pending 32-bit half.  A stream's state is six words, as
+ * kernel.pcg64_words lays out PCG64.state: state low and high, increment low and
+ * high, has_uint32 and uinteger.  Each draw loop steps a local copy: stores to
+ * its output could otherwise alias the state. */
+typedef unsigned __int128 u128;
+typedef struct { u128 state, inc; uint64_t has_uint32, uinteger; } pcg64;
+#define PCG64_MULTIPLIER (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+static pcg64 pcg64_load(const uint64_t *w)
+{
+    return (pcg64){((u128)w[1] << 64) | w[0], ((u128)w[3] << 64) | w[2], w[4], w[5]};
+}
+
+static void pcg64_store(const pcg64 *g, uint64_t *w)
+{
+    w[0] = (uint64_t)g->state, w[1] = (uint64_t)(g->state >> 64);
+    w[4] = g->has_uint32, w[5] = g->uinteger;
+}
+
+static inline uint64_t pcg64_next64(pcg64 *g)
+{
+    g->state = g->state * PCG64_MULTIPLIER + g->inc;
+    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    const unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static inline uint32_t pcg64_next32(pcg64 *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return (uint32_t)g->uinteger;
+    }
+    const uint64_t next = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = next >> 32;
+    return (uint32_t)next;
+}
+
 /* Generator.integers(0, span, size) for 1 <= span < 2**32: Lemire's method on
- * 32-bit values, with numpy's rejection threshold.  A span of 1 draws nothing.
- * The bit generator keeps its own pending half, as it does for numpy. */
-void kx_integers(bitgen_t *bg, uint64_t span, int64_t size, int64_t *out)
+ * 32-bit values, with numpy's rejection threshold.  A span of 1 draws nothing. */
+void kx_integers(uint64_t *stream, uint64_t span, int64_t size, int64_t *out)
 {
     const uint32_t rng = (uint32_t)(span - 1);
+    pcg64 g = pcg64_load(stream);
     for (int64_t k = 0; k < size; k++) {
         uint64_t m = 0;
         if (rng) {
-            m = (uint64_t)bg->next_uint32(bg->state) * span;
+            m = (uint64_t)pcg64_next32(&g) * span;
             uint32_t leftover = (uint32_t)m;
             if (leftover < span) {
                 const uint32_t threshold = (UINT32_MAX - rng) % (uint32_t)span;
                 while (leftover < threshold) {
-                    m = (uint64_t)bg->next_uint32(bg->state) * span;
+                    m = (uint64_t)pcg64_next32(&g) * span;
                     leftover = (uint32_t)m;
                 }
             }
         }
         out[k] = (int64_t)(m >> 32);
     }
+    pcg64_store(&g, stream);
 }
 
-/* Generator.uniform(lo, hi, size): lo + (hi - lo) * next_double.  With lo = 0
- * and hi = 1 this is Generator.random(size), bit for bit. */
-void kx_uniform(bitgen_t *bg, double lo, double hi, int64_t size, double *out)
+/* Generator.uniform(lo, hi, size): lo + (hi - lo) * a double on the top 53 bits
+ * of a 64-bit value, which leaves a pending half alone.  With lo = 0 and hi = 1
+ * this is Generator.random(size), bit for bit. */
+void kx_uniform(uint64_t *stream, double lo, double hi, int64_t size, double *out)
 {
     const double range = hi - lo;
+    pcg64 g = pcg64_load(stream);
     for (int64_t k = 0; k < size; k++)
-        out[k] = lo + range * bg->next_double(bg->state);
+        out[k] = lo + range * ((double)(pcg64_next64(&g) >> 11) * 0x1.0p-53);
+    pcg64_store(&g, stream);
 }
 
 /* One step of `streams` streams of n-agent economies, for `cells` cells.
  *
  * Cell c's economy on stream s is row c * streams + s: its wealth and saving
- * start at (c * streams + s) * n.  Every stream draws n first agents, n
- * partners below `partner_span` (an index among the other n - 1 agents, or,
- * with `lattice`, the (n, 4) neighbour table, a direction), then `n_eps`
- * arrays of n splits, array e uniform in [windows[2e], windows[2e + 1]).
- * With no drawn split, cell c's split is eps[c]; lam[c] is its fixed saving
- * fraction.  ii, jj, e1 and e2 hold n values each, for one stream's draws. */
-void kx_step(int rule, int64_t n, int64_t streams, int64_t cells, bitgen_t *const *bgs,
+ * start at (c * streams + s) * n.  Stream s's state is states[6 s .. 6 s + 5].
+ * Every stream draws n first agents, n partners below `partner_span` (an index
+ * among the other n - 1 agents, or, with `lattice`, the (n, 4) neighbour table,
+ * a direction), then `n_eps` arrays of n splits, array e uniform in
+ * [windows[2e], windows[2e + 1]).  With no drawn split, cell c's split is
+ * eps[c]; lam[c] is its fixed saving fraction.  ii, jj, e1 and e2 hold n values
+ * each, for one stream's draws. */
+void kx_step(int rule, int64_t n, int64_t streams, int64_t cells, uint64_t *states,
              uint64_t partner_span, const int64_t *lattice, int n_eps, const double *windows,
              const double *eps, const double *lam, double *wealth, const double *saving,
              int64_t *ii, int64_t *jj, double *e1, double *e2)
 {
     for (int64_t s = 0; s < streams; s++) {
-        bitgen_t *bg = bgs[s];
-        kx_integers(bg, (uint64_t)n, n, ii);
-        kx_integers(bg, partner_span, n, jj);
+        uint64_t *stream = states + 6 * s;
+        kx_integers(stream, (uint64_t)n, n, ii);
+        kx_integers(stream, partner_span, n, jj);
         if (n_eps > 0)
-            kx_uniform(bg, windows[0], windows[1], n, e1);
+            kx_uniform(stream, windows[0], windows[1], n, e1);
         if (n_eps > 1)
-            kx_uniform(bg, windows[2], windows[3], n, e2);
+            kx_uniform(stream, windows[2], windows[3], n, e2);
         for (int64_t k = 0; k < n; k++)  /* j from the raw draw, as exchange._partners */
             jj[k] = lattice ? lattice[4 * ii[k] + jj[k]] : jj[k] + (jj[k] >= ii[k]);
 
@@ -116,6 +152,53 @@ void kx_step(int rule, int64_t n, int64_t streams, int64_t cells, bitgen_t *cons
                     w[j] = new_j;
                 }
             }
+        }
+    }
+}
+
+/* The sum of a[0 .. n - 1] in numpy's pairwise order, as ndarray.sum gives it
+ * along a contiguous row: 8 accumulators up to 128 values, and above that the
+ * row split in halves at a multiple of 8. */
+double kx_pairwise_sum(const double *a, int64_t n)
+{
+    if (n > 128) {
+        const int64_t half = n / 2 - (n / 2) % 8;
+        return kx_pairwise_sum(a, half) + kx_pairwise_sum(a + half, n - half);
+    }
+    double res = 0.0;
+    int64_t i = 0;
+    if (n >= 8) {
+        double r[8];
+        memcpy(r, a, sizeof r);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* t_max steps of kx_step, its arguments first.  After step t, xs[r * t_max + t]
+ * is row r's sum of |w(after) - w(before)|, the value run_time_step returns;
+ * `before` holds every row's wealth. */
+void kx_run(int rule, int64_t n, int64_t streams, int64_t cells, uint64_t *states,
+            uint64_t partner_span, const int64_t *lattice, int n_eps, const double *windows,
+            const double *eps, const double *lam, double *wealth, const double *saving,
+            int64_t *ii, int64_t *jj, double *e1, double *e2, int64_t t_max, double *before,
+            double *xs)
+{
+    const int64_t rows = cells * streams;
+    for (int64_t t = 0; t < t_max; t++) {
+        memcpy(before, wealth, (size_t)(rows * n) * sizeof *before);
+        kx_step(rule, n, streams, cells, states, partner_span, lattice, n_eps, windows, eps, lam,
+                wealth, saving, ii, jj, e1, e2);
+        for (int64_t r = 0; r < rows; r++) {
+            double *d = before + r * n;
+            for (int64_t k = 0; k < n; k++)
+                d[k] = fabs(wealth[r * n + k] - d[k]);
+            xs[r * t_max + t] = kx_pairwise_sum(d, n);
         }
     }
 }

@@ -27,7 +27,7 @@ from .exchange import (
     _lattice_neighbors,
     _step_plan,
 )
-from .kernel import library
+from .kernel import library, pcg64_words
 from .streams import RngStream
 
 
@@ -48,21 +48,23 @@ def draw_groups(specs: tuple[ModelSpec, ...], n: int) -> list[list[int]]:
 
 
 class EnsembleBlock:
-    """Economies of n agents advanced together, one time step per :meth:`step`.
+    """Economies of n agents advanced together, one time step per :meth:`step`,
+    or a whole relaxation series per :meth:`run`.
 
     ``spec`` is one ModelSpec, or the specs of sweep cells that share their
     draws (see :func:`draw_signature`); with C cells and S ``rngs``,
     ``ensembles`` holds C * S economies, cell by cell, and row ``k * S + s`` is
     cell k's economy on stream s.  Its wealth occupies ``wealth[r*n:(r+1)*n]``
-    of one flat array.  On every step each stream makes exactly the draws
-    :func:`exchange._step_plan` lists, through its own bit generator, as
-    :func:`exchange.run_time_step` makes them through its Generator, and every
-    cell's row on that stream applies them to its N slots in order, with the
-    cell's own saving and split parameters and run_time_step's operations and
-    clamp.  So each economy gets run_time_step's bits.  ``wealth`` and
-    ``saving`` (drawn propensities only, else None) are the block's own
-    arrays, which the kernel reads and writes in place; :meth:`step` only
-    advances, and the relaxation observable is taken by its caller.
+    of one flat array.  The block takes each stream's PCG64 state once, through
+    ``bit_generator.state``, into words of its own, and leaves the streams'
+    Generators where init left them.  On every step each stream makes exactly
+    the draws :func:`exchange._step_plan` lists, as :func:`exchange.run_time_step`
+    makes them through its Generator, and every cell's row on that stream
+    applies them to its N slots in order, with the cell's own saving and split
+    parameters and run_time_step's operations and clamp.  So each economy gets
+    run_time_step's bits.  ``wealth`` and ``saving`` (drawn propensities only,
+    else None) are the block's own arrays, which the kernel reads and writes in
+    place.
     """
 
     def __init__(
@@ -71,7 +73,9 @@ class EnsembleBlock:
         ensembles: list[AgentEnsemble],
         rngs: list[RngStream],
     ):
-        self._step = library().kx_step
+        states = np.array([pcg64_words(rng.gen.bit_generator) for rng in rngs], dtype=np.uint64)
+        lib = library()
+        self._step, self._run = lib.kx_step, lib.kx_run
         specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
         spec = specs[0]
         n = ensembles[0].n_agents
@@ -95,13 +99,11 @@ class EnsembleBlock:
             if spec.rule == DISTRIBUTED_SAVING
             else None
         )
-        # The kernel's bitgen_t pointers point into these bit generators.
-        self._bit_generators = [rng.gen.bit_generator for rng in rngs]
         _, (_, _, partner_span, _), *splits = _step_plan(spec, n)
         windows = [args[:2] if name == "uniform" else (0.0, 1.0) for name, *args in splits]
         # Every array the kernel reads or writes, held for the block's lifetime.
         self._arrays = arrays = [
-            np.array([bg.ctypes.bit_generator.value for bg in self._bit_generators], dtype=np.uintp),
+            states,
             lattice,
             np.array(windows, dtype=np.float64).reshape(-1),
             np.array([0.0 if s.eps_fixed is None else s.eps_fixed for s in specs]),
@@ -128,3 +130,12 @@ class EnsembleBlock:
     def step(self) -> None:
         """Run one time step (N slots) of every row in place."""
         self._step(*self._args)
+
+    def run(self, steps: int) -> np.ndarray:
+        """Run ``steps`` time steps in one kernel call.  Returns (rows, steps):
+        row r's sum_i |w_i(after) - w_i(before)| over step t, the value
+        run_time_step returns, summed in numpy's order."""
+        xs = np.empty((self.rows, steps))
+        before = np.empty_like(self._wealth)
+        self._run(*self._args, steps, before.ctypes.data, xs.ctypes.data)
+        return xs

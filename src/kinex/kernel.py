@@ -1,7 +1,11 @@
 """The compiled kernel, ``_kernel.c``, built on first use and loaded with ctypes.
 
-It holds the wealth models' step (``kx_step`` and its draws) and the resistor
-lattice's sweeps (``kx_sweep``, ``kx_relax``, ``kx_neighbor_sum``).
+It holds the wealth models' step (``kx_step``, its draws on PCG64 state the
+caller owns, and ``kx_run``, a relaxation block's whole series) and the
+resistor lattice's sweeps (``kx_sweep``, ``kx_relax``, ``kx_neighbor_sum``).
+The kernel steps numpy's PCG64 itself, from the state that
+:func:`pcg64_words` reads through ``PCG64.state``; the draw check is what holds
+it to the installed numpy.
 :func:`library` compiles the source with the system C compiler (``cc``) into
 ``_build/`` beside it, under a name keyed by the source digest, the flags and
 the platform, loads it, and holds its draws to numpy's ``Generator``, once per
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DrawMismatch, KernelBuildError
+from .errors import DrawMismatch, InvalidParameter, KernelBuildError
 from .streams import RngStream, replay
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -37,10 +41,13 @@ FLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
 _int, _i64, _u64, _f64, _ptr = (
     ctypes.c_int, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
 )
+_STEP = (_int, _i64, _i64, _i64, _ptr, _u64, _ptr, _int, *[_ptr] * 9)  # kx_step's arguments
 _SIGNATURES = {  # name: (restype, argtypes)
     "kx_integers": (None, (_ptr, _u64, _i64, _ptr)),
     "kx_uniform": (None, (_ptr, _f64, _f64, _i64, _ptr)),
-    "kx_step": (None, (_int, _i64, _i64, _i64, _ptr, _u64, _ptr, _int, *[_ptr] * 9)),
+    "kx_step": (None, _STEP),
+    "kx_pairwise_sum": (_f64, (_ptr, _i64)),
+    "kx_run": (None, (*_STEP, _i64, _ptr, _ptr)),
     "kx_neighbor_sum": (None, (_i64, *[_ptr] * 4)),
     "kx_sweep": (_f64, (_i64, *[_ptr] * 5)),
     "kx_relax": (None, (_i64, *[_ptr] * 5, _i64, _ptr)),
@@ -88,22 +95,40 @@ def library() -> ctypes.CDLL:
     return lib
 
 
+def pcg64_words(bit_generator) -> list[int]:
+    """A PCG64 bit generator's state as the kernel's six words: state low and
+    high, increment low and high, has_uint32 and uinteger."""
+    state = bit_generator.state
+    if state["bit_generator"] != "PCG64":
+        raise InvalidParameter(f"the kernel steps PCG64 streams, not {state['bit_generator']}")
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return [s % 2**64, s >> 64, inc % 2**64, inc >> 64, state["has_uint32"], state["uinteger"]]
+
+
 def kernel_draws(lib: ctypes.CDLL, bit_generator, plan: tuple) -> list[np.ndarray]:
     """Make the draws ``plan`` lists, ``(name, *args)`` Generator calls as in
-    :func:`exchange._step_plan`, through the kernel on ``bit_generator``."""
-    bitgen = bit_generator.ctypes.bit_generator
+    :func:`exchange._step_plan`, through the kernel on the state of
+    ``bit_generator``, a PCG64, and leave it where the kernel left it."""
+    words = np.array(pcg64_words(bit_generator), dtype=np.uint64)
     out = []
     for name, *args in plan:
         if name == "integers":
             low, high, size = args
             values = np.empty(size, dtype=np.int64)
-            lib.kx_integers(bitgen, high - low, size, values.ctypes.data)
+            lib.kx_integers(words.ctypes.data, high - low, size, values.ctypes.data)
             values += low
         else:  # random(size) is uniform(0.0, 1.0, size)
             lo, hi, size = args if name == "uniform" else (0.0, 1.0, *args)
             values = np.empty(size)
-            lib.kx_uniform(bitgen, lo, hi, size, values.ctypes.data)
+            lib.kx_uniform(words.ctypes.data, lo, hi, size, values.ctypes.data)
         out.append(values)
+    s_lo, s_hi, inc_lo, inc_hi, has_uint32, uinteger = map(int, words)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
     return out
 
 
@@ -123,8 +148,8 @@ def check_draws(lib: ctypes.CDLL) -> None:
 
     Raises DrawMismatch when any draw differs, or when a stream does not
     continue as the Generator's does (a pending half lost or kept wrongly),
-    for example under a numpy whose Generator maps the bit generator's output
-    differently, instead of letting a run continue on different bits.
+    for example under a numpy whose PCG64 steps, or whose Generator maps its
+    output, otherwise, instead of letting a run continue on different bits.
     """
     mismatch = DrawMismatch(f"the step kernel's draws differ from the Generator of numpy {np.__version__}")
     for plan in _CHECK_PLANS:

@@ -60,10 +60,8 @@ def _block_series(args) -> np.ndarray:
     configuration of each cell.
     """
     specs, n, t_max, master_seed, start, stop = args
-    block = _cells_block(specs, n, master_seed, start, stop)
-    xs = np.empty((block.rows, t_max))
-    for t, changes in enumerate(_block_changes(block, t_max)):
-        xs[:, t] = changes / n
+    xs = _cells_block(specs, n, master_seed, start, stop).run(t_max)
+    xs /= n
     return xs.reshape(len(specs), stop - start, t_max)
 
 
@@ -71,26 +69,16 @@ def _cells_block(specs, n: int, master_seed: int, start: int, stop: int):
     """One block.EnsembleBlock of every cell's configurations on streams [start, stop)."""
     from .block import EnsembleBlock  # not at import: the CLI's start need not compile it
 
+    rngs = [RngStream(master_seed, c) for c in range(start, stop)]
+    fresh = [rng.gen.bit_generator.state for rng in rngs]
     ensembles = []
     for spec in specs:
-        # every cell's init makes the same draws, so the streams left by the
-        # last cell's stand where every cell's would
-        rngs = [RngStream(master_seed, c) for c in range(start, stop)]
-        ensembles += [init_ensemble(spec, n, rng) for rng in rngs]
+        # every cell's init makes the same draws from the same fresh stream, so
+        # the streams left by the last cell's stand where every cell's would
+        for rng, state in zip(rngs, fresh):
+            rng.gen.bit_generator.state = state
+            ensembles.append(init_ensemble(spec, n, rng))
     return EnsembleBlock(specs, ensembles, rngs)
-
-
-def _block_changes(block, steps: int):
-    """Step ``block``, an EnsembleBlock, ``steps`` times, yielding after each
-    step every row's sum_i |w_i(after) - w_i(before)|, the value run_time_step
-    returns."""
-    before = np.empty_like(block.wealth)
-    for _ in range(steps):
-        np.copyto(before, block.wealth)
-        block.step()
-        np.subtract(block.wealth, before, out=before)
-        np.abs(before, out=before)
-        yield before.reshape(block.rows, block.n_agents).sum(axis=1)
 
 
 def average_series(

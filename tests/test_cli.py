@@ -282,6 +282,25 @@ class TestCommands:
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_relax_on_a_kernel_whose_draws_differ_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, threads
+    ):
+        # a kernel built from a source whose PCG64 multiplier is off in one bit
+        from kinex import kernel
+
+        broken = tmp_path / "_kernel.c"
+        broken.write_text(kernel.SOURCE.read_text().replace("0x4385df649fccf645ULL", "0x4385df649fccf647ULL"))
+        monkeypatch.setattr(kernel, "SOURCE", broken)
+        monkeypatch.setattr(kernel, "BUILD_DIR", tmp_path / "cache")
+        kernel.library.cache_clear()
+        p = write_cfg(tmp_path, BASE)
+        argv = ["relax", "--config", str(p), "--out", str(tmp_path / "e"), "--threads", threads]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kinex: DrawMismatch") and err.count("\n") == 1
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("error", ["DrawMismatch", "KernelBuildError"])
     def test_rrn_kernel_errors_exit_2_with_one_line(
         self, tmp_path, capsys, monkeypatch, error, threads

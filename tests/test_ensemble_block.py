@@ -41,7 +41,8 @@ from kinex.exchange import (
     RULES,
     _draw_pairs,
 )
-from kinex.relaxation import _block_changes, run_relaxation
+from kinex import block as block_module, relaxation
+from kinex.relaxation import run_relaxation
 from kinex.errors import InvalidParameter
 from kinex.streams import map_stream_blocks
 
@@ -68,9 +69,26 @@ def _per_config(spec, n, steps, seed, streams):
     return np.array(traces), np.concatenate(finals)
 
 
-def _block(spec, n, steps, seed, streams):
+def _block_changes(block, steps: int):
+    """Step ``block`` ``steps`` times, yielding after each step every row's
+    sum_i |w_i(after) - w_i(before)|, the value run_time_step returns: the
+    per-step numpy reference for EnsembleBlock.run."""
+    before = np.empty_like(block.wealth)
+    for _ in range(steps):
+        np.copyto(before, block.wealth)
+        block.step()
+        np.subtract(block.wealth, before, out=before)
+        np.abs(before, out=before)
+        yield before.reshape(block.rows, block.n_agents).sum(axis=1)
+
+
+def _block_of(spec, n, seed, streams):
     rngs = [RngStream(seed, c) for c in streams]
-    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    return EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+
+
+def _block(spec, n, steps, seed, streams):
+    block = _block_of(spec, n, seed, streams)
     traces = np.array(list(_block_changes(block, steps))).T
     return traces, block.wealth
 
@@ -686,8 +704,9 @@ def test_block_row_carries_a_pending_half_across_steps(spec):
     ids=["pure_gambling", "general_lattice"],
 )
 def test_block_holds_the_generators_its_kernel_draws_from(spec):
-    # The kernel reads each stream through a pointer into its bit generator;
-    # the block must keep those alive after its caller lets go of the streams.
+    # The block steps state words of its own, taken from each stream once; it
+    # must step on alike after its caller lets go of the streams and their
+    # memory is reused.
     n, rows, steps = 9, 3, 5
     want_traces, want_final = _per_config(spec, n, steps, 23, range(rows))
     rngs = [RngStream(23, c) for c in range(rows)]
@@ -698,3 +717,99 @@ def test_block_holds_the_generators_its_kernel_draws_from(spec):
     traces = np.array(list(_block_changes(block, steps))).T
     assert traces.tobytes() == want_traces.tobytes()
     assert block.wealth.tobytes() == want_final.tobytes()
+
+
+ORDER_SIZES = (2, 7, 8, 9, 100, 128, 129, 1000, 1024)
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize(
+    "pairing,n",
+    [("mean_field", n) for n in ORDER_SIZES] + [(LATTICE_2D, n) for n in (9, 100, 1024)],
+)
+def test_run_traces_are_the_per_step_numpy_sums(rule, pairing, n):
+    # run sums each row's |dw| in numpy's pairwise order, so its traces are the
+    # bytes that stepping the block and summing with numpy give, at sizes on
+    # both sides of the 8-value unroll and of the 128-value block.
+    side = round(n**0.5)
+    spec = ModelSpec(
+        rule=rule,
+        pairing=pairing,
+        lattice_side=side if pairing == LATTICE_2D else None,
+        lambda_fixed=0.3,
+        lambda_window=(0.1, 0.9),
+        eps1_window=(-0.5, 1.5),
+        init="uniform_random",
+    )
+    steps, streams = 4, range(2, 5)
+    reference, ran = (_block_of(spec, n, 7, streams) for _ in range(2))
+    want = np.array(list(_block_changes(reference, steps))).T
+    got = ran.run(steps)
+    assert got.tobytes() == want.tobytes()
+    assert ran.wealth.tobytes() == reference.wealth.tobytes()
+
+
+def test_kernel_row_sum_is_numpy_s():
+    # Values over ten decades, so that any other order of the additions
+    # rounds differently somewhere.
+    lib = kernel.library()
+    for n in [*range(1, 301), 2048, 4097]:
+        rng = np.random.default_rng(n)
+        rows = rng.random((3, n)) * 10.0 ** rng.integers(-5, 5, (3, n))
+        got = np.array([lib.kx_pairwise_sum(row.ctypes.data, n) for row in rows])
+        assert got.tobytes() == rows.sum(axis=1).tobytes(), n
+
+
+def test_run_allocates_only_its_traces_and_one_copy_of_the_wealth():
+    spec = ModelSpec(rule="distributed_saving", lambda_window=(0.0, 1.0), eps_fixed=0.5)
+    rows, n, steps = 100, 100, 50
+    block = _block_of(spec, n, 17, range(rows))
+    block.run(2)
+    tracemalloc.start()
+    try:
+        xs = block.run(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xs.shape == (rows, steps)
+    assert xs.nbytes + block.wealth.nbytes <= peak < xs.nbytes + block.wealth.nbytes + 2048
+
+
+def test_a_relaxation_block_constructs_one_stream_per_configuration(monkeypatch):
+    # Every cell's init starts from the same fresh stream, restored from its
+    # saved state, not from a stream built again for every cell.
+    built = []
+
+    def counting(master_seed, stream_index):
+        built.append(stream_index)
+        return RngStream(master_seed, stream_index)
+
+    monkeypatch.setattr(relaxation, "RngStream", counting)
+    specs = tuple(
+        ModelSpec(rule="distributed_saving", lambda_window=w, eps_fixed=0.5)
+        for w in [(0.0, 1.0), (0.5, 1.0), (0.7, 1.0)]
+    )
+    got = run_relaxation(specs, 12, 10, 8, master_seed=5, workers=1)
+    assert sorted(built) == list(range(8))
+    for spec, series in zip(specs, got):
+        acc = np.zeros(10)
+        for c in range(8):
+            rng = RngStream(5, c)
+            ens = init_ensemble(spec, 12, rng)
+            acc += np.array([run_time_step(ens, spec, rng) / 12 for _ in range(10)])
+        assert series.x_mean.tobytes() == (acc / 8).tobytes()
+
+
+def test_block_refuses_a_stream_that_is_not_pcg64(monkeypatch):
+    # The kernel steps PCG64 state, so any other bit generator is refused
+    # before the block calls into the kernel at all.
+    def no_kernel():
+        raise AssertionError("the block loaded the kernel")
+
+    monkeypatch.setattr(block_module, "library", no_kernel)
+    spec = ModelSpec(rule="pure_gambling", eps_fixed=0.5)
+    rngs = [RngStream(1, c) for c in range(3)]
+    ensembles = [init_ensemble(spec, 8, rng) for rng in rngs]
+    rngs[1]._gen = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(InvalidParameter, match="MT19937"):
+        EnsembleBlock(spec, ensembles, rngs)

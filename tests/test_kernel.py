@@ -7,6 +7,7 @@ where the Generator would leave it, a pending 32-bit half included.
 """
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from kinex import kernel
-from kinex.errors import DrawMismatch, KernelBuildError
+from kinex.errors import DrawMismatch, InvalidParameter, KernelBuildError
 from kinex.distribution import run_equilibrium
 from kinex.exchange import ModelSpec
 from kinex.relaxation import run_relaxation
@@ -141,19 +142,96 @@ def test_kernel_integers_match_generator_at_the_edges_of_the_32_bit_path(span):
     assert_continues_alike(g, oracle)
 
 
+# numpy's PCG64 (O'Neill's XSL-RR 128/64): state <- state * MULTIPLIER + inc
+# mod 2**128, then the output rotates by the new state's top 6 bits.
+MULTIPLIER = 0x2360ED051FC65DA4_4385DF649FCCF645
+WRAP = 2**128
+INC = 0xDA3E39CB94B95BDB_5851F42D4C957F2D  # odd, high bit set
+
+
+def _generator_at(state, inc=INC, has_uint32=0, uinteger=0):
+    """A Generator on a PCG64 whose state is set by hand."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
+    return np.random.Generator(bit_generator)
+
+
+def _state_before(after, inc=INC):
+    """The state that one step takes to ``after``."""
+    return (after - inc) * pow(MULTIPLIER, -1, WRAP) % WRAP
+
+
+@pytest.mark.parametrize(
+    "state,inc,has_uint32,uinteger",
+    [
+        (_state_before(0x0123456789ABCDEF_FEDCBA9876543210), INC, 0, 0),  # rotation 0
+        (_state_before(0xFD23456789ABCDEF_FEDCBA9876543210), INC, 0, 0),  # rotation 63
+        (WRAP - 1, INC, 0, 0),
+        (_state_before(INC - 1), INC, 0, 0),  # state * MULTIPLIER is 2**128 - 1: + inc wraps
+        (0, 2**127 + 1, 0, 0),  # a high-bit increment on a zero state
+        (12345, INC, 1, 0xDEADBEEF),  # a half pending on entry
+        (_state_before(0x03 << 120, inc=1), 1, 1, 2**32 - 1),  # pending, then rotation 0
+    ],
+    ids=["rotation_0", "rotation_63", "max_state", "wrap", "high_bit_inc", "pending", "pending_rotation_0"],
+)
+@pytest.mark.parametrize(
+    "plan",
+    [
+        (("random", 2), ("integers", 0, REJECTING[0], 7), ("uniform", -1.0, 2.0, 3)),
+        (("integers", 0, 2**32 - 1, 3), ("random", 1), ("integers", 0, 100, 5)),  # odd: pending on exit
+    ],
+    ids=["double_first", "integers_first"],
+)
+def test_kernel_steps_pcg64_as_numpy_does_at_its_edges(state, inc, has_uint32, uinteger, plan):
+    lib = kernel.library()
+    g, oracle = (_generator_at(state, inc, has_uint32, uinteger) for _ in range(2))
+    assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+    assert g.bit_generator.state == oracle.bit_generator.state
+    assert_continues_alike(g, oracle)
+
+
+def test_kernel_draws_refuse_a_stream_that_is_not_pcg64():
+    g = np.random.Generator(np.random.MT19937(5))
+    with pytest.raises(InvalidParameter, match="MT19937"):
+        kernel.kernel_draws(kernel.library(), g.bit_generator, (("random", 3),))
+
+
+def _c_definitions() -> dict[str, int]:
+    """Every non-static kx_* function defined in _kernel.c: name -> argument count."""
+    source = kernel.SOURCE.read_text()
+    found = re.findall(r"^(\w[\w ]*?[ *])(kx_\w+)\(([^)]*)\)\s*\{", source, flags=re.M)
+    return {name: len(args.split(",")) for kind, name, args in found if not kind.startswith("static")}
+
+
+def test_every_kernel_function_has_a_ctypes_signature_of_its_arity():
+    # Without argtypes ctypes passes a Python int as a C int, which would
+    # silently cut every 64-bit size, span and pointer.
+    defined = _c_definitions()
+    assert "kx_run" in defined and "kx_step" in defined
+    declared = {name: len(argtypes) for name, (_, argtypes) in kernel._SIGNATURES.items()}
+    assert declared == defined
+
+
 @pytest.mark.parametrize(
     "old,new",
     [
         ("out[k] = (int64_t)(m >> 32);", "out[k] = (int64_t)(m >> 32) ^ 1;"),
-        ("bg->next_double(bg->state)", "(double)(bg->next_uint64(bg->state) >> 12) * 0x1.0p-52"),
-        ("bg->next_uint32(bg->state)", "(uint32_t)bg->next_uint64(bg->state)"),
+        ("(pcg64_next64(&g) >> 11) * 0x1.0p-53", "(pcg64_next64(&g) >> 12) * 0x1.0p-52"),
+        ("m = (uint64_t)pcg64_next32(&g) * span;", "m = (uint64_t)(uint32_t)pcg64_next64(&g) * span;"),
+        ("0x4385df649fccf645ULL", "0x4385df649fccf647ULL"),
     ],
-    ids=["integers_off_by_one_bit", "doubles_on_52_bits", "no_pending_half"],
+    ids=["integers_off_by_one_bit", "doubles_on_52_bits", "no_pending_half", "wrong_multiplier"],
 )
 def test_library_refuses_a_build_whose_draws_differ(tmp_path, monkeypatch, fresh_library, old, new):
     # Kernels built from broken copies of the source: integers off in their
-    # lowest bit, doubles one ulp off for half of all values, and 32-bit values
-    # that each use up a whole word, so that no half is ever left pending.
+    # lowest bit, doubles one ulp off for half of all values, 32-bit values
+    # that each use up a whole word, so that no half is ever left pending, and
+    # a PCG64 multiplier off in one bit.
     source = kernel.SOURCE.read_text()
     assert old in source
     broken = tmp_path / "_kernel.c"
