@@ -1,5 +1,5 @@
 /* The compiled kernel of kinex: one time step of a block of economies, a
- * relaxation block's whole series, and one sweep of a resistor lattice.
+ * relaxation block's whole series, and a resistor lattice's series of sweeps.
  *
  * Each stream makes exactly the draws that exchange._step_plan lists, as
  * Generator.integers, random and uniform would, on the stream's own PCG64 state,
@@ -203,19 +203,43 @@ void kx_run(int rule, int64_t n, int64_t streams, int64_t cells, uint64_t *state
     }
 }
 
-/* sum_nb g_nb V_nb for the L nodes of one interior row, the terms added in the
- * order up, down, right, left.  The lattice wraps horizontally: g_h[c] joins
- * node c to node c + 1 mod L.  v_up, v and v_dn are the potentials of the rows
- * above, at and below it; out may not alias them. */
-static void neighbor_sum_row(int64_t L, const double *g_up, const double *g_dn, const double *g_h,
-                             const double *v_up, const double *v, const double *v_dn,
-                             double *restrict out)
+/* kx_relax gets an AVX2 clone beside its baseline build, and the loader picks
+ * one by the CPU; both do the same IEEE operations in the same order, so
+ * their bits agree.  Other compilers and targets build the baseline alone. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define KX_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define KX_CLONES
+#endif
+
+/* The stencil of one interior row, stated once: node c's neighbour sum
+ * sum_nb g_nb V_nb, the terms added in the order up, down, right, left.  The
+ * lattice wraps horizontally: g_h[c] joins node c to node c + 1 mod L.  v_up, v
+ * and v_dn are the potentials of the rows above, at and below it; out may not
+ * alias them.  Without sum, out gets the neighbour sums; with it, out gets
+ * each sum over the weight w[c], and each |out[c] - v[c]| is added to *sum,
+ * left to right.  Always inlined, so that each caller, and each clone of
+ * kx_relax, compiles and vectorizes its own copy with the branch on sum gone. */
+static inline __attribute__((always_inline)) void
+stencil_row(int64_t L, const double *g_up, const double *g_dn, const double *g_h,
+            const double *v_up, const double *v, const double *v_dn, const double *w,
+            double *restrict out, double *sum)
 {
-    out[0] = g_up[0] * v_up[0] + g_dn[0] * v_dn[0] + g_h[0] * v[1] + g_h[L - 1] * v[L - 1];
+#define NODE(c, right, left)                                                            \
+    do {                                                                                \
+        double x = g_up[c] * v_up[c] + g_dn[c] * v_dn[c] + g_h[c] * v[right]            \
+                   + g_h[left] * v[left];                                               \
+        if (sum) {                                                                      \
+            x /= w[c];                                                                  \
+            *sum += fabs(x - v[c]);                                                     \
+        }                                                                               \
+        out[c] = x;                                                                     \
+    } while (0)
+    NODE(0, 1, L - 1);
     for (int64_t c = 1; c < L - 1; c++)
-        out[c] = g_up[c] * v_up[c] + g_dn[c] * v_dn[c] + g_h[c] * v[c + 1] + g_h[c - 1] * v[c - 1];
-    out[L - 1] = g_up[L - 1] * v_up[L - 1] + g_dn[L - 1] * v_dn[L - 1] + g_h[L - 1] * v[0]
-                 + g_h[L - 2] * v[L - 2];
+        NODE(c, c + 1, c - 1);
+    NODE(L - 1, 0, L - 2);
+#undef NODE
 }
 
 /* The neighbour sums of the L - 2 interior rows of an L x L lattice (L >= 3)
@@ -225,43 +249,40 @@ void kx_neighbor_sum(int64_t L, const double *cond_v, const double *cond_h,
                      const double *potential, double *out)
 {
     for (int64_t r = 1; r < L - 1; r++)
-        neighbor_sum_row(L, cond_v + (r - 1) * L, cond_v + r * L, cond_h + r * L,
-                         potential + (r - 1) * L, potential + r * L, potential + (r + 1) * L,
-                         out + (r - 1) * L);
+        stencil_row(L, cond_v + (r - 1) * L, cond_v + r * L, cond_h + r * L,
+                    potential + (r - 1) * L, potential + r * L, potential + (r + 1) * L, 0,
+                    out + (r - 1) * L, 0);
 }
 
-/* One Jacobi sweep in place: every interior potential becomes its neighbour
- * sum over weight_sum, (L - 2) x L, all from the previous sweep's potentials.
- * Returns the mean |dV| over the interior, summed in row-major order.  rows
- * holds 2 L doubles: the old potentials of the row above and of the row being
- * written. */
-double kx_sweep(int64_t L, const double *cond_v, const double *cond_h, const double *weight_sum,
-                double *potential, double *rows)
-{
-    const double *up = potential;  /* row 0 never changes */
-    double *old = rows, *spare = rows + L;
-    double sum = 0.0;
-    for (int64_t r = 1; r < L - 1; r++) {
-        double *v = potential + r * L;
-        const double *w = weight_sum + (r - 1) * L;
-        memcpy(old, v, (size_t)L * sizeof *v);
-        neighbor_sum_row(L, cond_v + (r - 1) * L, cond_v + r * L, cond_h + r * L, up, old, v + L, v);
-        for (int64_t c = 0; c < L; c++) {
-            v[c] /= w[c];
-            sum += fabs(v[c] - old[c]);
-        }
-        up = old;
-        old = spare;
-        spare = (double *)up;
-    }
-    return sum / (double)((L - 2) * L);
-}
-
-/* t_max sweeps in place, the mean |dV| of sweep t into xs[t]: one
- * realization's whole series in one call. */
+/* t_max Jacobi sweeps of the lattice, one realization's whole series in one
+ * call: in each, every interior potential becomes its neighbour sum over
+ * weight_sum, (L - 2) x L, all from the previous sweep's potentials, and xs[t]
+ * is sweep t's mean |dV| over the interior, summed in row-major order.
+ *
+ * spare is a second L x L buffer.  Sweeps alternate between potential and
+ * spare, each reading one and writing the other's interior, one pass per row;
+ * after an odd t_max the interior is copied back into potential.  The
+ * boundary rows are copied into spare on every call, so the caller may write
+ * potential, boundary rows included, between calls. */
+KX_CLONES
 void kx_relax(int64_t L, const double *cond_v, const double *cond_h, const double *weight_sum,
-              double *potential, double *rows, int64_t t_max, double *xs)
+              double *potential, double *spare, int64_t t_max, double *xs)
 {
-    for (int64_t t = 0; t < t_max; t++)
-        xs[t] = kx_sweep(L, cond_v, cond_h, weight_sum, potential, rows);
+    const size_t row = (size_t)L * sizeof *potential;
+    memcpy(spare, potential, row);
+    memcpy(spare + (L - 1) * L, potential + (L - 1) * L, row);
+    double *src = potential, *dst = spare;
+    for (int64_t t = 0; t < t_max; t++) {
+        double sum = 0.0;
+        for (int64_t r = 1; r < L - 1; r++)
+            stencil_row(L, cond_v + (r - 1) * L, cond_v + r * L, cond_h + r * L,
+                        src + (r - 1) * L, src + r * L, src + (r + 1) * L,
+                        weight_sum + (r - 1) * L, dst + r * L, &sum);
+        xs[t] = sum / (double)((L - 2) * L);
+        double *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != potential)
+        memcpy(potential + L, src + L, (size_t)(L - 2) * row);
 }

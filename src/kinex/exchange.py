@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,7 +75,8 @@ class ModelSpec:
             raise InvalidParameter(f"lambda_fixed={self.lambda_fixed} outside [0,1)")
         if self.rule == DISTRIBUTED_SAVING:
             lo, hi = self.lambda_window
-            # draws are half-open [lo, hi), so hi == 1 still keeps every lambda < 1
+            # saving_propensities keeps every draw in [lo, hi), so hi == 1 still
+            # keeps every lambda < 1
             if not (0.0 <= lo < hi <= 1.0):
                 raise InvalidParameter(f"lambda_window={self.lambda_window} invalid")
         if self.eps_fixed is not None and not 0.0 <= self.eps_fixed <= 1.0:
@@ -142,10 +144,19 @@ def init_ensemble(spec: ModelSpec, n: int, rng: RngStream) -> AgentEnsemble:
 
 def saving_propensities(spec: ModelSpec, n: int, g: np.random.Generator | None = None) -> np.ndarray:
     """``n`` quenched saving propensities: drawn from ``g`` under distributed
-    saving, else the rule's constant (lambda_fixed, or 0 without saving)."""
+    saving, uniform in [lo, hi), else the rule's constant (lambda_fixed, or 0
+    without saving).
+
+    ``lo + (hi - lo) * u`` can round up to ``hi`` for ``u`` just below 1 (for
+    the window (0.5, 1) at the largest ``u``, or for half of all ``u`` when
+    ``hi - lo`` is one ulp), so such a draw is set to the largest double below
+    ``hi``: a window ending at 1 leaves every propensity below 1, which the
+    saving rules require.
+    """
     if spec.rule == DISTRIBUTED_SAVING:
         lo, hi = spec.lambda_window
-        return lo + (hi - lo) * g.random(n)
+        lam = lo + (hi - lo) * g.random(n)
+        return np.minimum(lam, math.nextafter(hi, lo), out=lam)
     return np.full(n, spec.lambda_fixed if spec.rule == FIXED_SAVING else 0.0)
 
 

@@ -2,15 +2,19 @@
 
 It holds the wealth models' step (``kx_step``, its draws on PCG64 state the
 caller owns, and ``kx_run``, a relaxation block's whole series) and the
-resistor lattice's sweeps (``kx_sweep``, ``kx_relax``, ``kx_neighbor_sum``).
-The kernel steps numpy's PCG64 itself, from the state that
-:func:`pcg64_words` reads through ``PCG64.state``; the draw check is what holds
-it to the installed numpy.
+resistor lattice's stencil (``kx_neighbor_sum``) and its series of Jacobi
+sweeps (``kx_relax``; one sweep is ``t_max = 1``).  The kernel steps numpy's
+PCG64 itself, from the state that :func:`pcg64_words` reads through
+``PCG64.state``; the draw check is what holds it to the installed numpy.
 :func:`library` compiles the source with the system C compiler (``cc``) into
 ``_build/`` beside it, under a name keyed by the source digest, the flags and
-the platform, loads it, and holds its draws to numpy's ``Generator``, once per
-process.  The wealth-model and rrn runs call it in the main thread before any
-block starts, so that worker threads never race its build or its draw check.
+the platform, loads it, holds its draws to numpy's ``Generator``
+(:func:`check_draws`) and its sweeps to a numpy stencil (:func:`check_sweep`),
+once per process.  On x86-64 with gcc, ``kx_relax`` is built twice, for
+baseline x86-64 and for AVX2, and the loader picks the clone the CPU runs; the
+sweep check holds whichever it picked.  The wealth-model and rrn runs call
+:func:`library` in the main thread before any block starts, so that worker
+threads never race its build or its checks.
 Only the runs, :mod:`block` and the lattices of :mod:`rrn` import this module:
 the CLI's start neither builds nor loads the kernel.
 """
@@ -27,15 +31,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DrawMismatch, InvalidParameter, KernelBuildError
+from .errors import DrawMismatch, InvalidParameter, KernelBuildError, SweepMismatch
 from .streams import RngStream, replay
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 BUILD_DIR = Path(__file__).with_name("_build")
 # No FMA contraction, no fast-math and no -march=native: the kernel has to do
 # run_time_step's floating-point operations, and the sweep's, exactly as they
-# are written.  Vectorizing reorders no floating-point operation; it makes a
-# sweep at L = 100 about 1.6x faster.
+# are written.  A fused multiply-add rounds once where a * b + c rounds twice,
+# so contraction would change bits, and differently where the AVX2 clone of
+# kx_relax could fuse and the baseline build could not.  Vectorizing, at any
+# width, reorders no floating-point operation, and IEEE +, *, / and fabs give
+# the same bits in a vector lane as in a scalar; it makes a sweep at L = 100
+# about 1.6x faster, and the AVX2 clone about 1.2x more.
 FLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
 
 _int, _i64, _u64, _f64, _ptr = (
@@ -49,7 +57,6 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "kx_pairwise_sum": (_f64, (_ptr, _i64)),
     "kx_run": (None, (*_STEP, _i64, _ptr, _ptr)),
     "kx_neighbor_sum": (None, (_i64, *[_ptr] * 4)),
-    "kx_sweep": (_f64, (_i64, *[_ptr] * 5)),
     "kx_relax": (None, (_i64, *[_ptr] * 5, _i64, _ptr)),
 }
 
@@ -81,7 +88,8 @@ def _compile(path: Path) -> None:
 @functools.cache
 def library() -> ctypes.CDLL:
     """The kernel, built if its cache holds no build of this source,
-    loaded and checked (:func:`check_draws`), once per process."""
+    loaded and checked (:func:`check_draws`, :func:`check_sweep`), once per
+    process."""
     key = hashlib.blake2b(SOURCE.read_bytes(), digest_size=8)
     key.update(repr((FLAGS, sys.platform, platform.machine())).encode())
     path = BUILD_DIR / f"kernel-{key.hexdigest()}.so"
@@ -92,6 +100,7 @@ def library() -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     check_draws(lib)
+    check_sweep(lib)
     return lib
 
 
@@ -165,3 +174,43 @@ def check_draws(lib: ctypes.CDLL) -> None:
         for g, oracle in zip(gens, oracles):
             if g.integers(0, 2**31 + 1, 3).tobytes() != oracle.integers(0, 2**31 + 1, 3).tobytes():
                 raise mismatch
+
+
+def check_sweep(lib: ctypes.CDLL) -> None:
+    """Hold the kernel's lattice stencil and sweeps to numpy on a fixed lattice.
+
+    Three sweeps (odd, so the kernel copies its result back) of a 13 x 13
+    lattice with random potentials, boundary rows included: 11 middle nodes a
+    row, so a vectorized loop runs its remainder too, at 2 or 4 lanes.  The
+    numpy form is the np.roll stencil with its mean |dV| summed strictly in
+    row-major order.  Raises SweepMismatch when the weight sums, any sweep's
+    value or the final potentials differ in any bit, for example under a build
+    whose compiler fused or reordered an operation, instead of letting a run
+    continue on different bits.
+    """
+    L, sweeps = 13, 3
+    g = np.random.default_rng(_CHECK_SEED)
+    cond_h, cond_v, potential = g.random((L, L)) + 0.1, g.random((L - 1, L)) + 0.1, g.random((L, L))
+    g_h = cond_h[1:-1]
+    g_left = np.roll(g_h, 1, axis=1)
+    weight_sum = cond_v[:-1] + cond_v[1:] + g_h + g_left
+    ones, got_weights = np.ones((L, L)), np.empty((L - 2, L))
+    lib.kx_neighbor_sum(
+        L, cond_v.ctypes.data, cond_h.ctypes.data, ones.ctypes.data, got_weights.ctypes.data
+    )
+
+    want, want_xs = potential.copy(), np.empty(sweeps)
+    for t in range(sweeps):
+        v = want[1:-1]
+        new = (cond_v[:-1] * want[:-2] + cond_v[1:] * want[2:] + g_h * np.roll(v, -1, axis=1)
+               + g_left * np.roll(v, 1, axis=1)) / weight_sum
+        d = np.abs(new - v).ravel()
+        want_xs[t] = np.add.accumulate(d)[-1] / d.size
+        want[1:-1] = new
+    spare, xs = np.empty((L, L)), np.empty(sweeps)
+    lib.kx_relax(L, cond_v.ctypes.data, cond_h.ctypes.data, weight_sum.ctypes.data,
+                 potential.ctypes.data, spare.ctypes.data, sweeps, xs.ctypes.data)
+    if (got_weights.tobytes(), xs.tobytes(), potential.tobytes()) != (
+        weight_sum.tobytes(), want_xs.tobytes(), want.tobytes()
+    ):
+        raise SweepMismatch("the kernel's lattice sweep differs from the numpy stencil")

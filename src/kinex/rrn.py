@@ -42,7 +42,10 @@ class ResistorLattice:
     taken here, so construction refuses any array whose shape, dtype or layout
     the kernel would misread, before any call into it, and the lattice is
     frozen.  The conductances must not change after construction; the
-    potentials may be written in place.
+    potentials may be written in place, boundary rows included, between
+    sweeps.  The lattice also owns a second L x L buffer: the kernel's sweeps
+    alternate between it and ``potential``, each reading one and writing the
+    other, and leave the result in ``potential``.
     """
 
     side: int
@@ -52,7 +55,7 @@ class ResistorLattice:
     g_window: tuple[float, float]
     weight_sum: np.ndarray = field(init=False, repr=False)
     _kernel: object = field(init=False, repr=False)
-    _rows: np.ndarray = field(init=False, repr=False)
+    _spare: np.ndarray = field(init=False, repr=False)
     _sweep_args: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -76,8 +79,8 @@ class ResistorLattice:
         if not (weight_sum > 0.0).all():
             raise InvalidParameter("every interior node needs a positive sum of conductances")
         setattr_("weight_sum", weight_sum)
-        setattr_("_rows", np.empty(2 * L))  # the sweep's copies of two rows' old potentials
-        arrays = (self.cond_v, self.cond_h, weight_sum, self.potential, self._rows)
+        setattr_("_spare", np.empty((L, L)))
+        arrays = (self.cond_v, self.cond_h, weight_sum, self.potential, self._spare)
         setattr_("_sweep_args", (int(L), *(a.ctypes.data for a in arrays)))
 
     def n_interior(self) -> int:
@@ -141,7 +144,15 @@ def relax_sweep(lat: ResistorLattice) -> float:
     mean absolute potential change over interior nodes, summed in row-major
     order, so its bits are the same on any host with IEEE doubles.
     """
-    return lat._kernel.kx_sweep(*lat._sweep_args)
+    return float(_relax(lat, 1)[0])
+
+
+def _relax(lat: ResistorLattice, t_max: int) -> np.ndarray:
+    """``t_max`` sweeps of ``lat`` in one kernel call; each sweep's mean
+    absolute potential change, as :func:`relax_sweep` returns it."""
+    xs = np.empty(t_max)
+    lat._kernel.kx_relax(*lat._sweep_args, t_max, xs.ctypes.data)
+    return xs
 
 
 def node_current_residuals(lat: ResistorLattice) -> np.ndarray:
@@ -190,10 +201,7 @@ def solve_kirchhoff_dense(lat: ResistorLattice) -> np.ndarray:
 
 
 def _realization_series(L, g_window, t_max, init, rng: RngStream) -> np.ndarray:
-    lat = build_lattice(L, g_window, rng, init=init)
-    xs = np.empty(t_max)
-    lat._kernel.kx_relax(*lat._sweep_args, t_max, xs.ctypes.data)  # t_max relax_sweep calls
-    return xs
+    return _relax(build_lattice(L, g_window, rng, init=init), t_max)
 
 
 def _block_series(args) -> np.ndarray:

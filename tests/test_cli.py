@@ -41,6 +41,18 @@ def break_draw_check(monkeypatch, tmp_path):
     kernel.library.cache_clear()
 
 
+def break_sweep(monkeypatch, tmp_path):
+    """Load a kernel whose sweep divides through a reciprocal, as a build
+    allowed to reassociate might: its draws hold, its sweeps do not."""
+    from kinex import kernel
+
+    broken = tmp_path / "_kernel.c"
+    broken.write_text(kernel.SOURCE.read_text().replace("x /= w[c];", "x *= 1.0 / w[c];"))
+    monkeypatch.setattr(kernel, "SOURCE", broken)
+    monkeypatch.setattr(kernel, "BUILD_DIR", tmp_path / "kernel_cache")
+    kernel.library.cache_clear()
+
+
 def break_build(monkeypatch, tmp_path):
     """Leave no C compiler to build the kernel with, and no build of it."""
     from kinex import kernel
@@ -301,12 +313,15 @@ class TestCommands:
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("error", ["DrawMismatch", "KernelBuildError"])
+    @pytest.mark.parametrize("error", ["DrawMismatch", "SweepMismatch", "KernelBuildError"])
     def test_rrn_kernel_errors_exit_2_with_one_line(
         self, tmp_path, capsys, monkeypatch, error, threads
     ):
         # the resistor lattice's sweep is the same compiled kernel, loaded by the run
-        {"DrawMismatch": break_draw_check, "KernelBuildError": break_build}[error](monkeypatch, tmp_path)
+        breaks = {
+            "DrawMismatch": break_draw_check, "SweepMismatch": break_sweep, "KernelBuildError": break_build
+        }
+        breaks[error](monkeypatch, tmp_path)
         p = write_cfg(tmp_path, {"rrn": {"side": 8, "t_max": 40, "n_configs": 2, "g_windows": [[0.0, 1.0]]}})
         argv = ["rrn", "--config", str(p), "--out", str(tmp_path / "e"), "--threads", threads]
         assert main(argv) == 2

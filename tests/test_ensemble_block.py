@@ -198,6 +198,25 @@ def test_block_of_cells_matches_per_config_bit_for_bit(
         assert got_final[k * streams * n : (k + 1) * streams * n].tobytes() == want_final.tobytes()
 
 
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("redraw", [True, False])
+def test_block_matches_per_config_at_a_window_one_ulp_below_one(pairing, redraw):
+    # Half of the window's raw draws round up to 1.0, which the scalar rule
+    # refuses; both paths must run on the propensities below 1.
+    spec = ModelSpec(
+        rule="distributed_saving",
+        pairing=pairing,
+        lattice_side=3 if pairing == LATTICE_2D else None,
+        eps_fixed=None if redraw else 0.5,
+        lambda_window=(0.9999999999999999, 1.0),
+    )
+    n = 9 if pairing == LATTICE_2D else 12
+    want_traces, want_final = _per_config(spec, n, 4, 8, range(5))
+    got_traces, got_final = _block(spec, n, 4, 8, range(5))
+    assert got_traces.tobytes() == want_traces.tobytes()
+    assert got_final.tobytes() == want_final.tobytes()
+
+
 def test_cells_keep_splits_that_differ_only_in_the_sign_of_zero():
     # eps = -0.0 leaves new_i = -0.0 where eps = 0.0 leaves 0.0, which the
     # observable cannot see, so the final wealth must tell the cells apart.

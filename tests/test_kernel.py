@@ -6,8 +6,12 @@ The kernel's draws must be what ``Generator.integers``, ``random`` and
 where the Generator would leave it, a pending 32-bit half included.
 """
 
+import ctypes
+import itertools
 import os
+import platform
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -17,11 +21,11 @@ import numpy as np
 import pytest
 
 from kinex import kernel
-from kinex.errors import DrawMismatch, InvalidParameter, KernelBuildError
+from kinex.errors import DrawMismatch, InvalidParameter, KernelBuildError, SweepMismatch
 from kinex.distribution import run_equilibrium
 from kinex.exchange import ModelSpec
 from kinex.relaxation import run_relaxation
-from kinex.rrn import run_rrn_relaxation
+from kinex.rrn import LATTICE_INITS, _relax, build_lattice, run_rrn_relaxation
 from kinex.streams import RngStream, replay
 
 # Spans where about half and a quarter of all 32-bit values are rejected.
@@ -241,6 +245,80 @@ def test_library_refuses_a_build_whose_draws_differ(tmp_path, monkeypatch, fresh
     with pytest.raises(DrawMismatch):
         kernel.library()
     assert kernel.library.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("+ g_dn[c] * v_dn[c] + g_h[c] * v[right]", "+ g_h[c] * v[right] + g_dn[c] * v_dn[c]"),
+        ("x /= w[c];", "x *= 1.0 / w[c];"),
+        ("double sum = 0.0;\n        for (int64_t r = 1; r < L - 1; r++)",
+         "double sum = 0.0;\n        for (int64_t r = L - 2; r >= 1; r--)"),
+        ("if (src != potential)", "if (0)"),
+    ],
+    ids=["stencil_terms_reordered", "divide_by_reciprocal", "rows_summed_backwards", "no_copy_back"],
+)
+def test_library_refuses_a_build_whose_sweep_differs(tmp_path, monkeypatch, fresh_library, old, new):
+    # Kernels built from copies of the source that reorder the stencil's
+    # terms, divide through a reciprocal (as fast-math may), sum |dV| in
+    # another order, or leave the third sweep's result in the second buffer:
+    # each passes the draw check and must fail the sweep check.
+    source = kernel.SOURCE.read_text()
+    assert old in source
+    broken = tmp_path / "_kernel.c"
+    broken.write_text(source.replace(old, new))
+    monkeypatch.setattr(kernel, "SOURCE", broken)
+    monkeypatch.setattr(kernel, "BUILD_DIR", tmp_path / "cache")
+    with pytest.raises(SweepMismatch):
+        kernel.library()
+    assert kernel.library.cache_info().currsize == 0
+
+
+CLONES = '__attribute__((target_clones("avx2", "default")))'
+
+
+def _has_avx2() -> bool:
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = re.search(r"^flags\s*:(.*)$", cpuinfo.read_text(), re.M) if cpuinfo.is_file() else None
+    return flags is not None and "avx2" in flags.group(1).split()
+
+
+@pytest.mark.parametrize("variant", ["default", "avx2"])
+def test_each_clone_of_the_sweep_gives_the_library_s_bits(tmp_path, variant):
+    # kx_relax is built twice into one library, and the loader picks a clone
+    # by the CPU.  Build each clone alone, from the source without the
+    # attribute, and hold it to the library byte for byte.
+    if variant == "avx2" and not (platform.machine() in ("x86_64", "AMD64") and _has_avx2()):
+        pytest.skip("this host cannot run AVX2 code")
+    source = kernel.SOURCE.read_text()
+    assert CLONES in source
+    plain = tmp_path / "_kernel.c"
+    plain.write_text(source.replace(CLONES, ""))
+    built = tmp_path / f"{variant}.so"
+    flags = kernel.FLAGS + (("-mavx2",) if variant == "avx2" else ())
+    subprocess.run(["cc", *flags, "-o", str(built), str(plain)], check=True)
+    lib = ctypes.CDLL(str(built))
+    lib.kx_relax.restype, lib.kx_relax.argtypes = kernel._SIGNATURES["kx_relax"]
+    for L, init, t_max in itertools.product([3, 4, 7, 100], LATTICE_INITS, [1, 2, 3, 400]):
+        lat = build_lattice(L, (0.0, 1.0), RngStream(31, L), init=init)
+        potential, spare, xs = lat.potential.copy(), np.empty((L, L)), np.empty(t_max)
+        lib.kx_relax(L, lat.cond_v.ctypes.data, lat.cond_h.ctypes.data, lat.weight_sum.ctypes.data,
+                     potential.ctypes.data, spare.ctypes.data, t_max, xs.ctypes.data)
+        assert xs.tobytes() == _relax(lat, t_max).tobytes()
+        assert potential.tobytes() == lat.potential.tobytes()
+
+
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="no objdump to disassemble with")
+def test_the_avx2_clone_of_the_sweep_uses_256_bit_registers():
+    # If the stencil's row function were called out of line, the AVX2 clone
+    # would hold no ymm instruction and run no faster than the baseline.
+    disassembly = subprocess.run(
+        ["objdump", "-d", kernel.library()._name], capture_output=True, text=True, check=True
+    ).stdout
+    clone = re.search(r"<kx_relax\.avx2>:\n(.*?)\n\n", disassembly, re.S)
+    if clone is None:
+        pytest.skip("the kernel is built without an AVX2 clone on this platform")
+    assert re.search(r"vdivpd .*%ymm", clone.group(1))
 
 
 def test_draw_check_passes_here_and_catches_a_mismatch(monkeypatch):

@@ -13,6 +13,7 @@ from kinex import (
     solve_kirchhoff_dense,
 )
 from kinex.errors import ShapeError
+from kinex import rrn
 from kinex.rrn import LATTICE_INITS, ResistorLattice, _realization_series
 
 
@@ -184,6 +185,26 @@ class TestRelaxSweep:
         assert xs[-1] < 1e-9
         assert xs[-1] < xs[10] < xs[0]
 
+    @pytest.mark.parametrize("sweeps", [1, 2, 3])
+    def test_potentials_written_between_sweeps_are_honoured(self, sweeps):
+        # The caller may write potential in place between kernel calls,
+        # boundary rows too; the next call must read what was written, whatever
+        # the previous call left in the lattice's second buffer.
+        lat = build_lattice(9, (0.0, 1.0), RngStream(23), init="random")
+        V = lat.potential.copy()
+        for step in range(4):
+            xs = rrn._relax(lat, sweeps)
+            want = [roll_sweep(lat.cond_h, lat.cond_v, V) for _ in range(sweeps)]
+            assert xs.tobytes() == np.array(want).tobytes()
+            assert lat.potential.tobytes() == V.tobytes()
+            for a in (lat.potential, V):
+                a[0, :] = 1.0 - 0.1 * step
+                a[-1, :3] = 0.05 * step
+                a[4, :] = 0.25
+                a[2, 5] = 0.9
+        assert relax_sweep(lat) == roll_sweep(lat.cond_h, lat.cond_v, V)
+        assert lat.potential.tobytes() == V.tobytes()
+
 
 def lattice_arrays(L=5):
     g = np.random.default_rng(3)
@@ -282,21 +303,26 @@ class TestKirchhoffOracle:
 
 
 class TestRunRrnRelaxation:
+    @pytest.mark.parametrize("t_max", [1, 2, 399, 400])
     @pytest.mark.parametrize("init", LATTICE_INITS)
     @pytest.mark.parametrize("L", [3, 8, 100])
-    def test_realization_series_is_t_max_relax_sweeps(self, L, init):
-        # A run relaxes each realization in one kernel call (kx_relax); its
-        # series and final potentials are those of t_max relax_sweep calls.
-        t_max = 400 if L < 100 else 150
+    def test_realization_series_is_t_max_roll_sweeps(self, monkeypatch, L, init, t_max):
+        # A run relaxes each realization in one kernel call (kx_relax), which
+        # alternates between two buffers and copies back after an odd t_max:
+        # its series and final potentials are those of t_max reference sweeps.
+        built = []
+
+        def build_and_keep(*args, **kwargs):
+            built.append(build_lattice(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(rrn, "build_lattice", build_and_keep)
         got = _realization_series(L, (0.0, 1.0), t_max, init, RngStream(17, L))
-        lat = build_lattice(L, (0.0, 1.0), RngStream(17, L), init=init)
-        want = np.array([relax_sweep(lat) for _ in range(t_max)])
+        fresh = build_lattice(L, (0.0, 1.0), RngStream(17, L), init=init)
+        V = fresh.potential.copy()
+        want = np.array([roll_sweep(fresh.cond_h, fresh.cond_v, V) for _ in range(t_max)])
         assert got.tobytes() == want.tobytes()
-        again = build_lattice(L, (0.0, 1.0), RngStream(17, L), init=init)
-        xs = np.empty(t_max)
-        again._kernel.kx_relax(*again._sweep_args, t_max, xs.ctypes.data)
-        assert xs.tobytes() == want.tobytes()
-        assert again.potential.tobytes() == lat.potential.tobytes()
+        assert built[0].potential.tobytes() == V.tobytes()
 
     def test_homogeneous_ramp_start_is_silent(self):
         s = run_rrn_relaxation(8, (1.0, 1.0 + 1e-12), 30, 3, master_seed=1, init="ramp")
