@@ -568,6 +568,65 @@ def test_preset_fit_reproduces_committed_digest(tmp_path, monkeypatch):
     assert got == want == {"fit_series.csv": "1743f22b44c55f5a"}
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_preset_dist_reproduces_committed_digests(tmp_path, threads):
+    """The dist preset (pure gambling, 500 economies pooled) matches the committed out/dist run."""
+    out = tmp_path / "dist"
+    assert main(["dist", "--config", str(PRESET), "--out", str(out), "--threads", threads]) == 0
+    got = json.loads((out / "manifest.json").read_text())["outputs"]
+    want = json.loads((ROOT / "out" / "dist" / "manifest.json").read_text())["outputs"]
+    assert got == want == {"hist_wealth.csv": "9a0a7b9dd61f48c1"}
+
+
+def test_preset_eps_sweep_reproduces_committed_digests(tmp_path):
+    """Every series and the plateau table of the committed out/eps_sweep run, at 2 workers."""
+    out = tmp_path / "eps_sweep"
+    assert main(["eps-sweep", "--config", str(PRESET), "--out", str(out), "--threads", "2"]) == 0
+    got = json.loads((out / "manifest.json").read_text())["outputs"]
+    want = json.loads((ROOT / "out" / "eps_sweep" / "manifest.json").read_text())["outputs"]
+    assert got == want
+    assert want["x0_table.csv"] == "500f88245fb416fb"
+
+
+def test_dist_lambda_bins_text(tmp_path):
+    """A distributed-saving dist run writes these propensity bins, byte for byte."""
+    payload = {
+        "n_agents": 12,
+        "n_configs": 4,
+        "master_seed": 7,
+        "t_max": 20,
+        "model": {"rule": "distributed_saving", "lambda_window": [0.2, 0.9], "epsilon": 0.5},
+        "dist": {"equilibration_steps": 10, "sample_steps": 3, "bins": 4},
+    }
+    p = write_cfg(tmp_path, payload)
+    assert main(["dist", "--config", str(p), "--out", str(tmp_path / "d")]) == 0
+    assert (tmp_path / "d" / "lambda_bins.csv").read_text() == (
+        "# kinex propensity-binned mean wealth\n"
+        "lambda_lo,lambda_hi,mean_wealth\n"
+        "0.2,0.33999999999999997,0.583112463185957\n"
+        "0.33999999999999997,0.48,0.7677894748491422\n"
+        "0.48,0.6199999999999999,0.9233165627914506\n"
+        "0.6199999999999999,0.76,1.277223508846888\n"
+        "0.76,0.9,2.2336146856460832\n"
+    )
+
+
+def test_fit_rows_of_fits_that_fail_inside_a_window(tmp_path):
+    """A fit that fails on a given window keeps the window and names its error."""
+    series = tmp_path / "line.csv"
+    rows = "".join(f"{t},{0.5 - 0.02 * t!r}\n" for t in range(1, 31))
+    series.write_text("# spec=line seed=0 n=1 n_configs=1\nt,x_mean\n" + rows, encoding="utf-8")
+    fit = {"series_csv": str(series), "fit_x0": 0.3, "fit_window": [2, 30]}
+    p = write_cfg(tmp_path, {"fit": fit})
+    assert main(["fit", "--config", str(p), "--out", str(tmp_path / "f")]) == 0
+    assert (tmp_path / "f" / "fit_series.csv").read_text() == (
+        "# kinex fit report; source=line.csv\n"
+        "form,t_lo,t_hi,x0,amplitude,tau,r_squared,status\n"
+        "shifted_approach,2,30,,,,,WindowContainsCrossing\n"
+        "pure_decay,2,30,,,,,LogDomainError\n"
+    )
+
+
 @pytest.mark.parametrize(
     "experiment,overrides,name",
     [
@@ -601,6 +660,9 @@ def test_preset_rrn_prefix_matches_committed(tmp_path):
     )
     assert got.shape == want.shape == (200, 2)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    header = [r for r in (out / "series_g_0_1.csv").read_text().splitlines() if r[0] in "#t"]
+    committed = (ROOT / "out" / "rrn" / "series_g_0_1.csv").read_text().splitlines()[:4]
+    assert header == committed
 
 
 def test_benchmark_traced_names_resolve():

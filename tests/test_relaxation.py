@@ -150,6 +150,17 @@ class TestSeriesCsv:
         assert back.master_seed == 77
         assert back.spec == spec.digest()
 
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        """-0.0 and nan compare equal to 0.0 and unequal to themselves; their bytes do not."""
+        x = np.array([-0.0, 0.0, 5e-324, 1e16, 1.0 / 3.0, np.nan, -np.inf, 2.0**-1074 * 3])
+        s = synthetic_series(x, master_seed=3, spec="edge")
+        path = tmp_path / "edge.csv"
+        write_series_csv(s, path)
+        back = read_series_csv(path)
+        assert back.x_mean.tobytes() == x.tobytes()
+        assert back.t.tobytes() == np.arange(1, len(x) + 1, dtype=np.int64).tobytes()
+        assert (back.spec, back.master_seed) == ("edge", 3)
+
     def test_bytes_are_deterministic(self, tmp_path):
         s = run_relaxation(ModelSpec(), 10, 12, 2, master_seed=5)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
