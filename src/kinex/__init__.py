@@ -43,14 +43,8 @@ from .exchange import (
     run_time_step,
 )
 from .expfit import ExpFitResult, auto_window, fit_pure, fit_shifted
-from .relaxation import (
-    RelaxationSeries,
-    equilibrium_window_stats,
-    mean_abs_change,
-    read_series_csv,
-    run_relaxation,
-    write_series_csv,
-)
+from .relaxation import RelaxationSeries, equilibrium_window_stats, run_relaxation
+from .reports import read_series_csv, write_series_csv
 from .rrn import (
     ResistorLattice,
     build_lattice,
@@ -106,7 +100,6 @@ __all__ = [
     "exchange_general",
     "init_ensemble",
     "run_time_step",
-    "mean_abs_change",
     "run_relaxation",
     "equilibrium_window_stats",
     "write_series_csv",

@@ -27,19 +27,15 @@ from .distribution import (
 )
 from .errors import ConfigError, KinexError
 from .exchange import DISTRIBUTED_SAVING, LATTICE_2D, PURE_GAMBLING, ModelSpec
-from .expfit import FORM_PURE, FORM_SHIFTED, auto_window, fit_error_row, fit_pure, fit_shifted
-from .relaxation import (
-    DEFAULT_TAIL_FRACTION,
-    equilibrium_window_stats,
-    read_series_csv,
-    run_relaxation,
-    write_series_csv,
-)
+from .expfit import FORM_PURE, FORM_SHIFTED, auto_window, fit_pure, fit_shifted
+from .relaxation import DEFAULT_TAIL_FRACTION, equilibrium_window_stats, run_relaxation
 from .reports import (
     RunManifest,
+    read_series_csv,
     write_fit_csv,
     write_hist_csv,
     write_lambda_bins_csv,
+    write_series_csv,
     write_tau_table,
     write_x0_table,
 )
@@ -296,23 +292,6 @@ def _fit_series(series, tail_fraction, forms, x0=None, window=None):
     return window, fits
 
 
-def _fit_rows(window, fits) -> list[str]:
-    """Fit-CSV rows; a failed fit keeps its row, tagged with the error name."""
-    return [
-        fit_error_row(form, window, fit) if isinstance(fit, KinexError) else fit.csv_row()
-        for form, fit in fits.items()
-    ]
-
-
-def _tau_row(window, fit) -> dict:
-    """Decay-time table row for one sweep cell; a failed fit gives its error name."""
-    row = {"window_lo": window[0], "window_hi": window[1]}
-    if isinstance(fit, KinexError):
-        return {**row, "status": type(fit).__name__}
-    fitted = {"tau": fit.tau, "tau_stderr": fit.tau_stderr, "r_squared": fit.r_squared}
-    return {**row, **fitted, "status": "ok"}
-
-
 def cmd_relax(cfg: ExperimentConfig) -> list[str]:
     """Single relaxation run: series CSV plus a fit report."""
     with _run_dir(cfg) as run:
@@ -321,8 +300,8 @@ def cmd_relax(cfg: ExperimentConfig) -> list[str]:
         )
         write_series_csv(series, run.path("series_relax.csv"))
         forms = (FORM_SHIFTED, FORM_PURE) if cfg.model.eps_fixed == 0.5 else (FORM_SHIFTED,)
-        rows = _fit_rows(*_fit_series(series, cfg.tail_fraction, forms))
-        write_fit_csv(run.path("fit_relax.csv"), rows, header_note=f"spec={series.spec}")
+        window, fits = _fit_series(series, cfg.tail_fraction, forms)
+        write_fit_csv(run.path("fit_relax.csv"), window, fits, header_note=f"spec={series.spec}")
     return []
 
 
@@ -349,9 +328,7 @@ def cmd_lambda_family(cfg: ExperimentConfig) -> list[str]:
             violations.append("decay time is not strictly increasing with the window mean")
         run.notes.extend(violations)
         write_tau_table(
-            run.path("tau_table.csv"),
-            [_tau_row(w, fit) for w, fit in zip(windows, fits)],
-            header_note="propensity windows, ordered by mean",
+            run.path("tau_table.csv"), windows, fits, header_note="propensity windows, ordered by mean"
         )
     return violations
 
@@ -365,19 +342,17 @@ def cmd_eps_sweep(cfg: ExperimentConfig) -> list[str]:
     values = sorted(cfg.eps_values)
     specs = tuple(replace(cfg.model, eps_fixed=eps) for eps in values)
     with _run_dir(cfg) as run:
-        rows = []
+        plateaus = []
         cells = run_relaxation(
             specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
         )
         for eps, series in zip(values, cells):
             write_series_csv(series, run.path(f"series_eps_{_cell_label(eps)}.csv"))
-            x0, sem = equilibrium_window_stats(series, cfg.tail_fraction)
-            rows.append({"eps": eps, "x0": x0, "x0_stderr": sem, "is_argmin": False})
+            plateaus.append(equilibrium_window_stats(series, cfg.tail_fraction))
 
-        argmin = min(rows, key=lambda r: r["x0"])
-        argmin["is_argmin"] = True
-        run.notes.append(f"plateau minimum at eps={argmin['eps']:g}")
-        write_x0_table(run.path("x0_table.csv"), rows)
+        argmin = min(range(len(values)), key=lambda k: plateaus[k][0])
+        run.notes.append(f"plateau minimum at eps={values[argmin]:g}")
+        write_x0_table(run.path("x0_table.csv"), values, plateaus, argmin)
     return []
 
 
@@ -427,9 +402,10 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
     """Resistor-network relaxation per conductance window, with decay-time table."""
     if not cfg.g_windows:
         raise ConfigError("rrn needs a non-empty g_windows list")
+    windows = sorted(cfg.g_windows, key=sum)
     with _run_dir(cfg) as run:
-        tau_rows = []
-        for w in sorted(cfg.g_windows, key=sum):
+        fits = []
+        for w in windows:
             series = run_rrn_relaxation(
                 cfg.side, w, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers, cfg.rrn_init
             )
@@ -438,8 +414,7 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
                 run.path(f"series_g_{_cell_label(w)}.csv"),
                 extra={"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"},
             )
-            fit = _fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE]
-            tau_rows.append(_tau_row(w, fit))
+            fits.append(_fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE])
 
         if cfg.dense_check:
             rng = RngStream(cfg.master_seed, 0)
@@ -453,7 +428,7 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
             run.notes.append(f"dense-solver endpoint gap={gap!r} node residual={residual!r}")
 
         write_tau_table(
-            run.path("tau_table.csv"), tau_rows, header_note="conductance windows, ordered by mean"
+            run.path("tau_table.csv"), windows, fits, header_note="conductance windows, ordered by mean"
         )
     return []
 
@@ -468,9 +443,7 @@ def cmd_fit(cfg: ExperimentConfig) -> list[str]:
             series, cfg.tail_fraction, (FORM_SHIFTED, FORM_PURE), cfg.fit_x0, cfg.fit_window
         )
         write_fit_csv(
-            run.path("fit_series.csv"),
-            _fit_rows(window, fits),
-            header_note=f"source={Path(cfg.series_csv).name}",
+            run.path("fit_series.csv"), window, fits, header_note=f"source={Path(cfg.series_csv).name}"
         )
     return []
 

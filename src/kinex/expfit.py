@@ -27,8 +27,6 @@ from .relaxation import DEFAULT_TAIL_FRACTION, RelaxationSeries, _tail_slice
 FORM_SHIFTED = "shifted_approach"
 FORM_PURE = "pure_decay"
 
-FIT_CSV_HEADER = "form,t_lo,t_hi,x0,amplitude,tau,r_squared,status"
-
 
 @dataclass
 class ExpFitResult:
@@ -39,19 +37,6 @@ class ExpFitResult:
     r_squared: float
     form: str
     tau_stderr: float = float("nan")
-
-    def csv_row(self) -> str:
-        t_lo, t_hi = self.window
-        return (
-            f"{self.form},{t_lo},{t_hi},{self.x0!r},{self.amplitude!r},"
-            f"{self.tau!r},{self.r_squared!r},ok"
-        )
-
-
-def fit_error_row(form: str, window: tuple[int, int] | None, err: Exception) -> str:
-    """One CSV row tagging a failed fit instead of silently dropping it."""
-    t_lo, t_hi = window if window is not None else ("", "")
-    return f"{form},{t_lo},{t_hi},,,,,{type(err).__name__}"
 
 
 def _linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:

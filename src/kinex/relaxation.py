@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidParameter, ShapeError
+from .errors import InsufficientData, InvalidParameter
 from .exchange import ModelSpec, init_ensemble
 from .exchange import run_time_step  # noqa: F401  (perfbench/child.py times it under this name)
 from .streams import RngStream, map_stream_blocks
@@ -39,17 +38,6 @@ class RelaxationSeries:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-def mean_abs_change(prev: np.ndarray, curr: np.ndarray) -> float:
-    """Mean absolute per-agent change between two wealth snapshots."""
-    prev = np.asarray(prev, dtype=float)
-    curr = np.asarray(curr, dtype=float)
-    if prev.shape != curr.shape:
-        raise ShapeError(f"snapshot shapes differ: {prev.shape} vs {curr.shape}")
-    if prev.size < 1:
-        raise ShapeError("empty snapshots")
-    return float(np.abs(curr - prev).mean())
 
 
 def _block_series(args) -> np.ndarray:
@@ -178,52 +166,3 @@ def equilibrium_window_stats(
     if tail.size < 2:
         return mean, 0.0
     return mean, float(tail.std(ddof=1) / np.sqrt(tail.size))
-
-
-def write_series_csv(series: RelaxationSeries, path: str | Path, extra: dict | None = None) -> None:
-    """Write ``t,x_mean`` rows with a self-describing comment header.
-
-    Output bytes are deterministic for a given series (floats via repr), so
-    identical runs produce identical files.
-    """
-    lines = [
-        "# kinex relaxation series; t in time steps, x_mean in money units per agent",
-        f"# spec={series.spec} seed={series.master_seed}"
-        f" n={series.n_agents} n_configs={series.n_configs}",
-    ]
-    if extra:
-        lines.append("# " + " ".join(f"{k}={v}" for k, v in extra.items()))
-    lines.append("t,x_mean")
-    for t, x in zip(series.t.tolist(), series.x_mean.tolist()):
-        lines.append(f"{t},{x!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_series_csv(path: str | Path) -> RelaxationSeries:
-    """Read a series written by :func:`write_series_csv`."""
-    meta: dict[str, str] = {}
-    ts: list[int] = []
-    xs: list[float] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    k, _, v = token.partition("=")
-                    meta.setdefault(k, v)
-            continue
-        if line.startswith("t,"):
-            continue
-        t_str, _, x_str = line.partition(",")
-        ts.append(int(t_str))
-        xs.append(float(x_str))
-    return RelaxationSeries(
-        t=np.asarray(ts, dtype=np.int64),
-        x_mean=np.asarray(xs),
-        n_configs=int(meta.get("n_configs", 0) or 0),
-        n_agents=int(meta.get("n", 0) or 0),
-        master_seed=int(meta.get("seed", 0) or 0),
-        spec=meta.get("spec") or "na",
-    )

@@ -1,8 +1,9 @@
-"""CSV report writers and the run manifest.
+"""Every table kinex writes, the series reader, and the run manifest.
 
-All writers emit deterministic bytes for deterministic inputs (floats via
-repr, fixed row order), which is what makes re-run digest comparison a usable
-reproducibility check.
+This module alone turns values into table bytes, by one rule (see
+:func:`_write_table`), so the same values always give the same bytes, which is
+what makes re-run digest comparison a usable reproducibility check.  Callers
+hand over values: series, fit results, windows, plateau estimates and arrays.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ import json
 import os
 import shutil
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .expfit import FIT_CSV_HEADER
+from .errors import KinexError
+from .relaxation import RelaxationSeries
 
 
 def content_digest(data: bytes) -> str:
@@ -31,56 +34,131 @@ def write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _write_table(path: Path, title: str, header_note: str, columns: str, rows) -> None:
-    """A ``# kinex <title>[; <note>]`` line, the column names, then the rows."""
-    lines = [f"# kinex {title}" + (f"; {header_note}" if header_note else ""), columns, *rows]
-    write_text(path, "\n".join(lines) + "\n")
+def _write_table(
+    path: str | Path, title: str, columns: dict[str, Sequence], note: str = "", meta: Sequence[dict] = ()
+) -> None:
+    """A ``# kinex <title>[; <note>]`` line, a ``# key=value ...`` line per
+    ``meta`` mapping, the column names, then one row per index of the columns.
+
+    A value is spelled by ``str``: a Python float as its repr (the shortest
+    string that reads back to the same bits), an int as its digits, a status
+    or form name as itself.  None, a missing value, is an empty field.  Numpy
+    arrays go in as ``tolist()``, so that every float is a Python float.
+    """
+    lines = [f"# kinex {title}" + (f"; {note}" if note else "")]
+    lines += ["# " + " ".join(f"{k}={v}" for k, v in m.items()) for m in meta]
+    lines.append(",".join(columns))
+    spelled = [["" if v is None else str(v) for v in values] for values in columns.values()]
+    lines += map(",".join, zip(*spelled))
+    write_text(Path(path), "\n".join(lines) + "\n")
 
 
-def write_fit_csv(path: Path, rows: list[str], header_note: str = "") -> None:
-    _write_table(path, "fit report", header_note, FIT_CSV_HEADER, rows)
+def _fit_columns(fits: Sequence, names: tuple[str, ...]) -> dict[str, list]:
+    """Columns ``names`` of the fit results, then ``status``.  A failed fit
+    (the KinexError its fit raised) keeps its row, with empty values and its
+    error's name as its status."""
+    columns = {n: [None if isinstance(fit, KinexError) else getattr(fit, n) for fit in fits] for n in names}
+    columns["status"] = [type(fit).__name__ if isinstance(fit, KinexError) else "ok" for fit in fits]
+    return columns
+
+
+def write_series_csv(series: RelaxationSeries, path: str | Path, extra: dict | None = None) -> None:
+    """``t,x_mean`` rows under a header naming the series' spec, seed, agent
+    and configuration counts, and the ``extra`` key=value pairs if given."""
+    meta = [{"spec": series.spec, "seed": series.master_seed, "n": series.n_agents,
+             "n_configs": series.n_configs}]
+    columns = {"t": series.t.tolist(), "x_mean": series.x_mean.tolist()}
+    note = "t in time steps, x_mean in money units per agent"
+    _write_table(path, "relaxation series", columns, note, meta + ([extra] if extra else []))
+
+
+def read_series_csv(path: str | Path) -> RelaxationSeries:
+    """Read a series written by :func:`write_series_csv`."""
+    meta: dict[str, str] = {}
+    ts: list[int] = []
+    xs: list[float] = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            for token in line[1:].split():
+                if "=" in token:
+                    k, _, v = token.partition("=")
+                    meta.setdefault(k, v)
+            continue
+        if line.startswith("t,"):
+            continue
+        t_str, _, x_str = line.partition(",")
+        ts.append(int(t_str))
+        xs.append(float(x_str))
+    return RelaxationSeries(
+        t=np.asarray(ts, dtype=np.int64),
+        x_mean=np.asarray(xs),
+        n_configs=int(meta.get("n_configs", 0) or 0),
+        n_agents=int(meta.get("n", 0) or 0),
+        master_seed=int(meta.get("seed", 0) or 0),
+        spec=meta.get("spec") or "na",
+    )
+
+
+def write_fit_csv(
+    path: str | Path, window: tuple[int, int] | None, fits: dict, header_note: str = ""
+) -> None:
+    """One row per form of ``fits`` ({form: ExpFitResult or the KinexError its
+    fit raised}), over ``window``; no window (the automatic one failed) leaves
+    the window's fields empty."""
+    t_lo, t_hi = window if window is not None else (None, None)
+    columns = {"form": list(fits), "t_lo": [t_lo] * len(fits), "t_hi": [t_hi] * len(fits)}
+    columns |= _fit_columns(fits.values(), ("x0", "amplitude", "tau", "r_squared"))
+    _write_table(path, "fit report", columns, header_note)
 
 
 def write_hist_csv(
-    path: Path,
+    path: str | Path,
     edges: np.ndarray,
     counts: np.ndarray,
     density: np.ndarray,
     header_note: str = "",
 ) -> None:
-    cols = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(), density.tolist())
-    rows = [f"{lo!r},{hi!r},{c},{d!r}" for lo, hi, c, d in cols]
-    _write_table(path, "wealth histogram", header_note, "bin_lo,bin_hi,count,density", rows)
+    columns = {
+        "bin_lo": edges[:-1].tolist(),
+        "bin_hi": edges[1:].tolist(),
+        "count": counts.tolist(),
+        "density": density.tolist(),
+    }
+    _write_table(path, "wealth histogram", columns, header_note)
 
 
-def write_tau_table(path: Path, rows: list[dict], header_note: str = "") -> None:
-    """One row per sweep cell: window bounds, fitted decay time, fit quality."""
-    lines = [
-        f"{r['window_lo']!r},{r['window_hi']!r},{_fmt(r.get('tau'))},"
-        f"{_fmt(r.get('tau_stderr'))},{_fmt(r.get('r_squared'))},{r['status']}"
-        for r in rows
-    ]
-    columns = "window_lo,window_hi,tau,tau_stderr,r_squared,status"
-    _write_table(path, "decay-time table", header_note, columns, lines)
+def write_tau_table(
+    path: str | Path, windows: Sequence[tuple[float, float]], fits: Sequence, header_note: str = ""
+) -> None:
+    """One row per sweep cell: its window's bounds, then its fit's decay time
+    and quality (an ExpFitResult, or the KinexError its fit raised)."""
+    columns = {"window_lo": [w[0] for w in windows], "window_hi": [w[1] for w in windows]}
+    columns |= _fit_columns(fits, ("tau", "tau_stderr", "r_squared"))
+    _write_table(path, "decay-time table", columns, header_note)
 
 
-def write_x0_table(path: Path, rows: list[dict], header_note: str = "") -> None:
-    """Plateau estimates per split parameter, with the minimum marked."""
-    lines = [f"{r['eps']!r},{r['x0']!r},{r['x0_stderr']!r},{int(r['is_argmin'])}" for r in rows]
-    _write_table(path, "plateau-vs-eps table", header_note, "eps,x0,x0_stderr,is_argmin", lines)
+def write_x0_table(
+    path: str | Path, eps_values: Sequence[float], plateaus: Sequence[tuple[float, float]], argmin: int
+) -> None:
+    """Plateau estimate ``(x0, standard error)`` per split parameter; row
+    ``argmin`` is marked as the minimum."""
+    columns = {
+        "eps": eps_values,
+        "x0": [x0 for x0, _ in plateaus],
+        "x0_stderr": [sem for _, sem in plateaus],
+        "is_argmin": [int(k == argmin) for k in range(len(eps_values))],
+    }
+    _write_table(path, "plateau-vs-eps table", columns)
 
 
 def write_lambda_bins_csv(
-    path: Path, bin_lo: np.ndarray, bin_hi: np.ndarray, means: np.ndarray, header_note: str = ""
+    path: str | Path, bin_lo: np.ndarray, bin_hi: np.ndarray, means: np.ndarray
 ) -> None:
-    cols = zip(bin_lo.tolist(), bin_hi.tolist(), means.tolist())
-    rows = [f"{lo!r},{hi!r},{m!r}" for lo, hi, m in cols]
-    columns = "lambda_lo,lambda_hi,mean_wealth"
-    _write_table(path, "propensity-binned mean wealth", header_note, columns, rows)
-
-
-def _fmt(v) -> str:
-    return "" if v is None else repr(v)
+    columns = {"lambda_lo": bin_lo.tolist(), "lambda_hi": bin_hi.tolist(), "mean_wealth": means.tolist()}
+    _write_table(path, "propensity-binned mean wealth", columns)
 
 
 @dataclass

@@ -93,10 +93,13 @@ def build_lattice(
     rng: RngStream,
     init: str = INIT_HALF,
 ) -> ResistorLattice:
-    """Sample bond conductances uniformly in (max(g_min, 1e-9), g_max].
+    """Sample bond conductances uniformly in [max(g_min, 1e-9), g_max].
 
-    The half-open orientation keeps every bond strictly positive even for a
-    window starting at 0.  Horizontal bonds are drawn before vertical ones.
+    A bond is ``g_max - u (g_max - lo)`` for ``u`` in [0, 1), with
+    ``lo = max(g_min, 1e-9)``; at the largest ``u`` it can round to ``lo``
+    (for the window (0.5, 1), say).  The floor keeps every bond strictly
+    positive even for a window starting at 0.  Horizontal bonds are drawn
+    before vertical ones.
     """
     if L < 3:
         raise InvalidParameter(f"lattice side {L} leaves no interior rows; need L >= 3")
@@ -108,7 +111,6 @@ def build_lattice(
 
     g = rng.gen
     lo = max(g_min, G_FLOOR)
-    # u in [0,1) mapped to (lo, g_max]
     cond_h = g_max - g.random((L, L)) * (g_max - lo)
     cond_v = g_max - g.random((L - 1, L)) * (g_max - lo)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
+from .exchange import DISTRIBUTED_SAVING, ModelSpec, saving_propensities
 from .streams import RngStream
 
 
@@ -63,15 +64,17 @@ def k_positive_for_half(
     """Check that balanced-split decay rates are positive across a propensity window.
 
     The analytic infimum over the window is 1 - lam_max, non-negative for any
-    window inside [0, 1]; the sampled sweep makes the claim executable.  Returns
-    True only if every sampled pair yields a strictly positive rate.
+    window with 0 <= lo < hi <= 1; the sampled sweep makes the claim
+    executable.  The propensities are drawn as the distributed-saving model
+    draws them (:func:`exchange.saving_propensities`), so each lies in
+    [lo, hi), below 1.  Returns True only if every sampled pair yields a
+    strictly positive rate.
     """
-    lo, hi = lam_window
-    if not (0.0 <= lo < hi <= 1.0):
-        raise InvalidParameter(f"lam_window=({lo}, {hi}) must lie inside [0, 1)")
+    spec = ModelSpec(rule=DISTRIBUTED_SAVING, lambda_window=tuple(lam_window))
+    spec.validate()
     g = RngStream(seed).gen
-    lam_i = lo + (hi - lo) * g.random(n_samples)
-    lam_j = lo + (hi - lo) * g.random(n_samples)
+    lam_i = saving_propensities(spec, n_samples, g)
+    lam_j = saving_propensities(spec, n_samples, g)
     k = 1.0 - 0.5 * (lam_i + lam_j)
     return bool(np.all(k > 0.0))
 

@@ -6,10 +6,8 @@ from kinex import (
     InvalidParameter,
     ModelSpec,
     RelaxationSeries,
-    ShapeError,
     equilibrium_window_stats,
     fit_pure,
-    mean_abs_change,
     read_series_csv,
     run_relaxation,
     write_series_csv,
@@ -22,21 +20,6 @@ def synthetic_series(x, t=None, **kw):
     defaults = dict(n_configs=1, n_agents=1, master_seed=0)
     defaults.update(kw)
     return RelaxationSeries(t=t, x_mean=x, **defaults)
-
-
-class TestMeanAbsChange:
-    def test_identity(self):
-        assert mean_abs_change([1.0, 1.0], [1.0, 1.0]) == 0.0
-
-    def test_direct(self):
-        assert mean_abs_change([1.0, 1.0], [0.6, 1.4]) == pytest.approx(0.4)
-
-    def test_direct_four_agents(self):
-        assert mean_abs_change([2.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]) == pytest.approx(0.5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mean_abs_change([1.0, 2.0], [1.0])
 
 
 class TestEquilibriumWindow:

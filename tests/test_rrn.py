@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ class TestBuildLattice:
         bonds = np.concatenate([lat.cond_h.ravel(), lat.cond_v.ravel()])
         assert bonds.min() > 0.0
         assert bonds.mean() == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.5, 1.0), (0.9, 1.0), (0.2, 3.0)])
+    def test_bonds_at_the_largest_draw_stay_at_or_above_the_floor(self, window):
+        """At the largest u numpy draws, g_max - u (g_max - lo) rounds to lo
+        itself for (0.5, 1) and (0.9, 1): the window's lower end is closed."""
+        largest = SimpleNamespace(gen=SimpleNamespace(random=lambda shape: np.full(shape, 1.0 - 2.0**-53)))
+        lat = build_lattice(4, window, largest)
+        lo = max(window[0], rrn.G_FLOOR)
+        bonds = np.concatenate([lat.cond_h.ravel(), lat.cond_v.ravel()])
+        assert bonds.min() >= lo > 0.0
+        if window in ((0.5, 1.0), (0.9, 1.0)):
+            assert np.all(bonds == lo)
 
     def test_degenerate_size_rejected(self):
         with pytest.raises(InvalidParameter):

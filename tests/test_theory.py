@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kinex import (
     predict,
     solution_from_first_two,
 )
+from kinex import theory
 
 
 class TestMapping:
@@ -69,6 +71,15 @@ class TestPositivity:
         k = 1.0 - 0.5 * (li + lj)
         assert k.min() > 0.0
         assert k.max() <= 0.3
+
+    @pytest.mark.parametrize("window", [(0.5, 1.0), (0.7, 1.0)])
+    def test_largest_draw_keeps_the_rate_positive(self, monkeypatch, window):
+        """lo + (hi - lo) u rounds to 1.0 at the largest u numpy draws for these
+        windows; the propensities are drawn below the window's end, as the
+        model draws them, so the rate stays positive."""
+        largest = SimpleNamespace(random=lambda n: np.full(n, 1.0 - 2.0**-53))
+        monkeypatch.setattr(theory, "RngStream", lambda seed: SimpleNamespace(gen=largest))
+        assert k_positive_for_half(window, n_samples=4) is True
 
     def test_degenerate_no_saving_rate(self):
         assert decay_rate(map_random_saving(0.0, 0.0, 0.5)) == 1.0
