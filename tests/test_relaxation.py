@@ -134,7 +134,7 @@ class TestSeriesCsv:
         assert back.spec == spec.digest()
 
     def test_round_trip_keeps_every_bit(self, tmp_path):
-        """-0.0 and nan compare equal to 0.0 and unequal to themselves; their bytes do not."""
+        """Compared as bytes: np.array_equal takes -0.0 for 0.0 and nan for unequal to itself."""
         x = np.array([-0.0, 0.0, 5e-324, 1e16, 1.0 / 3.0, np.nan, -np.inf, 2.0**-1074 * 3])
         s = synthetic_series(x, master_seed=3, spec="edge")
         path = tmp_path / "edge.csv"
