@@ -367,8 +367,12 @@ def cmd_dist(cfg: ExperimentConfig) -> list[str]:
                 cfg.model, cfg.n_agents, cfg.t_max, n_probe, cfg.master_seed, cfg.workers
             )
             fit = _fit_series(probe, cfg.tail_fraction, (FORM_SHIFTED,))[1][FORM_SHIFTED]
-            equil = 50 if isinstance(fit, KinexError) else max(int(np.ceil(5 * fit.tau)), 50)
-            run.notes.append(f"equilibration_steps={equil} (auto)")
+            if isinstance(fit, KinexError):
+                equil = 50
+                run.notes.append(f"equilibration_steps=50 (auto; probe fit failed: {type(fit).__name__})")
+            else:
+                equil = max(int(np.ceil(5 * fit.tau)), 50)
+                run.notes.append(f"equilibration_steps={equil} (auto)")
 
         pool = run_equilibrium(
             cfg.model,

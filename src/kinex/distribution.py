@@ -7,10 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .exchange import DISTRIBUTED_SAVING, ModelSpec, init_ensemble, saving_propensities
+from .exchange import DISTRIBUTED_SAVING, ModelSpec, saving_propensities
+from .exchange import init_ensemble  # noqa: F401  (perfbench/child.py times it under this name)
 from .exchange import run_time_step  # noqa: F401  (perfbench/child.py times it under this name)
 from .expfit import _linear_fit
-from .streams import RngStream, map_stream_blocks
+from .relaxation import _cells_block
+from .streams import map_stream_blocks
 
 
 @dataclass
@@ -24,32 +26,6 @@ class EquilibriumSample:
     n_agents: int
 
 
-def _equilibrium_block(args) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Pooled (wealth, saving, time-averaged wealth) of streams [start, stop).
-
-    The configurations run in one block.EnsembleBlock, bit for bit as
-    run_time_step steps each one: first ``equil_steps`` steps, then
-    ``sample_steps`` steps over which the wealth is averaged (with none, the
-    average is the final snapshot).  Saving is None unless the propensities
-    are drawn: the caller builds constant ones from the spec instead.
-    """
-    spec, n, equil_steps, sample_steps, master_seed, start, stop = args
-    from .block import EnsembleBlock  # not at import: the CLI's start need not compile it
-
-    rngs = [RngStream(master_seed, c) for c in range(start, stop)]
-    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
-    for _ in range(equil_steps):
-        block.step()
-    if sample_steps <= 0:
-        return block.wealth, block.saving, block.wealth
-    acc = np.zeros_like(block.wealth)
-    for _ in range(sample_steps):
-        block.step()
-        acc += block.wealth
-    acc /= sample_steps
-    return block.wealth, block.saving, acc
-
-
 def run_equilibrium(
     spec: ModelSpec,
     n: int,
@@ -59,19 +35,30 @@ def run_equilibrium(
     master_seed: int,
     workers: int = 1,
 ) -> EquilibriumSample:
-    """Equilibrate each configuration, then pool final and time-averaged wealth."""
-    if n_configs < 1:
-        raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
-    spec.validate()
-    from .kernel import library  # not at import: the CLI's start need not build it
+    """Equilibrate each configuration, then pool final and time-averaged wealth.
 
-    library()  # here, before any block starts, so that no two threads race its load
-    parts = map_stream_blocks(
-        _equilibrium_block,
-        (spec, n, equil_steps, sample_steps, master_seed),
-        n_configs,
-        workers,
-    )
+    Each block of configurations steps ``equil_steps`` times, then
+    ``sample_steps`` times over which the wealth is averaged (with none, the
+    average is the final snapshot).  Configuration c uses stream
+    (master_seed, c), and the blocks are pooled in stream order.  Blocks hold
+    drawn propensities only; constant ones are built from the spec here.
+    """
+    spec.validate()
+
+    def sample(start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        block = _cells_block((spec,), n, master_seed, start, stop)
+        for _ in range(equil_steps):
+            block.step()
+        if sample_steps <= 0:
+            return block.wealth, block.saving, block.wealth
+        acc = np.zeros_like(block.wealth)
+        for _ in range(sample_steps):
+            block.step()
+            acc += block.wealth
+        acc /= sample_steps
+        return block.wealth, block.saving, acc
+
+    parts = map_stream_blocks(sample, n_configs, workers)
     return EquilibriumSample(
         wealth=np.concatenate([p[0] for p in parts]),
         saving=(
@@ -94,6 +81,12 @@ def wealth_histogram(
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise InvalidParameter("no samples to histogram")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise InvalidParameter(
+            f"{values.size - int(finite.sum())} of {values.size} samples are not finite;"
+            " no histogram range holds them"
+        )
     lo, hi = min(0.0, float(values.min())), max(0.0, float(values.max()))
     if lo == hi:
         raise InvalidParameter("all samples are zero; histogram range is empty")

@@ -86,6 +86,9 @@ class ModelSpec:
                                    ("eps2_window", self.eps2_window)):
                 if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                     raise InvalidParameter(f"{name}=({lo},{hi}) invalid")
+                # the draws are lo + (hi - lo) * u, so the width must be finite too
+                if not np.isfinite(hi - lo):
+                    raise InvalidParameter(f"{name}=({lo},{hi}) is wider than a double holds")
         if self.pairing == LATTICE_2D:
             if self.lattice_side is None or self.lattice_side < 2:
                 raise InvalidParameter("lattice2d pairing needs lattice_side >= 2")
@@ -236,7 +239,12 @@ def _step_plan(spec: ModelSpec, n: int) -> tuple:
     """The one statement of a step's draws, as ``(name, *args)`` Generator calls:
     each slot's first agent, its partner (an index among the other n-1 agents,
     or a lattice direction), then the split parameters in the modes that draw
-    them.  run_time_step and EnsembleBlock both draw exactly this."""
+    them.  run_time_step and EnsembleBlock both draw exactly this.
+
+    A ``general`` draw ``lo + (hi - lo) * u`` can round up to ``hi`` for ``u``
+    just below 1.  That breaks no invariant: the rule has no clamp and takes
+    any coefficient, unlike the saving propensities, which
+    :func:`saving_propensities` keeps below their window's end."""
     partner_span = n - 1 if spec.pairing == MEAN_FIELD else 4
     plan = (("integers", 0, n, n), ("integers", 0, partner_span, n))
     if spec.rule == GENERAL:

@@ -102,8 +102,11 @@ def fit_shifted(series: RelaxationSeries, window: tuple[int, int], x0: float) ->
 
     The window must lie strictly on one side of x0; a sample equal to (or
     straddling) x0 has no usable log distance and raises WindowContainsCrossing.
+    A non-finite x0 or sample raises NotDecaying.
     """
     t, x = _window_arrays(series, window)
+    if not (math.isfinite(x0) and np.isfinite(x).all()):
+        raise NotDecaying(f"x0={x0} or a sample in window {window} is not finite")
     diff = x0 - x
     if np.any(diff == 0.0) or (np.any(diff > 0.0) and np.any(diff < 0.0)):
         raise WindowContainsCrossing(f"window {window} touches or crosses x0={x0}")
@@ -111,8 +114,11 @@ def fit_shifted(series: RelaxationSeries, window: tuple[int, int], x0: float) ->
 
 
 def fit_pure(series: RelaxationSeries, window: tuple[int, int]) -> ExpFitResult:
-    """Fit x(t) = A exp(-t/tau) over the window (no plateau subtraction)."""
+    """Fit x(t) = A exp(-t/tau) over the window (no plateau subtraction).
+    A non-finite sample raises NotDecaying."""
     t, x = _window_arrays(series, window)
+    if not np.isfinite(x).all():
+        raise NotDecaying(f"a sample in window {window} is not finite")
     if np.any(x <= 0.0):
         raise LogDomainError(f"window {window} contains non-positive samples")
     return _regress_decay(t, np.log(x), window, 0.0, FORM_PURE)
@@ -128,12 +134,15 @@ def auto_window(
 
     Discards the first sample, then extends the window while |x - x0| stays
     above 3x the standard deviation of the series tail.  Raises NoDecayWindow
-    if fewer than ``min_points`` samples qualify.
+    if fewer than ``min_points`` samples qualify, or if the plateau or a sample
+    of the tail is not finite (a diverging run).
     """
     if len(series) < 20:
         raise InsufficientData(f"series has {len(series)} samples, need >= 20")
-    sigma_tail = float(_tail_slice(series, tail_fraction).std(ddof=1))
-    threshold = 3.0 * sigma_tail
+    tail = _tail_slice(series, tail_fraction)
+    if not (math.isfinite(x0) and np.isfinite(tail).all()):
+        raise NoDecayWindow(f"the plateau x0={x0!r} or a sample of the tail is not finite")
+    threshold = 3.0 * float(tail.std(ddof=1))
     dist = np.abs(series.x_mean - x0)
     end = 0
     for k in range(1, len(series)):

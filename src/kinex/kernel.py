@@ -12,11 +12,12 @@ the platform, loads it, holds its draws to numpy's ``Generator``
 (:func:`check_draws`) and its sweeps to a numpy stencil (:func:`check_sweep`),
 once per process.  On x86-64 with gcc, ``kx_relax`` is built twice, for
 baseline x86-64 and for AVX2, and the loader picks the clone the CPU runs; the
-sweep check holds whichever it picked.  The wealth-model and rrn runs call
-:func:`library` in the main thread before any block starts, so that worker
-threads never race its build or its checks.
-Only the runs, :mod:`block` and the lattices of :mod:`rrn` import this module:
-the CLI's start neither builds nor loads the kernel.
+sweep check holds whichever it picked.  The one fan-out,
+:func:`streams.map_stream_blocks`, calls :func:`library` in the calling thread
+before any block starts, so that worker threads never race its build or its
+checks.  Only that fan-out, :mod:`block` and the lattices of :mod:`rrn` import
+this module, and only when they run: the CLI's start neither builds nor loads
+the kernel.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ observable per step; the averaged series decays toward an equilibrium plateau.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,21 +39,10 @@ class RelaxationSeries:
         return len(self.t)
 
 
-def _block_series(args) -> np.ndarray:
-    """Observable traces of streams [start, stop), shape (cells, configurations, t_max).
-
-    ``specs`` are sweep cells that share their draws, or one spec; all of them
-    run in one EnsembleBlock, bit for bit as run_time_step steps each
-    configuration of each cell.
-    """
-    specs, n, t_max, master_seed, start, stop = args
-    xs = _cells_block(specs, n, master_seed, start, stop).run(t_max)
-    xs /= n
-    return xs.reshape(len(specs), stop - start, t_max)
-
-
 def _cells_block(specs, n: int, master_seed: int, start: int, stop: int):
-    """One block.EnsembleBlock of every cell's configurations on streams [start, stop)."""
+    """One block.EnsembleBlock of every cell's configurations on streams [start, stop),
+    bit for bit as run_time_step steps each configuration of each cell.  ``specs``
+    are sweep cells that share their draws, or one spec."""
     from .block import EnsembleBlock  # not at import: the CLI's start need not compile it
 
     rngs = [RngStream(master_seed, c) for c in range(start, stop)]
@@ -69,41 +57,19 @@ def _cells_block(specs, n: int, master_seed: int, start: int, stop: int):
     return EnsembleBlock(specs, ensembles, rngs)
 
 
-def average_series(
-    block_fn: Callable,
-    args: tuple,
-    t_max: int,
-    n_configs: int,
-    workers: int,
-    labels: list[str],
-    **meta,
-) -> list[RelaxationSeries]:
-    """Per cell, the mean of the per-configuration traces ``block_fn`` returns,
-    summed in stream order.
+def stream_mean(blocks: list[np.ndarray], n_configs: int) -> np.ndarray:
+    """The mean over configurations of the blocks' traces, each block shaped
+    (its configurations, ...) as :func:`streams.map_stream_blocks` returns them.
 
-    ``block_fn((*args, start, stop))`` returns the length-``t_max`` traces of
-    configurations [start, stop) of every cell, shape (cells, stop - start,
-    t_max); :func:`streams.map_stream_blocks` spreads the blocks over
-    ``workers`` threads, sized for one cell per label.  The sums
-    run in stream-index order, so any worker count yields bit-identical output.
-    ``labels`` gives each cell's ``spec`` field and ``meta`` the remaining
-    :class:`RelaxationSeries` fields (``n_agents``, ``master_seed``).
+    The traces are summed one configuration at a time in stream order, then
+    divided by ``n_configs``, so any worker count, and so any block size,
+    yields the same bits.
     """
-    if t_max < 2:
-        raise InvalidParameter(f"t_max={t_max} must be >= 2")
-    if n_configs < 1:
-        raise InvalidParameter(f"n_configs={n_configs} must be >= 1")
-    blocks = map_stream_blocks(block_fn, args, n_configs, workers, len(labels))
-    acc = np.zeros((len(labels), t_max))
+    acc = np.zeros(blocks[0].shape[1:])
     for traces in blocks:
-        for xs in traces.swapaxes(0, 1):
+        for xs in traces:
             acc += xs
-    return [
-        RelaxationSeries(
-            t=np.arange(1, t_max + 1), x_mean=x / n_configs, n_configs=n_configs, spec=label, **meta
-        )
-        for x, label in zip(acc, labels)
-    ]
+    return acc / n_configs
 
 
 def run_relaxation(
@@ -117,34 +83,38 @@ def run_relaxation(
     """Average the step observable over ``n_configs`` independent configurations.
 
     Configuration c uses stream (master_seed, c); any worker count gives the
-    same bits (see :func:`average_series`).  ``spec`` may be a tuple of sweep
+    same bits (see :func:`stream_mean`).  ``spec`` may be a tuple of sweep
     cells' specs: the result is then a list of their series, each the same
     bits as the cell's own run, and cells that share their draws
     (:func:`block.draw_groups`) are simulated together, on one set of draws.
     """
+    if t_max < 2:
+        raise InvalidParameter(f"t_max={t_max} must be >= 2")
     specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
     for s in specs:
         s.validate()
-    # not at import: the CLI's start need not build the kernel
-    from .block import draw_groups
-    from .kernel import library
+    from .block import draw_groups  # not at import: the CLI's start need not compile it
 
-    library()  # here, before any block starts, so that no two threads race its load
     series = [None] * len(specs)
     for group in draw_groups(specs, n):
         cells = tuple(specs[k] for k in group)
-        runs = average_series(
-            _block_series,
-            (cells, n, t_max, master_seed),
-            t_max,
-            n_configs,
-            workers,
-            [cell.digest() for cell in cells],
-            n_agents=n,
-            master_seed=master_seed,
-        )
-        for k, run in zip(group, runs):
-            series[k] = run
+
+        def traces(start: int, stop: int) -> np.ndarray:
+            """Observable traces of streams [start, stop), shape (configurations, cells, t_max)."""
+            xs = _cells_block(cells, n, master_seed, start, stop).run(t_max)
+            xs /= n
+            return xs.reshape(len(cells), stop - start, t_max).swapaxes(0, 1)
+
+        means = stream_mean(map_stream_blocks(traces, n_configs, workers, len(cells)), n_configs)
+        for k, x_mean in zip(group, means):
+            series[k] = RelaxationSeries(
+                t=np.arange(1, t_max + 1),
+                x_mean=x_mean,
+                n_configs=n_configs,
+                n_agents=n,
+                master_seed=master_seed,
+                spec=specs[k].digest(),
+            )
     return series[0] if isinstance(spec, ModelSpec) else series
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, ShapeError
-from .relaxation import RelaxationSeries, average_series
-from .streams import RngStream
+from .relaxation import RelaxationSeries, stream_mean
+from .streams import RngStream, map_stream_blocks
 
 G_FLOOR = 1e-9  # excludes zero-conductance bonds so no node is isolated
 # Largest lattice `kinex rrn` cross-checks with the dense solve: a 2500 x 2500
@@ -206,15 +206,6 @@ def _realization_series(L, g_window, t_max, init, rng: RngStream) -> np.ndarray:
     return _relax(build_lattice(L, g_window, rng, init=init), t_max)
 
 
-def _block_series(args) -> np.ndarray:
-    """Sweep traces of realizations [start, stop), shape (1, realizations, t_max)."""
-    L, g_window, t_max, init, master_seed, start, stop = args
-    return np.array([[
-        _realization_series(L, g_window, t_max, init, RngStream(master_seed, c))
-        for c in range(start, stop)
-    ]])
-
-
 def run_rrn_relaxation(
     L: int,
     g_window: tuple[float, float],
@@ -227,18 +218,24 @@ def run_rrn_relaxation(
     """Average the sweep observable over independent conductance realizations.
 
     One time step equals one full lattice sweep; realization c uses stream
-    (master_seed, c).
+    (master_seed, c), and the realizations are averaged in stream order
+    (:func:`relaxation.stream_mean`).
     """
-    from .kernel import library  # not at import: the CLI's start need not build the kernel
+    if t_max < 2:
+        raise InvalidParameter(f"t_max={t_max} must be >= 2")
 
-    library()  # here, before any block starts, so that no two threads race its load
-    return average_series(
-        _block_series,
-        (L, g_window, t_max, init, master_seed),
-        t_max,
-        n_configs,
-        workers,
-        [f"rrn-L{L}-g{g_window[0]:g}-{g_window[1]:g}"],
+    def traces(start: int, stop: int) -> np.ndarray:
+        """Sweep traces of realizations [start, stop), shape (realizations, t_max)."""
+        return np.array([
+            _realization_series(L, g_window, t_max, init, RngStream(master_seed, c))
+            for c in range(start, stop)
+        ])
+
+    return RelaxationSeries(
+        t=np.arange(1, t_max + 1),
+        x_mean=stream_mean(map_stream_blocks(traces, n_configs, workers), n_configs),
+        n_configs=n_configs,
         n_agents=(L - 2) * L,
         master_seed=master_seed,
-    )[0]
+        spec=f"rrn-L{L}-g{g_window[0]:g}-{g_window[1]:g}",
+    )

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidParameter
+
 
 # A block holds at most BATCH_MAX_ROWS economies, for memory alone: its rows
 # hold every cell's wealth and saving.  The full-scale eps-sweep (5 cells x
@@ -51,28 +53,33 @@ def replay(source, plan) -> list:
     return [getattr(source, name)(*args) for name, *args in plan]
 
 
-def map_stream_blocks(
-    fn: Callable, args: tuple, n_streams: int, workers: int = 1, cells: int = 1
-) -> list:
-    """Run ``fn((*args, start, stop))`` over contiguous blocks of stream indices.
+def map_stream_blocks(block: Callable, n_streams: int, workers: int = 1, cells: int = 1) -> list:
+    """Run ``block(start, stop)`` over contiguous blocks of stream indices [0, ``n_streams``).
 
     A block of S streams holds S * ``cells`` economies: the wealth models run
     every cell of a sweep that shares its draws on the block's streams (the
     resistor network, one realization per stream).  Blocks hold a worker's
     share, ``ceil(C / W)`` of the C streams, or ``max(1, BATCH_MAX_ROWS //
     cells)`` streams where that is fewer: each of the W workers gets one block
-    unless its share would hold more than ``BATCH_MAX_ROWS`` economies.  With
-    W > 1 the blocks go to a pool of at most W threads, one per block where
-    there are fewer; the compiled kernel releases the GIL, so they step in
-    parallel.  An exception raised in a block is raised here unchanged.  The
-    results come back in stream order, so a reduction over them in list order
-    is the same for every worker count.
+    unless its share would hold more than ``BATCH_MAX_ROWS`` economies.  The
+    compiled kernel is loaded here, in the calling thread, before any block
+    starts, so that no two threads race its build, its load or its checks.
+    With W > 1 the blocks go to a pool of at most W threads, one per block where
+    there are fewer; the kernel releases the GIL, so they step in parallel.  An
+    exception raised in a block is raised here unchanged.  The results come
+    back in stream order, so a reduction over them in list order is the same
+    for every worker count.
     """
+    if n_streams < 1:
+        raise InvalidParameter(f"n_configs={n_streams} must be >= 1")
+    from .kernel import library  # not at import: the CLI's start neither builds nor loads it
+
+    library()
     size = min(-(-n_streams // max(workers, 1)), max(1, BATCH_MAX_ROWS // cells))
-    jobs = [(*args, lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
-    if workers > 1 and len(jobs) > 1:
+    spans = [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
+    if workers > 1 and len(spans) > 1:
         from multiprocessing.pool import ThreadPool  # not at import, so not at the CLI's start
 
-        with ThreadPool(min(workers, len(jobs))) as pool:
-            return pool.map(fn, jobs, chunksize=1)
-    return [fn(job) for job in jobs]
+        with ThreadPool(min(workers, len(spans))) as pool:
+            return pool.starmap(block, spans, chunksize=1)
+    return [block(start, stop) for start, stop in spans]

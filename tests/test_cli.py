@@ -627,6 +627,54 @@ def test_fit_rows_of_fits_that_fail_inside_a_window(tmp_path):
     )
 
 
+# The general rule with eps1 in [1.5, 2] and eps2 in [0.5, 1]: every exchange
+# scales the pair's wealth up, so the run diverges to inf, then nan.
+DIVERGING = {
+    "n_agents": 10,
+    "t_max": 2000,
+    "n_configs": 3,
+    "master_seed": 1,
+    "model": {"rule": "general", "eps1_window": [1.5, 2.0], "eps2_window": [0.5, 1.0]},
+}
+
+
+@pytest.mark.parametrize("experiment", ["relax", "dist"])
+@pytest.mark.parametrize("field", ["eps1_window", "eps2_window"])
+def test_general_window_wider_than_a_double_exits_2(tmp_path, capsys, experiment, field):
+    payload = {**DIVERGING, "t_max": 20, "model": {"rule": "general", field: [-1e308, 1e308]}}
+    out = tmp_path / "w"
+    assert main([experiment, "--config", str(write_cfg(tmp_path, payload)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kinex: InvalidParameter: {field}=") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_diverging_relax_names_its_fit_error(tmp_path):
+    out = tmp_path / "r"
+    assert main(["relax", "--config", str(write_cfg(tmp_path, DIVERGING)), "--out", str(out)]) == 0
+    x = np.array([r.split(",")[1] for r in _data_rows(out / "series_relax.csv")], dtype=float)
+    assert np.isnan(x[-1])  # the series keeps its data
+    assert (out / "fit_relax.csv").read_text().splitlines()[2] == "shifted_approach,,,,,,,NoDecayWindow"
+
+
+def test_diverging_dist_names_its_non_finite_samples(tmp_path, capsys):
+    payload = {**DIVERGING, "dist": {"equilibration_steps": 2000}}
+    out = tmp_path / "d"
+    assert main(["dist", "--config", str(write_cfg(tmp_path, payload)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "kinex: InvalidParameter: 30 of 30 samples are not finite; no histogram range holds them\n"
+    assert not out.exists()
+
+
+def test_diverging_dist_probe_names_its_fit_error(tmp_path):
+    # with no equilibration_steps, dist fits a probe relaxation; its failed fit
+    # falls back to 50 steps and says why
+    out = tmp_path / "d"
+    assert main(["dist", "--config", str(write_cfg(tmp_path, DIVERGING)), "--out", str(out)]) == 0
+    notes = json.loads((out / "manifest.json").read_text())["notes"]
+    assert notes[0] == "equilibration_steps=50 (auto; probe fit failed: NoDecayWindow)"
+
+
 @pytest.mark.parametrize(
     "experiment,overrides,name",
     [
@@ -643,23 +691,21 @@ def test_preset_series_prefix_matches_committed(tmp_path, experiment, overrides,
     assert _data_rows(out / name) == _data_rows(committed, 50)
 
 
-def test_preset_rrn_prefix_matches_committed(tmp_path):
-    """The first 200 sweeps of the committed rrn series, within rounding.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_preset_rrn_prefix_matches_committed(tmp_path, threads):
+    """The first 200 sweeps of the committed rrn series, byte for byte.
 
     The sweep's potentials and its sum of |dV| are IEEE operations in a fixed
-    order (row-major, no FMA contraction, no fast-math), so any host should
-    reproduce the committed values exactly.  They are compared to a relative
-    1e-12.
+    order (row-major, no FMA contraction, no fast-math), and the realizations
+    are averaged in stream order, so any host and any worker count reproduce
+    the committed rows exactly.
     """
     p = _preset_with(tmp_path, "rrn", t_max=200, g_windows=[[0.0, 1.0]])
     out = tmp_path / "o"
-    assert main(["rrn", "--config", str(p), "--out", str(out), "--threads", "1"]) == 0
-    got = np.array([r.split(",") for r in _data_rows(out / "series_g_0_1.csv")], dtype=float)
-    want = np.array(
-        [r.split(",") for r in _data_rows(ROOT / "out" / "rrn" / "series_g_0_1.csv", 200)], dtype=float
-    )
-    assert got.shape == want.shape == (200, 2)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert main(["rrn", "--config", str(p), "--out", str(out), "--threads", threads]) == 0
+    got = _data_rows(out / "series_g_0_1.csv")
+    assert len(got) == 200
+    assert got == _data_rows(ROOT / "out" / "rrn" / "series_g_0_1.csv", 200)
     header = [r for r in (out / "series_g_0_1.csv").read_text().splitlines() if r[0] in "#t"]
     committed = (ROOT / "out" / "rrn" / "series_g_0_1.csv").read_text().splitlines()[:4]
     assert header == committed

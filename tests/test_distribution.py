@@ -36,6 +36,14 @@ class TestWealthHistogram:
         with pytest.raises(InvalidParameter):
             wealth_histogram(np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_named(self, bad):
+        # a diverging general-rule run: no range holds them, and min/max with
+        # a nan would read as an empty range
+        values = np.array([1.0, bad, 2.0, bad])
+        with pytest.raises(InvalidParameter, match="2 of 4 samples are not finite"):
+            wealth_histogram(values)
+
     def test_negative_samples_are_counted(self):
         values = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
         edges, counts, _ = wealth_histogram(values, 5)

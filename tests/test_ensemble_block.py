@@ -41,8 +41,9 @@ from kinex.exchange import (
     RULES,
     _draw_pairs,
 )
-from kinex import block as block_module, relaxation
+from kinex import block as block_module, distribution, relaxation, rrn
 from kinex.relaxation import run_relaxation
+from kinex.rrn import run_rrn_relaxation
 from kinex.errors import InvalidParameter
 from kinex.streams import map_stream_blocks
 
@@ -364,8 +365,8 @@ def test_time_step_replays_the_scalar_rules(rule):
         assert ens.wealth.tobytes() == replay.wealth.tobytes()
 
 
-def _span(args):
-    return args[-2], args[-1]
+def _span(start, stop):
+    return start, stop
 
 
 @pytest.fixture
@@ -384,8 +385,8 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            return [fn(job) for job in jobs]
+        def starmap(self, fn, jobs, chunksize=1):
+            return [fn(*job) for job in jobs]
 
     monkeypatch.setattr(multiprocessing.pool, "ThreadPool", RecordingPool)
     return started
@@ -405,7 +406,7 @@ def pools(monkeypatch):
     ],
 )
 def test_fan_out_gives_each_worker_one_block(pools, n_streams, workers, size):
-    blocks = map_stream_blocks(_span, (), n_streams, workers)
+    blocks = map_stream_blocks(_span, n_streams, workers)
     assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
 
 
@@ -422,7 +423,7 @@ def test_fan_out_gives_each_worker_one_block(pools, n_streams, workers, size):
     ],
 )
 def test_fan_out_counts_the_rows_of_every_cell(pools, n_streams, workers, cells, size):
-    blocks = map_stream_blocks(_span, (), n_streams, workers, cells)
+    blocks = map_stream_blocks(_span, n_streams, workers, cells)
     assert blocks == [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
 
 
@@ -431,7 +432,7 @@ def test_fan_out_counts_the_rows_of_every_cell(pools, n_streams, workers, cells,
     list(itertools.product((1, 7, 60, 130, 1000, 5000), (1, 2, 3, 4, 8), (1, 3, 5, 700))),
 )
 def test_fan_out_blocks_cover_the_streams_one_per_worker(pools, n_streams, workers, cells):
-    blocks = map_stream_blocks(_span, (), n_streams, workers, cells)
+    blocks = map_stream_blocks(_span, n_streams, workers, cells)
     assert blocks[0][0] == 0 and blocks[-1][1] == n_streams
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))  # contiguous, in order
     cap = max(1, 2048 // cells)
@@ -452,7 +453,7 @@ def test_fan_out_blocks_cover_the_streams_one_per_worker(pools, n_streams, worke
     [(2, 8, [2]), (10, 8, [5]), (130, 2, [2]), (1, 8, [])],
 )
 def test_fan_out_starts_no_more_threads_than_blocks(pools, n_streams, workers, threads):
-    blocks = map_stream_blocks(_span, (), n_streams, workers)
+    blocks = map_stream_blocks(_span, n_streams, workers)
     assert blocks[0][0] == 0 and blocks[-1][1] == n_streams
     assert pools == threads
 
@@ -471,12 +472,12 @@ def test_fan_out_forks_nothing(monkeypatch, workers):
     monkeypatch.setattr(_posixsubprocess, "fork_exec", refuse)
     ran_on = set()
 
-    def span(args):
+    def span(start, stop):
         ran_on.add(threading.get_ident())
-        return _span(args)
+        return _span(start, stop)
 
     size = 8 // workers
-    assert map_stream_blocks(span, (), 8, workers) == [(lo, lo + size) for lo in range(0, 8, size)]
+    assert map_stream_blocks(span, 8, workers) == [(lo, lo + size) for lo in range(0, 8, size)]
     assert threading.main_thread().ident not in ran_on
     many = run_relaxation(spec, 12, 10, 8, master_seed=5, workers=workers)
     assert one.x_mean.tobytes() == many.x_mean.tobytes()
@@ -486,15 +487,61 @@ def test_fan_out_forks_nothing(monkeypatch, workers):
 def test_fan_out_raises_a_block_s_exception_unchanged(workers):
     raised = InvalidParameter("stream 5 failed")
 
-    def block(args):
-        start, stop = _span(args)
+    def block(start, stop):
         if start <= 5 < stop:
             raise raised
         return start, stop
 
     with pytest.raises(InvalidParameter) as caught:
-        map_stream_blocks(block, (), 8, workers)
+        map_stream_blocks(block, 8, workers)
     assert caught.value is raised
+
+
+@pytest.mark.parametrize("n_streams", [0, -3])
+def test_fan_out_refuses_no_streams(n_streams):
+    def block(start, stop):
+        raise AssertionError("a block ran")
+
+    with pytest.raises(InvalidParameter, match=f"n_configs={n_streams} must be >= 1"):
+        map_stream_blocks(block, n_streams, 2)
+
+
+# Each run at (t_max, n_configs) on 2 workers; dist steps t_max times.
+RUNS = {
+    "relax": lambda t_max, n_configs: run_relaxation(ModelSpec(), 10, t_max, n_configs, 0, 2),
+    "rrn": lambda t_max, n_configs: run_rrn_relaxation(8, (0.0, 1.0), t_max, n_configs, 0, 2),
+    "dist": lambda t_max, n_configs: run_equilibrium(ModelSpec(), 10, t_max, 0, n_configs, 0, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "run,t_max,n_configs,error",
+    [
+        ("relax", 10, 0, "n_configs=0 must be >= 1"),
+        ("relax", 1, 4, "t_max=1 must be >= 2"),
+        ("rrn", 10, 0, "n_configs=0 must be >= 1"),
+        ("rrn", 1, 4, "t_max=1 must be >= 2"),
+        ("dist", 10, 0, "n_configs=0 must be >= 1"),
+    ],
+)
+def test_run_sizes_are_refused_before_any_block_runs(monkeypatch, run, t_max, n_configs, error):
+    blocks = []
+
+    def recording(block, *args, **kwargs):
+        def recorded(start, stop):
+            blocks.append((start, stop))
+            return block(start, stop)
+
+        return map_stream_blocks(recorded, *args, **kwargs)
+
+    for module in (relaxation, distribution, rrn):
+        monkeypatch.setattr(module, "map_stream_blocks", recording)
+    RUNS[run](10, 4)  # the recorder sees a run of valid size
+    assert sorted(blocks) == [(0, 2), (2, 4)]
+    blocks.clear()
+    with pytest.raises(InvalidParameter, match=error):
+        RUNS[run](t_max, n_configs)
+    assert blocks == []
 
 
 def test_blocks_stepped_on_two_threads_match_blocks_stepped_in_turn():

@@ -199,6 +199,19 @@ class TestInitEnsemble:
         with pytest.raises(InvalidParameter):
             ModelSpec(pairing="lattice2d").validate()
 
+    @pytest.mark.parametrize("field", ["eps1_window", "eps2_window"])
+    def test_general_window_whose_width_overflows(self, field):
+        # Both bounds are finite, but hi - lo is not: the draws lo + (hi - lo) * u
+        # would be nan or inf.  A window whose width a double holds still runs.
+        spec = ModelSpec(rule="general", **{field: (-1e308, 1e308)})
+        with pytest.raises(InvalidParameter, match=f"{field}=.*wider than a double holds"):
+            spec.validate()
+        with pytest.raises(InvalidParameter, match=field):
+            init_ensemble(spec, 4, RngStream(0))
+        wide = ModelSpec(rule="general", **{field: (-8e307, 8e307)})
+        ens = init_ensemble(wide, 4, RngStream(0))
+        run_time_step(ens, wide, RngStream(0))
+
 
 class TestRngStream:
     def test_equal_streams_replay(self):

@@ -66,6 +66,20 @@ class TestFitShifted:
         with pytest.raises(InvalidParameter):
             fit_shifted(s, (1, 5), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_not_decaying(self, bad):
+        s = shifted_synthetic(0.5, 0.3, 10.0, n=60)
+        s.x_mean[20] = bad
+        with pytest.raises(NotDecaying, match="not finite"):
+            fit_shifted(s, (1, 60), 0.5)
+
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_plateau_is_not_decaying(self, x0):
+        # a diverging run's plateau: x0 - x would be non-finite everywhere, and
+        # its fit would read tau = nan with r^2 = 1
+        with pytest.raises(NotDecaying, match="not finite"):
+            fit_shifted(shifted_synthetic(0.5, 0.3, 10.0, n=60), (1, 60), x0)
+
     def test_approach_from_above(self):
         t = np.arange(1, 80)
         s = series_from(0.1 + 0.4 * np.exp(-t / 15.0), t)
@@ -91,6 +105,13 @@ class TestFitPure:
         x = 2.0 * np.exp(-np.arange(1, 31) / 5.0)
         x[10] = 0.0
         with pytest.raises(LogDomainError):
+            fit_pure(series_from(x), (1, 30))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_not_decaying(self, bad):
+        x = 2.0 * np.exp(-np.arange(1, 31) / 5.0)
+        x[10] = bad
+        with pytest.raises(NotDecaying, match="not finite"):
             fit_pure(series_from(x), (1, 30))
 
     def test_two_regime_windowing(self):
@@ -149,6 +170,20 @@ class TestAutoWindow:
         lo, hi = auto_window(series_from(x), 0.5)
         # exactly constant tail: zero threshold, every sample qualifies
         assert (lo, hi) == (2, 200)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tail_has_no_window(self, bad):
+        # a diverging run's tail: its spread is not finite, so every sample
+        # would otherwise clear the threshold and the window span the series
+        s = shifted_synthetic(0.5, 0.3, 10.0, n=200)
+        s.x_mean[-10:] = bad
+        with pytest.raises(NoDecayWindow, match="not finite"):
+            auto_window(s, 0.5)
+
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_plateau_has_no_window(self, x0):
+        with pytest.raises(NoDecayWindow, match="not finite"):
+            auto_window(shifted_synthetic(0.5, 0.3, 10.0, n=200), x0)
 
     def test_short_series_rejected(self):
         s = shifted_synthetic(0.5, 0.3, 5.0, n=15)
