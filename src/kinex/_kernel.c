@@ -212,14 +212,13 @@ void kx_run(int rule, int64_t n, int64_t streams, int64_t cells, uint64_t *state
 #define KX_CLONES
 #endif
 
-/* The stencil of one interior row, stated once: node c's neighbour sum
- * sum_nb g_nb V_nb, the terms added in the order up, down, right, left.  The
- * lattice wraps horizontally: g_h[c] joins node c to node c + 1 mod L.  v_up, v
- * and v_dn are the potentials of the rows above, at and below it; out may not
- * alias them.  Without sum, out gets the neighbour sums; with it, out gets
- * each sum over the weight w[c], and each |out[c] - v[c]| is added to *sum,
- * left to right.  Always inlined, so that each caller, and each clone of
- * kx_relax, compiles and vectorizes its own copy with the branch on sum gone. */
+/* The stencil of one interior row: node c's neighbour sum sum_nb g_nb V_nb,
+ * the terms added in the order up, down, right, left, as rrn.neighbor_sum adds
+ * them in numpy, over the weight w[c].  The lattice wraps horizontally: g_h[c]
+ * joins node c to node c + 1 mod L.  v_up, v and v_dn are the potentials of the
+ * rows above, at and below it; out may not alias them.  out[c] gets the new
+ * potential, and each |out[c] - v[c]| is added to *sum, left to right.  Always
+ * inlined, so that each clone of kx_relax compiles and vectorizes its own copy. */
 static inline __attribute__((always_inline)) void
 stencil_row(int64_t L, const double *g_up, const double *g_dn, const double *g_h,
             const double *v_up, const double *v, const double *v_dn, const double *w,
@@ -229,10 +228,8 @@ stencil_row(int64_t L, const double *g_up, const double *g_dn, const double *g_h
     do {                                                                                \
         double x = g_up[c] * v_up[c] + g_dn[c] * v_dn[c] + g_h[c] * v[right]            \
                    + g_h[left] * v[left];                                               \
-        if (sum) {                                                                      \
-            x /= w[c];                                                                  \
-            *sum += fabs(x - v[c]);                                                     \
-        }                                                                               \
+        x /= w[c];                                                                      \
+        *sum += fabs(x - v[c]);                                                         \
         out[c] = x;                                                                     \
     } while (0)
     NODE(0, 1, L - 1);
@@ -240,18 +237,6 @@ stencil_row(int64_t L, const double *g_up, const double *g_dn, const double *g_h
         NODE(c, c + 1, c - 1);
     NODE(L - 1, 0, L - 2);
 #undef NODE
-}
-
-/* The neighbour sums of the L - 2 interior rows of an L x L lattice (L >= 3)
- * into out, (L - 2) x L.  cond_v is (L - 1) x L: cond_v[r, c] joins (r, c) to
- * (r + 1, c); cond_h and potential are L x L. */
-void kx_neighbor_sum(int64_t L, const double *cond_v, const double *cond_h,
-                     const double *potential, double *out)
-{
-    for (int64_t r = 1; r < L - 1; r++)
-        stencil_row(L, cond_v + (r - 1) * L, cond_v + r * L, cond_h + r * L,
-                    potential + (r - 1) * L, potential + r * L, potential + (r + 1) * L, 0,
-                    out + (r - 1) * L, 0);
 }
 
 /* t_max Jacobi sweeps of the lattice, one realization's whole series in one

@@ -25,7 +25,7 @@ from .distribution import (
     run_equilibrium,
     wealth_histogram,
 )
-from .errors import ConfigError, KinexError
+from .errors import ConfigError, KinexError, NotDecaying
 from .exchange import DISTRIBUTED_SAVING, LATTICE_2D, PURE_GAMBLING, ModelSpec
 from .expfit import FORM_PURE, FORM_SHIFTED, auto_window, fit_pure, fit_shifted
 from .relaxation import DEFAULT_TAIL_FRACTION, equilibrium_window_stats, run_relaxation
@@ -366,6 +366,9 @@ def cmd_dist(cfg: ExperimentConfig) -> list[str]:
             probe = run_relaxation(
                 cfg.model, cfg.n_agents, cfg.t_max, n_probe, cfg.master_seed, cfg.workers
             )
+            diverged = probe.t[~np.isfinite(probe.x_mean)]
+            if diverged.size:  # a model that never settles has no equilibrium to sample
+                raise NotDecaying(f"the probe relaxation is first not finite at step {diverged[0]}")
             fit = _fit_series(probe, cfg.tail_fraction, (FORM_SHIFTED,))[1][FORM_SHIFTED]
             if isinstance(fit, KinexError):
                 equil = 50

@@ -135,15 +135,19 @@ def auto_window(
     Discards the first sample, then extends the window while |x - x0| stays
     above 3x the standard deviation of the series tail.  Raises NoDecayWindow
     if fewer than ``min_points`` samples qualify, or if the plateau or a sample
-    of the tail is not finite (a diverging run).
+    of the tail is not finite, or the tail's spread overflows a double (a
+    diverging run).
     """
     if len(series) < 20:
         raise InsufficientData(f"series has {len(series)} samples, need >= 20")
     tail = _tail_slice(series, tail_fraction)
     if not (math.isfinite(x0) and np.isfinite(tail).all()):
         raise NoDecayWindow(f"the plateau x0={x0!r} or a sample of the tail is not finite")
-    threshold = 3.0 * float(tail.std(ddof=1))
-    dist = np.abs(series.x_mean - x0)
+    with np.errstate(over="ignore"):
+        threshold = 3.0 * float(tail.std(ddof=1))
+        dist = np.abs(series.x_mean - x0)
+    if math.isinf(threshold):
+        raise NoDecayWindow(f"the tail's spread overflows a double: 3*sigma_tail={threshold!r}")
     end = 0
     for k in range(1, len(series)):
         if dist[k] <= threshold:

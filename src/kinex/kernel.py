@@ -2,22 +2,23 @@
 
 It holds the wealth models' step (``kx_step``, its draws on PCG64 state the
 caller owns, and ``kx_run``, a relaxation block's whole series) and the
-resistor lattice's stencil (``kx_neighbor_sum``) and its series of Jacobi
-sweeps (``kx_relax``; one sweep is ``t_max = 1``).  The kernel steps numpy's
-PCG64 itself, from the state that :func:`pcg64_words` reads through
-``PCG64.state``; the draw check is what holds it to the installed numpy.
-:func:`library` compiles the source with the system C compiler (``cc``) into
-``_build/`` beside it, under a name keyed by the source digest, the flags and
-the platform, loads it, holds its draws to numpy's ``Generator``
-(:func:`check_draws`) and its sweeps to a numpy stencil (:func:`check_sweep`),
-once per process.  On x86-64 with gcc, ``kx_relax`` is built twice, for
-baseline x86-64 and for AVX2, and the loader picks the clone the CPU runs; the
-sweep check holds whichever it picked.  The one fan-out,
-:func:`streams.map_stream_blocks`, calls :func:`library` in the calling thread
-before any block starts, so that worker threads never race its build or its
-checks.  Only that fan-out, :mod:`block` and the lattices of :mod:`rrn` import
-this module, and only when they run: the CLI's start neither builds nor loads
-the kernel.
+resistor lattice's series of Jacobi sweeps (``kx_relax``; one sweep is
+``t_max = 1``).  The kernel steps numpy's PCG64 itself, from the state that
+:func:`pcg64_words` reads through ``PCG64.state``; the draw check is what holds
+it to the installed numpy.  The lattice's stencil is stated in the sweep and
+once in numpy, as :func:`rrn.neighbor_sum`, which gives the lattice its weight
+sums and the Kirchhoff residuals.  :func:`library` compiles the source with the
+system C compiler (``cc``) into ``_build/`` beside it, under a name keyed by
+the source digest, the flags and the platform, loads it, holds its draws to
+numpy's ``Generator`` (:func:`check_draws`) and its sweeps to
+:func:`rrn.neighbor_sum` (:func:`check_sweep`), once per process.  On x86-64
+with gcc, ``kx_relax`` is built twice, for baseline x86-64 and for AVX2, and
+the loader picks the clone the CPU runs; the sweep check holds whichever it
+picked.  The one fan-out, :func:`streams.map_stream_blocks`, calls
+:func:`library` in the calling thread before any block starts, so that worker
+threads never race its build or its checks.  Only that fan-out, :mod:`block`
+and the lattices of :mod:`rrn` import this module, and only when they run: the
+CLI's start neither builds nor loads the kernel.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "kx_step": (None, _STEP),
     "kx_pairwise_sum": (_f64, (_ptr, _i64)),
     "kx_run": (None, (*_STEP, _i64, _ptr, _ptr)),
-    "kx_neighbor_sum": (None, (_i64, *[_ptr] * 4)),
     "kx_relax": (None, (_i64, *[_ptr] * 5, _i64, _ptr)),
 }
 
@@ -178,40 +178,31 @@ def check_draws(lib: ctypes.CDLL) -> None:
 
 
 def check_sweep(lib: ctypes.CDLL) -> None:
-    """Hold the kernel's lattice stencil and sweeps to numpy on a fixed lattice.
+    """Hold the kernel's lattice sweeps to numpy on a fixed lattice.
 
     Three sweeps (odd, so the kernel copies its result back) of a 13 x 13
     lattice with random potentials, boundary rows included: 11 middle nodes a
     row, so a vectorized loop runs its remainder too, at 2 or 4 lanes.  The
-    numpy form is the np.roll stencil with its mean |dV| summed strictly in
-    row-major order.  Raises SweepMismatch when the weight sums, any sweep's
-    value or the final potentials differ in any bit, for example under a build
-    whose compiler fused or reordered an operation, instead of letting a run
-    continue on different bits.
+    numpy form is :func:`rrn.neighbor_sum` over the weight sums, with its mean
+    |dV| summed strictly in row-major order.  Raises SweepMismatch when any
+    sweep's value or the final potentials differ in any bit, for example under
+    a build whose compiler fused or reordered an operation, instead of letting
+    a run continue on different bits.
     """
+    from .rrn import neighbor_sum  # here, not at import: rrn loads this module in turn
+
     L, sweeps = 13, 3
     g = np.random.default_rng(_CHECK_SEED)
     cond_h, cond_v, potential = g.random((L, L)) + 0.1, g.random((L - 1, L)) + 0.1, g.random((L, L))
-    g_h = cond_h[1:-1]
-    g_left = np.roll(g_h, 1, axis=1)
-    weight_sum = cond_v[:-1] + cond_v[1:] + g_h + g_left
-    ones, got_weights = np.ones((L, L)), np.empty((L - 2, L))
-    lib.kx_neighbor_sum(
-        L, cond_v.ctypes.data, cond_h.ctypes.data, ones.ctypes.data, got_weights.ctypes.data
-    )
-
+    weight_sum = neighbor_sum(cond_h, cond_v, np.ones((L, L)))
     want, want_xs = potential.copy(), np.empty(sweeps)
     for t in range(sweeps):
-        v = want[1:-1]
-        new = (cond_v[:-1] * want[:-2] + cond_v[1:] * want[2:] + g_h * np.roll(v, -1, axis=1)
-               + g_left * np.roll(v, 1, axis=1)) / weight_sum
-        d = np.abs(new - v).ravel()
+        new = neighbor_sum(cond_h, cond_v, want) / weight_sum
+        d = np.abs(new - want[1:-1]).ravel()
         want_xs[t] = np.add.accumulate(d)[-1] / d.size
         want[1:-1] = new
     spare, xs = np.empty((L, L)), np.empty(sweeps)
     lib.kx_relax(L, cond_v.ctypes.data, cond_h.ctypes.data, weight_sum.ctypes.data,
                  potential.ctypes.data, spare.ctypes.data, sweeps, xs.ctypes.data)
-    if (got_weights.tobytes(), xs.tobytes(), potential.tobytes()) != (
-        weight_sum.tobytes(), want_xs.tobytes(), want.tobytes()
-    ):
+    if (xs.tobytes(), potential.tobytes()) != (want_xs.tobytes(), want.tobytes()):
         raise SweepMismatch("the kernel's lattice sweep differs from the numpy stencil")

@@ -130,9 +130,16 @@ def _tail_slice(series: RelaxationSeries, tail_fraction: float) -> np.ndarray:
 def equilibrium_window_stats(
     series: RelaxationSeries, tail_fraction: float = DEFAULT_TAIL_FRACTION
 ) -> tuple[float, float]:
-    """Plateau mean and its standard error (tail std / sqrt(tail length))."""
+    """Plateau mean and its standard error (tail std / sqrt(tail length)).
+
+    A diverging run's tail gives sem nan when it holds a sample that is not
+    finite, and sem inf when its spread overflows a double.
+    """
     tail = _tail_slice(series, tail_fraction)
-    mean = float(tail.mean())
-    if tail.size < 2:
-        return mean, 0.0
-    return mean, float(tail.std(ddof=1) / np.sqrt(tail.size))
+    with np.errstate(over="ignore"):
+        mean = float(tail.mean())
+        if not np.isfinite(tail).all():
+            return mean, float("nan")
+        if tail.size < 2:
+            return mean, 0.0
+        return mean, float(tail.std(ddof=1) / np.sqrt(tail.size))

@@ -75,7 +75,7 @@ class ResistorLattice:
         setattr_ = functools.partial(object.__setattr__, self)
         setattr_("_kernel", library())
         # the neighbor sum of unit potentials, bit for bit the sum of a node's conductances
-        weight_sum = _inflow(self, np.ones((L, L)))
+        weight_sum = neighbor_sum(self.cond_h, self.cond_v, np.ones((L, L)))
         if not (weight_sum > 0.0).all():
             raise InvalidParameter("every interior node needs a positive sum of conductances")
         setattr_("weight_sum", weight_sum)
@@ -128,16 +128,14 @@ def build_lattice(
     )
 
 
-def _inflow(lat: ResistorLattice, potential: np.ndarray) -> np.ndarray:
-    """sum_nb g_nb V_nb at every interior node of ``lat`` under the (L, L)
-    C-contiguous float64 ``potential``, by the kernel's one statement of the
-    stencil."""
-    L = potential.shape[0]
-    out = np.empty((L - 2, L))
-    lat._kernel.kx_neighbor_sum(
-        L, lat.cond_v.ctypes.data, lat.cond_h.ctypes.data, potential.ctypes.data, out.ctypes.data
-    )
-    return out
+def neighbor_sum(cond_h: np.ndarray, cond_v: np.ndarray, potential: np.ndarray) -> np.ndarray:
+    """sum_nb g_nb V_nb at every interior node, (L - 2) x L, on arrays laid out
+    as :class:`ResistorLattice`'s: the stencil, stated once in numpy, its terms
+    added in the kernel's order (up, down, right, left).  A sweep is this sum
+    over ``weight_sum``, bit for bit, as :func:`kernel.check_sweep` checks."""
+    v, g_h = potential[1:-1], cond_h[1:-1]
+    return (cond_v[:-1] * potential[:-2] + cond_v[1:] * potential[2:]
+            + g_h * np.roll(v, -1, axis=1) + np.roll(g_h, 1, axis=1) * np.roll(v, 1, axis=1))
 
 
 def relax_sweep(lat: ResistorLattice) -> float:
@@ -162,7 +160,8 @@ def node_current_residuals(lat: ResistorLattice) -> np.ndarray:
 
     Zero everywhere exactly at the Kirchhoff solution.
     """
-    return _inflow(lat, lat.potential) - lat.weight_sum * lat.potential[1:-1, :]
+    V = lat.potential
+    return neighbor_sum(lat.cond_h, lat.cond_v, V) - lat.weight_sum * V[1:-1, :]
 
 
 def solve_kirchhoff_dense(lat: ResistorLattice) -> np.ndarray:

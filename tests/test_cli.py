@@ -666,11 +666,34 @@ def test_diverging_dist_names_its_non_finite_samples(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_diverging_dist_probe_names_its_fit_error(tmp_path):
-    # with no equilibration_steps, dist fits a probe relaxation; its failed fit
-    # falls back to 50 steps and says why
+@pytest.mark.parametrize("t_max", [900, 1049])
+def test_diverging_relax_prints_no_numpy_warning(tmp_path, capsys, t_max):
+    # At t_max 900 the tail is finite but its spread overflows a double; at
+    # 1049 the tail ends at inf.  Neither plateau statistic may warn.
+    payload = {**DIVERGING, "t_max": t_max, "master_seed": 5}
+    out = tmp_path / "r"
+    assert main(["relax", "--config", str(write_cfg(tmp_path, payload)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "fit_relax.csv").read_text().splitlines()[2] == "shifted_approach,,,,,,,NoDecayWindow"
+
+
+def test_diverging_dist_probe_names_its_fit_error(tmp_path, capsys):
+    # with no equilibration_steps, dist sizes its equilibration from a probe
+    # relaxation; a probe that is not finite has no equilibrium to sample
     out = tmp_path / "d"
-    assert main(["dist", "--config", str(write_cfg(tmp_path, DIVERGING)), "--out", str(out)]) == 0
+    assert main(["dist", "--config", str(write_cfg(tmp_path, DIVERGING)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "kinex: NotDecaying: the probe relaxation is first not finite at step 1058\n"
+    assert not out.exists()
+
+
+def test_finite_dist_probe_whose_fit_fails_falls_back_to_50_steps(tmp_path):
+    # the identity exchange never moves: its probe is finite, all zeros, and
+    # no sample clears the plateau, so the fit fails and 50 steps are used
+    model = {"rule": "general", "eps1_window": [1.0, 1.0], "eps2_window": [0.0, 0.0]}
+    payload = {**DIVERGING, "t_max": 30, "model": model}
+    out = tmp_path / "d"
+    assert main(["dist", "--config", str(write_cfg(tmp_path, payload)), "--out", str(out)]) == 0
     notes = json.loads((out / "manifest.json").read_text())["notes"]
     assert notes[0] == "equilibration_steps=50 (auto; probe fit failed: NoDecayWindow)"
 

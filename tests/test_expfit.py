@@ -180,6 +180,15 @@ class TestAutoWindow:
         with pytest.raises(NoDecayWindow, match="not finite"):
             auto_window(s, 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tail_whose_spread_overflows_has_no_window(self):
+        # a diverging run's tail can be finite while its spread is not
+        s = shifted_synthetic(0.5, 0.3, 10.0, n=200)
+        s.x_mean[-10:] = np.geomspace(1e200, 1e300, 10)
+        x0 = float(s.x_mean[-50:].mean())
+        with pytest.raises(NoDecayWindow, match="spread overflows"):
+            auto_window(s, x0)
+
     @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
     def test_non_finite_plateau_has_no_window(self, x0):
         with pytest.raises(NoDecayWindow, match="not finite"):

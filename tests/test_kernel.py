@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinex import kernel
+from kinex import kernel, rrn
 from kinex.errors import DrawMismatch, InvalidParameter, KernelBuildError, SweepMismatch
 from kinex.distribution import run_equilibrium
 from kinex.exchange import ModelSpec
@@ -272,6 +272,22 @@ def test_library_refuses_a_build_whose_sweep_differs(tmp_path, monkeypatch, fres
     with pytest.raises(SweepMismatch):
         kernel.library()
     assert kernel.library.cache_info().currsize == 0
+
+
+def test_sweep_check_holds_the_kernel_to_the_lattice_s_numpy_stencil(monkeypatch):
+    # The check's oracle is rrn.neighbor_sum, which also gives every lattice its
+    # weight sums and residuals: the same stencil with its right and left terms
+    # added the other way round rounds otherwise, and the check must see it.
+    def swapped(cond_h, cond_v, potential):
+        v, g_h = potential[1:-1], cond_h[1:-1]
+        return (cond_v[:-1] * potential[:-2] + cond_v[1:] * potential[2:]
+                + np.roll(g_h, 1, axis=1) * np.roll(v, 1, axis=1) + g_h * np.roll(v, -1, axis=1))
+
+    lib = kernel.library()
+    kernel.check_sweep(lib)
+    monkeypatch.setattr(rrn, "neighbor_sum", swapped)
+    with pytest.raises(SweepMismatch):
+        kernel.check_sweep(lib)
 
 
 CLONES = '__attribute__((target_clones("avx2", "default")))'

@@ -55,6 +55,17 @@ class TestEquilibriumWindow:
         assert mean == pytest.approx(1.0, abs=0.005)
         assert sem == pytest.approx(0.01 / np.sqrt(100), rel=0.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_tails_give_a_sem_without_warning(self):
+        # a finite tail whose spread overflows a double: sem inf
+        mean, sem = equilibrium_window_stats(synthetic_series(np.geomspace(1.0, 1e300, 40)), 0.25)
+        assert np.isfinite(mean) and sem == np.inf
+        # a tail that holds inf or nan: sem nan
+        for bad in (np.inf, np.nan):
+            x = np.geomspace(1.0, 1e300, 40)
+            x[-3:] = bad
+            assert np.isnan(equilibrium_window_stats(synthetic_series(x), 0.25)[1])
+
 
 class TestRunRelaxation:
     def test_deterministic_replay(self):
