@@ -5,7 +5,11 @@
  * Generator.integers, random and uniform would, on the stream's own PCG64 state,
  * stepped here as numpy steps it; then every economy on that stream applies its
  * rule to the N slots in order, with exchange.run_time_step's operations and
- * clamp.  kernel.py builds this file without FMA contraction or fast-math, so
+ * clamp.  Draws come in bulk: pcg64_fill steps a stream four states ahead at a
+ * time, and the integer and double maps read the words it leaves on the stack,
+ * whole words two 32-bit values at a time where no half is pending; the
+ * values, and the state a stream is left in, are numpy's all the same.
+ * kernel.py builds this file without FMA contraction or fast-math, so
  * every economy gets the bits run_time_step gives it, and holds the draws to
  * np.random.Generator.  For the same reason a sweep's potentials and its sum of
  * |dV| have the same bits on any host with IEEE doubles.
@@ -19,11 +23,16 @@ enum { PURE_GAMBLING, FIXED_SAVING, DISTRIBUTED_SAVING, GENERAL };
 /* numpy's PCG64: O'Neill's XSL-RR 128/64 generator (PCG, HMC-CS-2014-0905),
  * with numpy's pending 32-bit half.  A stream's state is six words, as
  * kernel.pcg64_words lays out PCG64.state: state low and high, increment low and
- * high, has_uint32 and uinteger.  Each draw loop steps a local copy: stores to
- * its output could otherwise alias the state. */
+ * high, has_uint32 and uinteger.  numpy keeps the last high half in uinteger
+ * after it is read, so a stream's six words are its whole state.  Each draw
+ * loop steps a local copy: stores to its output could otherwise alias the
+ * state. */
 typedef unsigned __int128 u128;
 typedef struct { u128 state, inc; uint64_t has_uint32, uinteger; } pcg64;
 #define PCG64_MULTIPLIER (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+/* The words that kx_uniform and kx_integers draw ahead, on their stack. */
+enum { KX_CHUNK = 256 };
 
 static pcg64 pcg64_load(const uint64_t *w)
 {
@@ -36,12 +45,17 @@ static void pcg64_store(const pcg64 *g, uint64_t *w)
     w[4] = g->has_uint32, w[5] = g->uinteger;
 }
 
+static inline uint64_t pcg64_output(u128 state)
+{
+    const uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    const unsigned rot = (unsigned)(state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
 static inline uint64_t pcg64_next64(pcg64 *g)
 {
     g->state = g->state * PCG64_MULTIPLIER + g->inc;
-    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    const unsigned rot = (unsigned)(g->state >> 122);
-    return (x >> rot) | (x << ((-rot) & 63));
+    return pcg64_output(g->state);
 }
 
 static inline uint32_t pcg64_next32(pcg64 *g)
@@ -56,26 +70,95 @@ static inline uint32_t pcg64_next32(pcg64 *g)
     return (uint32_t)next;
 }
 
+/* The next m 64-bit values, as m calls of pcg64_next64 give them, leaving the
+ * pending half alone.  Each step waits on the multiply-add before it, so four
+ * states are computed from each base state s, as s * M^d + inc * (1 + M + ... +
+ * M^(d - 1)) for d = 1 .. 4: four independent multiply-adds, the last of
+ * which is the next base. */
+static void pcg64_fill(pcg64 *g, uint64_t *out, int64_t m)
+{
+    u128 mul[4] = {PCG64_MULTIPLIER}, add[4] = {g->inc};
+    for (int d = 1; d < 4; d++) {
+        mul[d] = mul[d - 1] * PCG64_MULTIPLIER;
+        add[d] = add[d - 1] * PCG64_MULTIPLIER + g->inc;
+    }
+    u128 s = g->state;
+    int64_t k = 0;
+    for (; k + 4 <= m; k += 4) {
+        const u128 s1 = s * mul[0] + add[0], s2 = s * mul[1] + add[1];
+        const u128 s3 = s * mul[2] + add[2], s4 = s * mul[3] + add[3];
+        out[k] = pcg64_output(s1), out[k + 1] = pcg64_output(s2);
+        out[k + 2] = pcg64_output(s3), out[k + 3] = pcg64_output(s4);
+        s = s4;
+    }
+    for (; k < m; k++) {
+        s = s * mul[0] + add[0];
+        out[k] = pcg64_output(s);
+    }
+    g->state = s;
+}
+
 /* Generator.integers(0, span, size) for 1 <= span < 2**32: Lemire's method on
- * 32-bit values, with numpy's rejection threshold.  A span of 1 draws nothing. */
+ * 32-bit values, with numpy's rejection threshold.  A span of 1 draws nothing.
+ *
+ * With no half pending, a pass maps whole words, drawn ahead, two values at a
+ * time, the low half first, and leaves uinteger as numpy does.  For a power of
+ * two, Lemire's product is a shift and never rejects.  Otherwise the pass stops
+ * at a word with a value that might be rejected (its leftover below span) and
+ * rewinds the stream to that word.  One value at a time is drawn for a pending
+ * half, an odd last value and a value that might be rejected.  Such a value
+ * costs its pass at most `ahead` steps, and a pass meets one with probability
+ * under 2 * ahead * span / 2**32 <= 1/4: so passes waste under a quarter step
+ * per word, and spans above 2**29 draw one value at a time. */
 void kx_integers(uint64_t *stream, uint64_t span, int64_t size, int64_t *out)
 {
+    if (span == 1) {
+        memset(out, 0, (size_t)size * sizeof *out);
+        return;
+    }
     const uint32_t rng = (uint32_t)(span - 1);
+    const int shift = span & rng ? 0 : 32 - __builtin_ctzll(span);
+    const int64_t ahead = shift || span <= (1 << 29) / KX_CHUNK ? KX_CHUNK : (1 << 29) / (int64_t)span;
+    uint64_t words[KX_CHUNK];
     pcg64 g = pcg64_load(stream);
-    for (int64_t k = 0; k < size; k++) {
-        uint64_t m = 0;
-        if (rng) {
-            m = (uint64_t)pcg64_next32(&g) * span;
-            uint32_t leftover = (uint32_t)m;
-            if (leftover < span) {
-                const uint32_t threshold = (UINT32_MAX - rng) % (uint32_t)span;
-                while (leftover < threshold) {
-                    m = (uint64_t)pcg64_next32(&g) * span;
-                    leftover = (uint32_t)m;
+    int64_t k = 0;
+    while (k < size) {
+        const int64_t n_words = (size - k) / 2 < ahead ? (size - k) / 2 : ahead;
+        if (!g.has_uint32 && n_words > 0) {
+            const u128 start = g.state;
+            pcg64_fill(&g, words, n_words);
+            int64_t i = 0;
+            if (shift)
+                for (; i < n_words; i++, k += 2) {
+                    out[k] = (int64_t)((uint32_t)words[i] >> shift);
+                    out[k + 1] = (int64_t)(words[i] >> 32 >> shift);
                 }
+            else
+                for (; i < n_words; i++, k += 2) {
+                    const uint64_t lo = (uint32_t)words[i] * span, hi = (words[i] >> 32) * span;
+                    if ((uint32_t)lo < span || (uint32_t)hi < span)
+                        break;
+                    out[k] = (int64_t)(lo >> 32);
+                    out[k + 1] = (int64_t)(hi >> 32);
+                }
+            if (i == n_words) {
+                g.uinteger = words[i - 1] >> 32;
+                continue;
+            }
+            g.state = start;  /* word i holds a value that might be rejected */
+            while (i--)
+                pcg64_next64(&g);
+        }
+        uint64_t m = (uint64_t)pcg64_next32(&g) * span;
+        uint32_t leftover = (uint32_t)m;
+        if (leftover < span) {
+            const uint32_t threshold = (UINT32_MAX - rng) % (uint32_t)span;
+            while (leftover < threshold) {
+                m = (uint64_t)pcg64_next32(&g) * span;
+                leftover = (uint32_t)m;
             }
         }
-        out[k] = (int64_t)(m >> 32);
+        out[k++] = (int64_t)(m >> 32);
     }
     pcg64_store(&g, stream);
 }
@@ -86,9 +169,14 @@ void kx_integers(uint64_t *stream, uint64_t span, int64_t size, int64_t *out)
 void kx_uniform(uint64_t *stream, double lo, double hi, int64_t size, double *out)
 {
     const double range = hi - lo;
+    uint64_t words[KX_CHUNK];
     pcg64 g = pcg64_load(stream);
-    for (int64_t k = 0; k < size; k++)
-        out[k] = lo + range * ((double)(pcg64_next64(&g) >> 11) * 0x1.0p-53);
+    for (int64_t k = 0; k < size; k += KX_CHUNK) {
+        const int64_t m = size - k < KX_CHUNK ? size - k : KX_CHUNK;
+        pcg64_fill(&g, words, m);
+        for (int64_t i = 0; i < m; i++)
+            out[k + i] = lo + range * ((double)(words[i] >> 11) * 0x1.0p-53);
+    }
     pcg64_store(&g, stream);
 }
 

@@ -134,13 +134,15 @@ def auto_window(
 
     Discards the first sample, then extends the window while |x - x0| stays
     above 3x the standard deviation of the series tail.  Raises NoDecayWindow
-    if fewer than ``min_points`` samples qualify, or if the plateau or a sample
-    of the tail is not finite, or the tail's spread overflows a double (a
-    diverging run).
+    if fewer than ``min_points`` samples qualify, if the tail holds fewer than
+    two samples (it has no spread), or if the plateau or a sample of the tail
+    is not finite, or the tail's spread overflows a double (a diverging run).
     """
     if len(series) < 20:
         raise InsufficientData(f"series has {len(series)} samples, need >= 20")
     tail = _tail_slice(series, tail_fraction)
+    if tail.size < 2:
+        raise NoDecayWindow(f"the plateau tail holds {tail.size} sample; its spread needs 2 or more")
     if not (math.isfinite(x0) and np.isfinite(tail).all()):
         raise NoDecayWindow(f"the plateau x0={x0!r} or a sample of the tail is not finite")
     with np.errstate(over="ignore"):

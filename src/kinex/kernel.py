@@ -4,8 +4,10 @@ It holds the wealth models' step (``kx_step``, its draws on PCG64 state the
 caller owns, and ``kx_run``, a relaxation block's whole series) and the
 resistor lattice's series of Jacobi sweeps (``kx_relax``; one sweep is
 ``t_max = 1``).  The kernel steps numpy's PCG64 itself, from the state that
-:func:`pcg64_words` reads through ``PCG64.state``; the draw check is what holds
-it to the installed numpy.  The lattice's stencil is stated in the sweep and
+:func:`pcg64_words` reads through ``PCG64.state``, in chunks of words computed
+four states ahead, and maps whole words to two 32-bit integers at a time where
+no half is pending and no value might be rejected; the draw check is what
+holds it to the installed numpy, on each of those paths.  The lattice's stencil is stated in the sweep and
 once in numpy, as :func:`rrn.neighbor_sum`, which gives the lattice its weight
 sums and the Kirchhoff residuals.  :func:`library` compiles the source with the
 system C compiler (``cc``) into ``_build/`` beside it, under a name keyed by
@@ -150,6 +152,11 @@ _CHECK_PLANS = (
     (("integers", 0, 2**31 + 1, 7), ("integers", 0, 3 * 2**30 + 7, 7), ("uniform", -0.5, 1.5, 7)),
     # A mean-field step at n = 101.
     (("integers", 0, 101, 101), ("integers", 0, 100, 101), ("random", 101)),
+    # A lattice-style step over more than one chunk of words drawn ahead:
+    # power-of-two spans, which map whole words by a shift, then doubles; then
+    # a span whose passes over whole words often stop at a value that might be
+    # rejected, and rewind the stream to it.
+    (("integers", 0, 64, 515), ("integers", 0, 4, 515), ("random", 515), ("integers", 0, 2**27 + 1, 41)),
 )
 
 

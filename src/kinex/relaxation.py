@@ -133,13 +133,12 @@ def equilibrium_window_stats(
     """Plateau mean and its standard error (tail std / sqrt(tail length)).
 
     A diverging run's tail gives sem nan when it holds a sample that is not
-    finite, and sem inf when its spread overflows a double.
+    finite, and sem inf when its spread overflows a double.  A tail of one
+    sample has no spread, so its sem is nan too.
     """
     tail = _tail_slice(series, tail_fraction)
     with np.errstate(over="ignore"):
         mean = float(tail.mean())
-        if not np.isfinite(tail).all():
+        if tail.size < 2 or not np.isfinite(tail).all():
             return mean, float("nan")
-        if tail.size < 2:
-            return mean, 0.0
         return mean, float(tail.std(ddof=1) / np.sqrt(tail.size))

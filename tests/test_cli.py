@@ -677,6 +677,24 @@ def test_diverging_relax_prints_no_numpy_warning(tmp_path, capsys, t_max):
     assert (out / "fit_relax.csv").read_text().splitlines()[2] == "shifted_approach,,,,,,,NoDecayWindow"
 
 
+def test_one_sample_plateau_tail_names_its_fit_error(tmp_path, capsys):
+    # tail_fraction 0.01 of 30 steps keeps one tail sample: the plateau has no
+    # spread, so the window has no threshold, in relax and in fit alike
+    payload = {"n_agents": 100, "t_max": 30, "n_configs": 20, "master_seed": 3, "tail_fraction": 0.01,
+               "model": {"rule": "distributed_saving"}}
+    out = tmp_path / "r"
+    assert main(["relax", "--config", str(write_cfg(tmp_path, payload)), "--out", str(out)]) == 0
+    assert (out / "fit_relax.csv").read_text().splitlines()[2:] == ["shifted_approach,,,,,,,NoDecayWindow"]
+    fit = write_cfg(tmp_path, {"fit": {"series_csv": str(out / "series_relax.csv")}, "tail_fraction": 0.01},
+                    "fit.yaml")
+    assert main(["fit", "--config", str(fit), "--out", str(tmp_path / "f")]) == 0
+    assert (tmp_path / "f" / "fit_series.csv").read_text().splitlines()[2:] == [
+        "shifted_approach,,,,,,,NoDecayWindow",
+        "pure_decay,,,,,,,NoDecayWindow",
+    ]
+    assert capsys.readouterr().err == ""
+
+
 def test_diverging_dist_probe_names_its_fit_error(tmp_path, capsys):
     # with no equilibration_steps, dist sizes its equilibration from a probe
     # relaxation; a probe that is not finite has no equilibrium to sample

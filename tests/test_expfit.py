@@ -189,6 +189,13 @@ class TestAutoWindow:
         with pytest.raises(NoDecayWindow, match="spread overflows"):
             auto_window(s, x0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_one_sample_tail_has_no_window(self):
+        # the tail keeps max(1, round(30 * 0.01)) samples: one, with no spread
+        # to set the threshold
+        with pytest.raises(NoDecayWindow, match="holds 1 sample"):
+            auto_window(shifted_synthetic(0.5, 0.3, 10.0, n=30), 0.5, tail_fraction=0.01)
+
     @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
     def test_non_finite_plateau_has_no_window(self, x0):
         with pytest.raises(NoDecayWindow, match="not finite"):

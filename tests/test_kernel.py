@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinex import kernel, rrn
 from kinex.errors import DrawMismatch, InvalidParameter, KernelBuildError, SweepMismatch
@@ -199,6 +201,55 @@ def test_kernel_steps_pcg64_as_numpy_does_at_its_edges(state, inc, has_uint32, u
     assert_continues_alike(g, oracle)
 
 
+# Words the kernel draws ahead at a time: a chunk of doubles, or of twice as
+# many 32-bit values.
+CHUNK = int(re.search(r"KX_CHUNK = (\d+)", kernel.SOURCE.read_text()).group(1))
+CHUNK_SIZES = sorted({0, 1, 2, *(c + d for c in (CHUNK, 2 * CHUNK) for d in (-1, 0, 1)), 4 * CHUNK + 1})
+
+
+def _draws_and_state_match(plan, pending):
+    """The kernel's draws for ``plan`` and the whole state it leaves equal the
+    Generator's, on a stream with or without a half pending on entry."""
+    lib = kernel.library()
+    g, oracle = RngStream(13, len(plan)).gen, RngStream(13, len(plan)).gen
+    if pending:
+        g.integers(0, 7, 1)
+        oracle.integers(0, 7, 1)
+    assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+    assert g.bit_generator.state == oracle.bit_generator.state
+    assert_continues_alike(g, oracle)
+
+
+@pytest.mark.parametrize("span", [2, 4, 100, 1024, 2**27 + 1, 2**31, 2**31 + 1, 2**32 - 1])
+@pytest.mark.parametrize("pending", [False, True], ids=["none_pending", "half_pending"])
+def test_kernel_draws_match_generator_at_chunk_edges(span, pending):
+    # Sizes about one and two chunks of words, for doubles and for 32-bit
+    # values; powers of two map by a shift, and 2**27 + 1 often rewinds a pass.
+    # uinteger must hold the last high half, as numpy leaves it, even with no
+    # half pending.
+    for size in CHUNK_SIZES:
+        _draws_and_state_match((("integers", 0, span, size), ("random", size), ("integers", 7, 7 + span, size)),
+                               pending)
+
+
+SPANS = st.one_of(
+    st.sampled_from([2, 3, 4, 64, 99, 100, 1024, 2**27 + 1, 2**31, 2**31 + 1, 2**32 - 1]),
+    st.integers(1, 2**32 - 1),
+)
+CALLS = st.one_of(
+    st.tuples(st.just("integers"), st.integers(0, 9), SPANS, st.integers(0, 2 * CHUNK + 3)).map(
+        lambda c: (c[0], c[1], c[1] + c[2], c[3])),
+    st.tuples(st.just("random"), st.integers(0, CHUNK + 3)),
+    st.tuples(st.just("uniform"), st.just(-0.5), st.just(1.5), st.integers(0, CHUNK + 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=st.lists(CALLS, min_size=1, max_size=6).map(tuple), pending=st.booleans())
+def test_kernel_draws_match_generator_on_mixed_plans(plan, pending):
+    _draws_and_state_match(plan, pending)
+
+
 def test_kernel_draws_refuse_a_stream_that_is_not_pcg64():
     g = np.random.Generator(np.random.MT19937(5))
     with pytest.raises(InvalidParameter, match="MT19937"):
@@ -224,18 +275,27 @@ def test_every_kernel_function_has_a_ctypes_signature_of_its_arity():
 @pytest.mark.parametrize(
     "old,new",
     [
-        ("out[k] = (int64_t)(m >> 32);", "out[k] = (int64_t)(m >> 32) ^ 1;"),
-        ("(pcg64_next64(&g) >> 11) * 0x1.0p-53", "(pcg64_next64(&g) >> 12) * 0x1.0p-52"),
+        ("out[k] = (int64_t)(lo >> 32);", "out[k] = (int64_t)(lo >> 32) ^ 1;"),
+        ("(words[i] >> 11) * 0x1.0p-53", "(words[i] >> 12) * 0x1.0p-52"),
         ("m = (uint64_t)pcg64_next32(&g) * span;", "m = (uint64_t)(uint32_t)pcg64_next64(&g) * span;"),
         ("0x4385df649fccf645ULL", "0x4385df649fccf647ULL"),
+        ("lo = (uint32_t)words[i] * span, hi = (words[i] >> 32) * span",
+         "lo = (words[i] >> 32) * span, hi = (uint32_t)words[i] * span"),
+        ("32 - __builtin_ctzll(span)", "31 - __builtin_ctzll(span)"),
+        ("add[d] = add[d - 1] * PCG64_MULTIPLIER + g->inc;", "add[d] = add[d - 1] * PCG64_MULTIPLIER;"),
+        ("g.state = start;", "(void)start;"),
     ],
-    ids=["integers_off_by_one_bit", "doubles_on_52_bits", "no_pending_half", "wrong_multiplier"],
+    ids=["integers_off_by_one_bit", "doubles_on_52_bits", "no_pending_half", "wrong_multiplier",
+         "halves_swapped", "shift_off_by_one", "wrong_lookahead_constant", "no_rewind"],
 )
 def test_library_refuses_a_build_whose_draws_differ(tmp_path, monkeypatch, fresh_library, old, new):
     # Kernels built from broken copies of the source: integers off in their
     # lowest bit, doubles one ulp off for half of all values, 32-bit values
-    # that each use up a whole word, so that no half is ever left pending, and
-    # a PCG64 multiplier off in one bit.
+    # that each use up a whole word, so that no half is ever left pending, a
+    # PCG64 multiplier off in one bit; whole words mapped high half first, a
+    # power-of-two span's shift one bit short, a step four states ahead that
+    # adds the increment once too few, and a pass that does not rewind to the
+    # value that might be rejected.
     source = kernel.SOURCE.read_text()
     assert old in source
     broken = tmp_path / "_kernel.c"

@@ -66,6 +66,12 @@ class TestEquilibriumWindow:
             x[-3:] = bad
             assert np.isnan(equilibrium_window_stats(synthetic_series(x), 0.25)[1])
 
+    @pytest.mark.filterwarnings("error")
+    def test_one_sample_tail_has_no_sem(self):
+        # round(40 * 0.01) is 0, so the tail keeps one sample, which has no spread
+        mean, sem = equilibrium_window_stats(synthetic_series(np.linspace(2.0, 1.0, 40)), 0.01)
+        assert mean == 1.0 and np.isnan(sem)
+
 
 class TestRunRelaxation:
     def test_deterministic_replay(self):
