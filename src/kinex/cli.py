@@ -247,6 +247,13 @@ def load_experiment_config(
             f"dense_check at side={cfg.side} needs a {n_dense}-node dense solve;"
             f" the limit is {DENSE_MAX_INTERIOR} interior nodes"
         )
+    if experiment == "eps-sweep" and cfg.model.rule != DISTRIBUTED_SAVING:
+        raise ConfigError("eps-sweep is defined for the distributed-saving model")
+    cells = {"lambda-family": "lambda_windows", "eps-sweep": "eps_values", "rrn": "g_windows"}
+    if experiment in cells and not getattr(cfg, cells[experiment]):
+        raise ConfigError(f"{experiment} needs a non-empty {cells[experiment]} list")
+    if experiment == "fit" and not cfg.series_csv:
+        raise ConfigError("fit needs series_csv pointing at a series file")
     return cfg
 
 
@@ -292,6 +299,17 @@ def _fit_series(series, tail_fraction, forms, x0=None, window=None):
     return window, fits
 
 
+def _window_sweep(cfg, run, prefix, windows, cells, note, extra=lambda w: None) -> list:
+    """Each window's series as ``series_<prefix>_<window>.csv``, its pure fit,
+    and the decay-time table of the fits, which are returned."""
+    fits = []
+    for w, series in zip(windows, cells):
+        write_series_csv(series, run.path(f"series_{prefix}_{_cell_label(w)}.csv"), extra(w))
+        fits.append(_fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE])
+    write_tau_table(run.path("tau_table.csv"), windows, fits, header_note=note)
+    return fits
+
+
 def cmd_relax(cfg: ExperimentConfig) -> list[str]:
     """Single relaxation run: series CSV plus a fit report."""
     with _run_dir(cfg) as run:
@@ -307,19 +325,13 @@ def cmd_relax(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_lambda_family(cfg: ExperimentConfig) -> list[str]:
     """One run per propensity window, with a decay-time table ordered by window mean."""
-    if not cfg.lambda_windows:
-        raise ConfigError("lambda-family needs a non-empty lambda_windows list")
     windows = sorted(cfg.lambda_windows, key=sum)
     specs = tuple(replace(cfg.model, rule=DISTRIBUTED_SAVING, lambda_window=w) for w in windows)
     with _run_dir(cfg) as run:
-        fits = []
         cells = run_relaxation(
             specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
         )
-        for w, series in zip(windows, cells):
-            write_series_csv(series, run.path(f"series_lw_{_cell_label(w)}.csv"))
-            fits.append(_fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE])
-
+        fits = _window_sweep(cfg, run, "lw", windows, cells, "propensity windows, ordered by mean")
         taus = [fit.tau for fit in fits if not isinstance(fit, KinexError)]
         violations = []
         if len(taus) < len(fits):
@@ -327,18 +339,11 @@ def cmd_lambda_family(cfg: ExperimentConfig) -> list[str]:
         elif not all(a < b for a, b in zip(taus, taus[1:])):
             violations.append("decay time is not strictly increasing with the window mean")
         run.notes.extend(violations)
-        write_tau_table(
-            run.path("tau_table.csv"), windows, fits, header_note="propensity windows, ordered by mean"
-        )
     return violations
 
 
 def cmd_eps_sweep(cfg: ExperimentConfig) -> list[str]:
     """Plateau estimate per split parameter; marks the minimum."""
-    if cfg.model.rule != DISTRIBUTED_SAVING:
-        raise ConfigError("eps-sweep is defined for the distributed-saving model")
-    if not cfg.eps_values:
-        raise ConfigError("eps-sweep needs a non-empty eps_values list")
     values = sorted(cfg.eps_values)
     specs = tuple(replace(cfg.model, eps_fixed=eps) for eps in values)
     with _run_dir(cfg) as run:
@@ -407,22 +412,14 @@ def cmd_dist(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
     """Resistor-network relaxation per conductance window, with decay-time table."""
-    if not cfg.g_windows:
-        raise ConfigError("rrn needs a non-empty g_windows list")
     windows = sorted(cfg.g_windows, key=sum)
     with _run_dir(cfg) as run:
-        fits = []
-        for w in windows:
-            series = run_rrn_relaxation(
-                cfg.side, w, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers, cfg.rrn_init
-            )
-            write_series_csv(
-                series,
-                run.path(f"series_g_{_cell_label(w)}.csv"),
-                extra={"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"},
-            )
-            fits.append(_fit_series(series, cfg.tail_fraction, (FORM_PURE,))[1][FORM_PURE])
-
+        cells = run_rrn_relaxation(
+            cfg.side, tuple(windows), cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers,
+            cfg.rrn_init,
+        )
+        _window_sweep(cfg, run, "g", windows, cells, "conductance windows, ordered by mean",
+                      lambda w: {"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"})
         if cfg.dense_check:
             rng = RngStream(cfg.master_seed, 0)
             lat = build_lattice(cfg.side, cfg.g_windows[0], rng, cfg.rrn_init)
@@ -433,17 +430,11 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
             gap = float(np.abs(lat.potential[1:-1, :] - exact).max())
             residual = float(np.abs(node_current_residuals(lat)).max())
             run.notes.append(f"dense-solver endpoint gap={gap!r} node residual={residual!r}")
-
-        write_tau_table(
-            run.path("tau_table.csv"), windows, fits, header_note="conductance windows, ordered by mean"
-        )
     return []
 
 
 def cmd_fit(cfg: ExperimentConfig) -> list[str]:
     """Re-fit an existing series CSV, at the configured plateau and window if given."""
-    if not cfg.series_csv:
-        raise ConfigError("fit needs series_csv pointing at a series file")
     with _run_dir(cfg) as run:
         series = read_series_csv(cfg.series_csv)
         window, fits = _fit_series(

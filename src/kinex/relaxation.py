@@ -72,6 +72,20 @@ def stream_mean(blocks: list[np.ndarray], n_configs: int) -> np.ndarray:
     return acc / n_configs
 
 
+def cell_series(
+    traces, labels: list[str], n_agents: int, t_max: int, n_configs: int, master_seed: int,
+    workers: int = 1,
+) -> list[RelaxationSeries]:
+    """The series of sweep cells ``labels`` from one fan-out of ``traces(start,
+    stop)``, their observable on streams [start, stop), shaped (configurations,
+    cells, t_max), averaged in stream order (see :func:`stream_mean`)."""
+    if t_max < 2:
+        raise InvalidParameter(f"t_max={t_max} must be >= 2")
+    means = stream_mean(map_stream_blocks(traces, n_configs, workers, len(labels)), n_configs)
+    return [RelaxationSeries(np.arange(1, t_max + 1), x_mean, n_configs, n_agents, master_seed, label)
+            for label, x_mean in zip(labels, means)]
+
+
 def run_relaxation(
     spec: ModelSpec | tuple[ModelSpec, ...],
     n: int,
@@ -88,8 +102,6 @@ def run_relaxation(
     bits as the cell's own run, and cells that share their draws
     (:func:`block.draw_groups`) are simulated together, on one set of draws.
     """
-    if t_max < 2:
-        raise InvalidParameter(f"t_max={t_max} must be >= 2")
     specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
     for s in specs:
         s.validate()
@@ -105,16 +117,9 @@ def run_relaxation(
             xs /= n
             return xs.reshape(len(cells), stop - start, t_max).swapaxes(0, 1)
 
-        means = stream_mean(map_stream_blocks(traces, n_configs, workers, len(cells)), n_configs)
-        for k, x_mean in zip(group, means):
-            series[k] = RelaxationSeries(
-                t=np.arange(1, t_max + 1),
-                x_mean=x_mean,
-                n_configs=n_configs,
-                n_agents=n,
-                master_seed=master_seed,
-                spec=specs[k].digest(),
-            )
+        labels = [cell.digest() for cell in cells]
+        for k, s in zip(group, cell_series(traces, labels, n, t_max, n_configs, master_seed, workers)):
+            series[k] = s
     return series[0] if isinstance(spec, ModelSpec) else series
 
 

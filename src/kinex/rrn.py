@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, ShapeError
-from .relaxation import RelaxationSeries, stream_mean
-from .streams import RngStream, map_stream_blocks
+from .relaxation import RelaxationSeries, cell_series
+from .streams import RngStream
 
 G_FLOOR = 1e-9  # excludes zero-conductance bonds so no node is isolated
 # Largest lattice `kinex rrn` cross-checks with the dense solve: a 2500 x 2500
@@ -207,34 +207,32 @@ def _realization_series(L, g_window, t_max, init, rng: RngStream) -> np.ndarray:
 
 def run_rrn_relaxation(
     L: int,
-    g_window: tuple[float, float],
+    g_window: tuple[float, float] | tuple[tuple[float, float], ...],
     t_max: int,
     n_configs: int,
     master_seed: int,
     workers: int = 1,
     init: str = INIT_HALF,
-) -> RelaxationSeries:
+) -> RelaxationSeries | list[RelaxationSeries]:
     """Average the sweep observable over independent conductance realizations.
 
     One time step equals one full lattice sweep; realization c uses stream
     (master_seed, c), and the realizations are averaged in stream order
-    (:func:`relaxation.stream_mean`).
+    (:func:`relaxation.stream_mean`).  ``g_window`` may be a tuple of windows,
+    the cells of a sweep: the result is then a list of their series from one
+    fan-out, each the same bits as the window's own run, since every window
+    builds realization c's lattice from a fresh stream (master_seed, c).
     """
-    if t_max < 2:
-        raise InvalidParameter(f"t_max={t_max} must be >= 2")
+    single = np.ndim(g_window) == 1
+    windows = (g_window,) if single else tuple(g_window)
 
     def traces(start: int, stop: int) -> np.ndarray:
-        """Sweep traces of realizations [start, stop), shape (realizations, t_max)."""
+        """Sweep traces of realizations [start, stop), shape (realizations, windows, t_max)."""
         return np.array([
-            _realization_series(L, g_window, t_max, init, RngStream(master_seed, c))
+            [_realization_series(L, w, t_max, init, RngStream(master_seed, c)) for w in windows]
             for c in range(start, stop)
         ])
 
-    return RelaxationSeries(
-        t=np.arange(1, t_max + 1),
-        x_mean=stream_mean(map_stream_blocks(traces, n_configs, workers), n_configs),
-        n_configs=n_configs,
-        n_agents=(L - 2) * L,
-        master_seed=master_seed,
-        spec=f"rrn-L{L}-g{g_window[0]:g}-{g_window[1]:g}",
-    )
+    labels = [f"rrn-L{L}-g{w[0]:g}-{w[1]:g}" for w in windows]
+    series = cell_series(traces, labels, (L - 2) * L, t_max, n_configs, master_seed, workers)
+    return series[0] if single else series

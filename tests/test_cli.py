@@ -1,14 +1,23 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kinex.cli import build_model, load_experiment_config, main
+from kinex.cli import HANDLERS, build_model, load_experiment_config, main
 from kinex.errors import ConfigError
+from kinex.exchange import DISTRIBUTED_SAVING, INITS, LATTICE_2D, PAIRINGS, RULES
+from kinex.reports import content_digest
+from kinex.rrn import LATTICE_INITS
 
 
 def write_cfg(tmp_path, payload, name="exp.yaml"):
@@ -114,6 +123,24 @@ class TestConfigLoading:
         assert spec.eps_fixed == 0.5  # balanced split is the family default
         with pytest.raises(ConfigError):
             build_model({"rule": "pure_gambling", "bogus": 1}, "relax")
+
+    @pytest.mark.parametrize(
+        "experiment,payload,message",
+        [
+            ("lambda-family", {}, "lambda-family needs a non-empty lambda_windows list"),
+            ("eps-sweep", {"eps_values": []}, "eps-sweep needs a non-empty eps_values list"),
+            ("rrn", {"g_windows": []}, "rrn needs a non-empty g_windows list"),
+            ("eps-sweep", {"eps_values": [0.5], "model": {"rule": "pure_gambling"}},
+             "eps-sweep is defined for the distributed-saving model"),
+            ("fit", {}, "fit needs series_csv pointing at a series file"),
+        ],
+        ids=["no_lambda_windows", "no_eps_values", "no_g_windows", "eps_sweep_rule", "fit_no_series"],
+    )
+    def test_load_refuses_what_the_subcommand_cannot_run(self, tmp_path, experiment, payload, message):
+        p = write_cfg(tmp_path, {**BASE, **payload})
+        with pytest.raises(ConfigError) as e:
+            load_experiment_config(p, experiment)
+        assert str(e.value) == message
 
 
 class TestCommands:
@@ -732,24 +759,24 @@ def test_preset_series_prefix_matches_committed(tmp_path, experiment, overrides,
     assert _data_rows(out / name) == _data_rows(committed, 50)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
 def test_preset_rrn_prefix_matches_committed(tmp_path, threads):
-    """The first 200 sweeps of the committed rrn series, byte for byte.
+    """The first 200 sweeps of every committed rrn window's series, byte for byte.
 
     The sweep's potentials and its sum of |dV| are IEEE operations in a fixed
     order (row-major, no FMA contraction, no fast-math), and the realizations
     are averaged in stream order, so any host and any worker count reproduce
-    the committed rows exactly.
+    the committed rows exactly, with the windows' cells in one fan-out.
     """
-    p = _preset_with(tmp_path, "rrn", t_max=200, g_windows=[[0.0, 1.0]])
+    p = _preset_with(tmp_path, "rrn", t_max=200)
     out = tmp_path / "o"
     assert main(["rrn", "--config", str(p), "--out", str(out), "--threads", threads]) == 0
-    got = _data_rows(out / "series_g_0_1.csv")
-    assert len(got) == 200
-    assert got == _data_rows(ROOT / "out" / "rrn" / "series_g_0_1.csv", 200)
-    header = [r for r in (out / "series_g_0_1.csv").read_text().splitlines() if r[0] in "#t"]
-    committed = (ROOT / "out" / "rrn" / "series_g_0_1.csv").read_text().splitlines()[:4]
-    assert header == committed
+    for name in ("series_g_0_1.csv", "series_g_0.2_1.csv", "series_g_0.5_1.csv"):
+        got = _data_rows(out / name)
+        assert len(got) == 200
+        assert got == _data_rows(ROOT / "out" / "rrn" / name, 200)
+        header = [r for r in (out / name).read_text().splitlines() if r[0] in "#t"]
+        assert header == (ROOT / "out" / "rrn" / name).read_text().splitlines()[:4]
 
 
 def test_benchmark_traced_names_resolve():
@@ -766,3 +793,95 @@ def test_benchmark_traced_names_resolve():
         if not callable(getattr(importlib.import_module("kinex." + mod), name, None))
     ]
     assert missing == []
+
+
+LAMBDA_EDGES = ((0.0, 1.0), (0.5, 1.0), (0.9999999999999999, 1.0))
+EPS1_EDGES = ((0.0, 1.0), (1.5, 2.0), (0.9999999999999999, 1.0))
+G_EDGES = ((0.0, 1.0), (0.5, 1.0), (1.0, 1.0 + 1e-12), (0.9999999999999999, 1.0))
+
+
+@st.composite
+def generated_configs(draw, experiment):
+    """A small config for ``experiment``: every rule, pairing and init, windows
+    at their edges, and sizes on both sides of what config load takes."""
+    side = draw(st.integers(3, 12))
+    rule = draw(st.sampled_from(RULES))
+    if experiment == "eps-sweep" and draw(st.integers(0, 3)):
+        rule = DISTRIBUTED_SAVING  # the rule it is defined for, most of the time
+    model = {
+        "rule": rule,
+        "pairing": draw(st.sampled_from(PAIRINGS)),
+        "init": draw(st.sampled_from(INITS)),
+        "epsilon": draw(st.sampled_from(["default", "uniform", 0.0, 0.5, 1.0])),
+        "lambda_fixed": draw(st.sampled_from([0.0, 0.5, 0.9])),
+        "lambda_window": list(draw(st.sampled_from(LAMBDA_EDGES))),
+        "eps1_window": list(draw(st.sampled_from(EPS1_EDGES))),
+        "lattice_side": side,
+    }
+    cfg = {
+        "model": model,
+        "n_agents": side * side if model["pairing"] == LATTICE_2D else draw(st.integers(2, 144)),
+        # a fifth of the time under 10 steps, which config load refuses for all but fit
+        "t_max": draw(st.integers(2, 9) if draw(st.integers(0, 4)) == 4 else st.integers(10, 300)),
+        "n_configs": draw(st.integers(1, 5)),
+        "master_seed": draw(st.integers(0, 2**32 - 1)),
+        "tail_fraction": draw(st.sampled_from([0.01, 0.25, 0.5])),
+    }
+
+    def cells(values):
+        return draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
+
+    if experiment == "lambda-family":
+        cfg["lambda_windows"] = [list(w) for w in cells(LAMBDA_EDGES)]
+    elif experiment == "eps-sweep":
+        cfg["eps_values"] = cells([0.0, 0.45, 0.5, 1.0])
+    elif experiment == "rrn":
+        cfg |= {"g_windows": [list(w) for w in cells(G_EDGES)], "side": side,
+                "rrn_init": draw(st.sampled_from(LATTICE_INITS)), "dense_check": draw(st.booleans())}
+    elif experiment == "dist":
+        cfg |= {"equilibration_steps": draw(st.sampled_from([None, 0, 20])),
+                "sample_steps": draw(st.sampled_from([0, 5])), "bins": draw(st.sampled_from([1, 10, 50])),
+                "fit_configs": draw(st.integers(1, 5))}
+    elif experiment == "fit":
+        cfg["fit_x0"] = draw(st.sampled_from([None, 0.0, 0.02]))
+        cfg["fit_window"] = draw(st.sampled_from([None, [2, 20], [20, 2], [1, 500]]))
+    return cfg
+
+
+@pytest.mark.parametrize("experiment", sorted(HANDLERS))
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_generated_configs_keep_the_exit_code_contract(experiment, data):
+    """Exit 0 with every listed output digested in the manifest and only
+    assertion lines on stderr, or exit 2 with one line and no run directory;
+    no RuntimeWarning, and the same bytes at 1 and 2 threads."""
+    cfg = data.draw(generated_configs(experiment))
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tmp = Path(tmp)
+        if experiment == "fit":  # the committed relax series, cut to t_max steps
+            committed = ROOT / "out" / "relax" / "series_relax.csv"
+            head = [r for r in committed.read_text().splitlines() if not r[0].isdigit()]
+            (tmp / "s.csv").write_text("\n".join(head + _data_rows(committed, cfg["t_max"])) + "\n")
+            cfg["series_csv"] = str(tmp / "s.csv")
+        p = write_cfg(tmp, cfg)
+        outcomes = []
+        for threads in ("1", "2"):
+            out = tmp / f"out{threads}"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([experiment, "--config", str(p), "--out", str(out), "--threads", threads])
+            err = err.getvalue()
+            if code == 0:
+                assert all(r.startswith("kinex: assertion: ") for r in err.splitlines()), err
+                outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+                assert sorted(outputs) == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
+                files = {name: (out / name).read_bytes() for name in outputs}
+                assert outputs and {name: content_digest(b) for name, b in files.items()} == outputs
+            else:
+                assert code == 2 and err.startswith("kinex: ") and err.count("\n") == 1, err
+                assert not out.exists()
+                files = None
+            outcomes.append((code, err, files))
+        assert outcomes[0] == outcomes[1]
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -41,7 +41,7 @@ from kinex.exchange import (
     RULES,
     _draw_pairs,
 )
-from kinex import block as block_module, distribution, relaxation, rrn
+from kinex import block as block_module, distribution, relaxation
 from kinex.relaxation import run_relaxation
 from kinex.rrn import run_rrn_relaxation
 from kinex.errors import InvalidParameter
@@ -534,7 +534,7 @@ def test_run_sizes_are_refused_before_any_block_runs(monkeypatch, run, t_max, n_
 
         return map_stream_blocks(recorded, *args, **kwargs)
 
-    for module in (relaxation, distribution, rrn):
+    for module in (relaxation, distribution):
         monkeypatch.setattr(module, "map_stream_blocks", recording)
     RUNS[run](10, 4)  # the recorder sees a run of valid size
     assert sorted(blocks) == [(0, 2), (2, 4)]

@@ -14,8 +14,9 @@ from kinex import (
     solve_kirchhoff_dense,
 )
 from kinex.errors import ShapeError
-from kinex import rrn
+from kinex import relaxation, rrn
 from kinex.rrn import LATTICE_INITS, ResistorLattice, _realization_series
+from kinex.streams import map_stream_blocks
 
 
 def roll_neighbor_sum(cond_h, cond_v, V):
@@ -351,3 +352,29 @@ class TestRunRrnRelaxation:
         assert s.n_agents == 6 * 8  # interior nodes
         assert s.t[0] == 1 and len(s) == 20
         assert np.all(s.x_mean >= 0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_window_sweep_is_each_windows_own_run_from_one_fan_out(self, monkeypatch, workers):
+        # every window builds realization c from a fresh stream (master_seed, c),
+        # so sharing one fan-out moves no bit of any window's series
+        windows = ((0.5, 1.0), (1.0, 1.0 + 1e-12), (0.0, 1.0))
+        own = [run_rrn_relaxation(8, w, 40, 7, 11, workers, "random") for w in windows]
+        fan_outs = []
+
+        def counted(*args, **kwargs):
+            fan_outs.append(args)
+            return map_stream_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(relaxation, "map_stream_blocks", counted)
+        swept = run_rrn_relaxation(8, windows, 40, 7, 11, workers, "random")
+        assert len(fan_outs) == 1
+        assert [s.spec for s in swept] == [s.spec for s in own]
+        assert [s.x_mean.tobytes() for s in swept] == [s.x_mean.tobytes() for s in own]
+        assert [(s.n_configs, s.n_agents, s.master_seed) for s in swept] == [(7, 48, 11)] * 3
+
+    def test_one_window_returns_one_series(self):
+        s = run_rrn_relaxation(8, (0.2, 1.0), 20, 2, master_seed=0)
+        assert isinstance(s, relaxation.RelaxationSeries)
+        assert s.spec == "rrn-L8-g0.2-1"
+        [only] = run_rrn_relaxation(8, ((0.2, 1.0),), 20, 2, master_seed=0)
+        assert only.x_mean.tobytes() == s.x_mean.tobytes()
