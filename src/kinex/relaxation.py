@@ -73,8 +73,7 @@ def stream_mean(blocks: list[np.ndarray], n_configs: int) -> np.ndarray:
 
 
 def cell_series(
-    traces, labels: list[str], n_agents: int, t_max: int, n_configs: int, master_seed: int,
-    workers: int = 1,
+    traces, labels: list[str], n_agents: int, t_max: int, n_configs: int, master_seed: int, workers: int
 ) -> list[RelaxationSeries]:
     """The series of sweep cells ``labels`` from one fan-out of ``traces(start,
     stop)``, their observable on streams [start, stop), shaped (configurations,

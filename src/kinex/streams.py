@@ -58,10 +58,11 @@ def map_stream_blocks(block: Callable, n_streams: int, workers: int = 1, cells: 
 
     A block of S streams holds S * ``cells`` economies: the wealth models run
     every cell of a sweep that shares its draws on the block's streams (the
-    resistor network, one realization per stream).  Blocks hold a worker's
-    share, ``ceil(C / W)`` of the C streams, or ``max(1, BATCH_MAX_ROWS //
-    cells)`` streams where that is fewer: each of the W workers gets one block
-    unless its share would hold more than ``BATCH_MAX_ROWS`` economies.  The
+    resistor network, one realization of each window per stream).  Blocks
+    hold a worker's share, ``ceil(C / W)`` of the C streams, or ``max(1,
+    BATCH_MAX_ROWS // cells)`` streams where that is fewer: each of the W
+    workers gets one block unless its share would hold more than
+    ``BATCH_MAX_ROWS`` economies.  The
     compiled kernel is loaded here, in the calling thread, before any block
     starts, so that no two threads race its build, its load or its checks.
     With W > 1 the blocks go to a pool of at most W threads, one per block where
