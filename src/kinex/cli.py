@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -64,7 +63,6 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
     workers: int = 1
     tail_fraction: float = DEFAULT_TAIL_FRACTION
-    strict: bool = False
     # sweep lists
     eps_values: tuple[float, ...] = ()
     lambda_windows: tuple[tuple[float, float], ...] = ()
@@ -130,10 +128,12 @@ def _cell_label(cell) -> str:
 
 
 MODEL_KEYS = {f.name for f in fields(ModelSpec)} - {"eps_fixed"}  # set through `epsilon`
-CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"experiment", "strict"}
+CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"experiment"}
 
 
 def build_model(raw: dict | None, experiment: str) -> ModelSpec:
+    if raw is not None and not isinstance(raw, dict):
+        raise ConfigError("model must be a mapping")
     raw = dict(raw or {})
     eps = raw.pop("epsilon", "default")
     if eps == "default":
@@ -162,7 +162,6 @@ def load_experiment_config(
     out: str | None = None,
     seed: int | None = None,
     threads: int | None = None,
-    strict: bool = False,
 ) -> ExperimentConfig:
     """Read the config file and apply CLI/env overrides.
 
@@ -206,7 +205,6 @@ def load_experiment_config(
     cfg = ExperimentConfig(
         experiment=experiment,
         model=build_model(merged.get("model"), experiment),
-        strict=strict,
         **_typed(ExperimentConfig, merged),
     )
     if cfg.workers < 1:
@@ -222,7 +220,8 @@ def load_experiment_config(
     if experiment != "fit" and cfg.t_max < 10:
         raise ConfigError(f"t_max={cfg.t_max} must be >= 10, the shortest series a plateau fits")
     least_counts = {
-        "n_configs": 1, "fit_configs": 1, "bins": 1, "sample_steps": 0, "equilibration_steps": 0
+        "n_configs": 1, "fit_configs": 1, "bins": 1, "sample_steps": 0, "equilibration_steps": 0,
+        "master_seed": 0,
     }
     for name, least in least_counts.items():
         value = getattr(cfg, name)
@@ -255,23 +254,6 @@ def load_experiment_config(
     if experiment == "fit" and not cfg.series_csv:
         raise ConfigError("fit needs series_csv pointing at a series file")
     return cfg
-
-
-@contextmanager
-def _run_dir(cfg: ExperimentConfig):
-    """Yield the run's manifest, which creates the output directory on first use.
-
-    Outputs are named through ``manifest.path``.  On success they move into the
-    directory next to their manifest; on any exception they are removed, so a
-    failed run leaves the directory as it found it.
-    """
-    manifest = RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir)
-    try:
-        yield manifest
-        manifest.close()
-    except BaseException:
-        manifest.discard()
-        raise
 
 
 def _fit_series(series, tail_fraction, forms, x0=None, window=None):
@@ -312,7 +294,7 @@ def _window_sweep(cfg, run, prefix, windows, cells, note, extra=lambda w: None) 
 
 def cmd_relax(cfg: ExperimentConfig) -> list[str]:
     """Single relaxation run: series CSV plus a fit report."""
-    with _run_dir(cfg) as run:
+    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
         series = run_relaxation(
             cfg.model, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
         )
@@ -327,7 +309,7 @@ def cmd_lambda_family(cfg: ExperimentConfig) -> list[str]:
     """One run per propensity window, with a decay-time table ordered by window mean."""
     windows = sorted(cfg.lambda_windows, key=sum)
     specs = tuple(replace(cfg.model, rule=DISTRIBUTED_SAVING, lambda_window=w) for w in windows)
-    with _run_dir(cfg) as run:
+    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
         cells = run_relaxation(
             specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
         )
@@ -346,7 +328,7 @@ def cmd_eps_sweep(cfg: ExperimentConfig) -> list[str]:
     """Plateau estimate per split parameter; marks the minimum."""
     values = sorted(cfg.eps_values)
     specs = tuple(replace(cfg.model, eps_fixed=eps) for eps in values)
-    with _run_dir(cfg) as run:
+    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
         plateaus = []
         cells = run_relaxation(
             specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
@@ -363,7 +345,7 @@ def cmd_eps_sweep(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_dist(cfg: ExperimentConfig) -> list[str]:
     """Pooled equilibrium wealth histogram (+ propensity-binned means)."""
-    with _run_dir(cfg) as run:
+    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
         equil = cfg.equilibration_steps
         if equil is None:
             # discard max(5*tau, 50) steps; tau from a reduced-size relaxation fit
@@ -413,7 +395,7 @@ def cmd_dist(cfg: ExperimentConfig) -> list[str]:
 def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
     """Resistor-network relaxation per conductance window, with decay-time table."""
     windows = sorted(cfg.g_windows, key=sum)
-    with _run_dir(cfg) as run:
+    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
         cells = run_rrn_relaxation(
             cfg.side, tuple(windows), cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers,
             cfg.rrn_init,
@@ -435,7 +417,7 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_fit(cfg: ExperimentConfig) -> list[str]:
     """Re-fit an existing series CSV, at the configured plateau and window if given."""
-    with _run_dir(cfg) as run:
+    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
         series = read_series_csv(cfg.series_csv)
         window, fits = _fit_series(
             series, cfg.tail_fraction, (FORM_SHIFTED, FORM_PURE), cfg.fit_x0, cfg.fit_window
@@ -474,12 +456,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_experiment_config(
-            args.config,
-            args.experiment,
-            out=args.out,
-            seed=args.seed,
-            threads=args.threads,
-            strict=args.strict,
+            args.config, args.experiment, out=args.out, seed=args.seed, threads=args.threads
         )
         violations = HANDLERS[args.experiment](cfg)
     except ConfigError as e:
@@ -494,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for v in violations:
         print(f"kinex: assertion: {v}", file=sys.stderr)
-    if violations and cfg.strict:
+    if violations and args.strict:
         return 1
     return 0
 

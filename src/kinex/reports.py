@@ -1,4 +1,5 @@
-"""Every table kinex writes, the series reader, and the run manifest.
+"""Every table kinex writes, the series reader, and the run manifest, which
+owns the run directory.
 
 This module alone turns values into table bytes, by one rule (see
 :func:`_write_table`), so the same values always give the same bytes, which is
@@ -12,6 +13,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import KinexError
+from .errors import InvalidParameter, KinexError
 from .relaxation import RelaxationSeries
 
 
@@ -73,31 +75,32 @@ def write_series_csv(series: RelaxationSeries, path: str | Path, extra: dict | N
 
 
 def read_series_csv(path: str | Path) -> RelaxationSeries:
-    """Read a series written by :func:`write_series_csv`."""
-    meta: dict[str, str] = {}
+    """Read a series written by :func:`write_series_csv`.  A line that is not
+    UTF-8, not a ``t,x_mean`` row of an int and a float, or a header count
+    that is not an int raises InvalidParameter naming the file and the line."""
+    meta: dict[str, str | int] = {}
     ts: list[int] = []
     xs: list[float] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    k, _, v = token.partition("=")
-                    meta.setdefault(k, v)
-            continue
-        if line.startswith("t,"):
-            continue
-        t_str, _, x_str = line.partition(",")
-        ts.append(int(t_str))
-        xs.append(float(x_str))
+    number = 0
+    try:
+        for number, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+            line = raw.decode("utf-8").strip()
+            if line.startswith("#"):
+                for k, eq, v in (token.partition("=") for token in line[1:].split()):
+                    if eq and k not in meta:
+                        meta[k] = int(v or 0) if k in ("n_configs", "n", "seed") else v
+            elif line and not line.startswith("t,"):
+                t_str, x_str = line.split(",")
+                ts.append(int(t_str))
+                xs.append(float(x_str))
+    except ValueError as e:  # UnicodeDecodeError among them
+        raise InvalidParameter(f"{path}, line {number}: not a series line: {e}") from e
     return RelaxationSeries(
         t=np.asarray(ts, dtype=np.int64),
         x_mean=np.asarray(xs),
-        n_configs=int(meta.get("n_configs", 0) or 0),
-        n_agents=int(meta.get("n", 0) or 0),
-        master_seed=int(meta.get("seed", 0) or 0),
+        n_configs=meta.get("n_configs", 0),
+        n_agents=meta.get("n", 0),
+        master_seed=meta.get("seed", 0),
         spec=meta.get("spec") or "na",
     )
 
@@ -163,13 +166,15 @@ def write_lambda_bins_csv(
 
 @dataclass
 class RunManifest:
-    """Config echo, version, timestamps and per-output content digests.
+    """Config echo, version, timestamps and per-output content digests; the
+    context that owns a run's directory from start to end.
 
-    Outputs are named through :meth:`path`, which places them in a staging
-    directory inside ``out_dir``.  :meth:`close` digests every named file,
-    moves it into ``out_dir`` and writes ``manifest.json``; :meth:`discard`
-    removes the staging directory instead, so a failed run leaves ``out_dir``
-    as it found it.
+    Entering creates the staging directory ``out_dir/.partial-<pid>``, and any
+    missing ``out_dir`` or parent, before anything is simulated.  :meth:`path`
+    names an output there.  A clean exit digests each output, moves it into
+    ``out_dir`` and writes ``manifest.json``.  Every exit then removes the
+    staging directory and, innermost first, each directory entering created,
+    up to the first that is not empty: a failed run leaves nothing behind.
     """
 
     config: dict
@@ -180,26 +185,40 @@ class RunManifest:
     finished: float | None = None
     outputs: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    created: list[Path] = field(default_factory=list, init=False, repr=False)
 
     @property
     def staging(self) -> Path:
         return self.out_dir / f".partial-{os.getpid()}"
 
     def path(self, name: str) -> Path:
-        """Where output ``name`` is written; it is digested and moved at close."""
-        self.staging.mkdir(parents=True, exist_ok=True)
+        """Where output ``name`` is written; a clean exit digests it and moves it."""
         self.outputs[name] = ""
         return self.staging / name
 
-    def discard(self) -> None:
-        shutil.rmtree(self.staging, ignore_errors=True)
+    def __enter__(self) -> RunManifest:
+        self.created = [d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()]
+        try:
+            self.staging.mkdir(parents=True, exist_ok=True)
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+        return self
 
-    def close(self) -> None:
-        self.finished = time.time()
-        for name in self.outputs:
-            self.outputs[name] = content_digest((self.staging / name).read_bytes())
-            os.replace(self.staging / name, self.out_dir / name)
-        self.discard()
-        payload = {k: v for k, v in vars(self).items() if k != "out_dir"}
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-        write_text(self.out_dir / "manifest.json", text + "\n")
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self.finished = time.time()
+                self.outputs = {n: content_digest((self.staging / n).read_bytes()) for n in self.outputs}
+                for name in self.outputs:  # every output read before any moves
+                    os.replace(self.staging / name, self.out_dir / name)
+                payload = {k: v for k, v in vars(self).items() if k not in ("out_dir", "created")}
+                text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+                write_text(self.out_dir / "manifest.json", text + "\n")
+        finally:
+            shutil.rmtree(self.staging, ignore_errors=True)
+            for made in self.created:
+                try:
+                    made.rmdir()
+                except OSError:
+                    break

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -34,6 +35,26 @@ def break_fit_writer(monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "write_fit_csv", broken_write)
+
+
+def record_fan_outs(monkeypatch):
+    """The stream ranges of every block the wealth models and the resistor
+    network run, through the fan-out each of them calls."""
+    from kinex import distribution, relaxation
+    from kinex.streams import map_stream_blocks
+
+    blocks = []
+
+    def recording(block, *args, **kwargs):
+        def recorded(start, stop):
+            blocks.append((start, stop))
+            return block(start, stop)
+
+        return map_stream_blocks(recorded, *args, **kwargs)
+
+    for module in (relaxation, distribution):
+        monkeypatch.setattr(module, "map_stream_blocks", recording)
+    return blocks
 
 
 def break_draw_check(monkeypatch, tmp_path):
@@ -78,6 +99,8 @@ BASE = {
     "master_seed": 101,
     "model": {"rule": "distributed_saving", "lambda_window": [0.0, 1.0], "epsilon": 0.5},
 }
+
+SMALL_RRN = {"side": 8, "t_max": 40, "n_configs": 2, "g_windows": [[0.0, 1.0]]}
 
 
 class TestConfigLoading:
@@ -426,6 +449,62 @@ class TestCommands:
         assert simulated == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment,payload,argv",
+        [
+            ("relax", {**BASE, "model": 5}, []),
+            ("relax", {**BASE, "relax": {"model": "abc"}}, []),
+            ("dist", {**BASE, "model": [1, 2]}, []),
+            ("lambda-family", {**BASE, "lambda-family": {"model": [1, 2]}}, []),
+            ("relax", {**BASE, "master_seed": -3}, []),
+            ("lambda-family", {**BASE, "master_seed": -3, "lambda_windows": [[0.0, 1.0]]}, []),
+            ("dist", BASE, ["--seed", "-1"]),
+            ("rrn", {"rrn": SMALL_RRN}, ["--seed", "-1"]),
+        ],
+        ids=["model_int", "model_str_in_section", "model_list", "model_list_in_section",
+             "seed_relax", "seed_lambda_family", "seed_flag_dist", "seed_flag_rrn"],
+    )
+    def test_outside_inputs_fail_at_load(self, tmp_path, capsys, monkeypatch, experiment, payload, argv):
+        blocks = record_fan_outs(monkeypatch)
+        p = write_cfg(tmp_path, payload)
+        out = tmp_path / "oi"
+        assert main([experiment, "--config", str(p), "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kinex: config error: ") and err.count("\n") == 1
+        assert blocks == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body,line",
+        [
+            (b"0,1.0\n1,0.5\n2,abc\n", 6),
+            (b"0,1.0\n1.5,0.3\n", 5),
+            (b"0,1.0\n1\n", 5),
+            (b"0,1.0\n1,0.5,0.2\n", 5),
+            (b"0,1.0\n1,0.5\xff\n", 5),
+        ],
+        ids=["float_field", "float_step", "missing_field", "extra_field", "not_utf8"],
+    )
+    def test_malformed_series_file_names_its_line(self, tmp_path, capsys, body, line):
+        series = tmp_path / "s.csv"
+        series.write_bytes(b"# kinex relaxation series\n# spec=x seed=1 n=20 n_configs=6\nt,x_mean\n" + body)
+        p = write_cfg(tmp_path, {"fit": {"series_csv": str(series)}})
+        out = tmp_path / "f"
+        assert main(["fit", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"kinex: InvalidParameter: {series}, line {line}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_series_header_count_that_is_not_an_integer_names_its_line(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("# kinex relaxation series\n# spec=x seed=1 n=20 n_configs=abc\nt,x_mean\n0,1.0\n")
+        p = write_cfg(tmp_path, {"fit": {"series_csv": str(series)}})
+        assert main(["fit", "--config", str(p), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"kinex: InvalidParameter: {series}, line 2: ") and "abc" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "f").exists()
+
     def test_lattice_side_is_checked_where_the_model_runs(self, tmp_path):
         model = {"rule": "pure_gambling", "pairing": "lattice2d", "lattice_side": 4}
         p = write_cfg(tmp_path, {"n_agents": 20, "model": model, "g_windows": [[0.0, 1.0]]})
@@ -479,7 +558,49 @@ class TestCommands:
         assert main(["relax", "--config", str(p), "--out", str(out)]) == 2
         assert not (out / "series_relax.csv").exists()
         assert not (out / "manifest.json").exists()
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_run_removes_every_directory_it_created(self, tmp_path, monkeypatch):
+        break_fit_writer(monkeypatch)  # fails after series_relax.csv is written
+        p = write_cfg(tmp_path, BASE)
+        assert main(["relax", "--config", str(p), "--out", str(tmp_path / "a" / "b" / "c")]) == 2
+        assert not (tmp_path / "a").exists()
+
+    def test_failed_run_leaves_an_existing_parent_as_it_was(self, tmp_path, monkeypatch):
+        parent = tmp_path / "runs"
+        (parent / "earlier").mkdir(parents=True)
+        (parent / "earlier" / "manifest.json").write_text("{}\n")
+        (parent / "notes.txt").write_text("kept\n")
+        def tree():
+            return sorted((f.relative_to(parent), f.is_file() and f.read_bytes()) for f in parent.rglob("*"))
+
+        before = tree()
+        break_fit_writer(monkeypatch)
+        p = write_cfg(tmp_path, BASE)
+        assert main(["relax", "--config", str(p), "--out", str(parent / "new" / "run")]) == 2
+        assert tree() == before
+
+    def test_stale_staging_directory_of_the_same_pid_is_reused(self, tmp_path):
+        # a run killed with this pid left its staging directory behind
+        out = tmp_path / "stale"
+        (out / f".partial-{os.getpid()}").mkdir(parents=True)
+        (out / f".partial-{os.getpid()}" / "series_relax.csv").write_text("half written\n")
+        p = write_cfg(tmp_path, BASE)
+        assert main(["relax", "--config", str(p), "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["fit_relax.csv", "manifest.json", "series_relax.csv"]
+
+    @pytest.mark.parametrize("experiment", ["relax", "rrn"])
+    def test_out_that_cannot_hold_a_directory_fails_before_any_block_runs(
+        self, tmp_path, capsys, monkeypatch, experiment
+    ):
+        blocks = record_fan_outs(monkeypatch)
+        p = write_cfg(tmp_path, {**BASE, "rrn": SMALL_RRN})
+        (tmp_path / "file").write_text("not a directory\n")
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path / "file" / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kinex: i/o error: ") and err.count("\n") == 1
+        assert blocks == []
+        assert (tmp_path / "file").read_text() == "not a directory\n"
 
     def test_failed_rerun_keeps_previous_run(self, tmp_path, monkeypatch):
         p = write_cfg(tmp_path, BASE)
