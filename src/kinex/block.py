@@ -39,14 +39,6 @@ def draw_signature(spec: ModelSpec, n: int) -> tuple:
     return (spec.rule, spec.pairing, side, n, spec.init, _step_plan(spec, n))
 
 
-def draw_groups(specs: tuple[ModelSpec, ...], n: int) -> list[list[int]]:
-    """Indices of ``specs`` grouped by draw signature, in order of first appearance."""
-    groups: dict[tuple, list[int]] = {}
-    for k, spec in enumerate(specs):
-        groups.setdefault(draw_signature(spec, n), []).append(k)
-    return list(groups.values())
-
-
 class EnsembleBlock:
     """Economies of n agents advanced together, one time step per :meth:`step`,
     or a whole relaxation series per :meth:`run`.

@@ -173,8 +173,13 @@ def load_experiment_config(
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8: {e.reason} at byte {e.start}") from e
     except yaml.YAMLError as e:
-        raise ConfigError(f"malformed config {path}: {e}") from e
+        mark = getattr(e, "problem_mark", None)
+        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(e, "problem", None) or " ".join(str(e).split())
+        raise ConfigError(f"malformed config {path}{where}: {problem}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
 
@@ -207,26 +212,22 @@ def load_experiment_config(
         model=build_model(merged.get("model"), experiment),
         **_typed(ExperimentConfig, merged),
     )
-    if cfg.workers < 1:
-        raise ConfigError(f"workers={cfg.workers} must be >= 1")
+    least_counts = {
+        "workers": 1, "n_agents": 2, "n_configs": 1, "fit_configs": 1, "bins": 1, "sample_steps": 0,
+        "equilibration_steps": 0, "master_seed": 0, "side": 3,
+    }
+    for name, least in least_counts.items():
+        value = getattr(cfg, name)
+        if value is not None and value < least:
+            raise ConfigError(f"{name}={value} must be >= {least}")
     if not 0.0 < cfg.tail_fraction <= 0.5:
         raise ConfigError(f"tail_fraction={cfg.tail_fraction} outside (0, 0.5]")
-    if cfg.n_agents < 2:
-        raise ConfigError(f"n_agents={cfg.n_agents} must be >= 2")
     side = cfg.model.lattice_side
     lattice = cfg.model.pairing == LATTICE_2D and experiment not in ("rrn", "fit")
     if lattice and side * side != cfg.n_agents:
         raise ConfigError(f"lattice_side={side} squared != n_agents={cfg.n_agents}")
     if experiment != "fit" and cfg.t_max < 10:
         raise ConfigError(f"t_max={cfg.t_max} must be >= 10, the shortest series a plateau fits")
-    least_counts = {
-        "n_configs": 1, "fit_configs": 1, "bins": 1, "sample_steps": 0, "equilibration_steps": 0,
-        "master_seed": 0,
-    }
-    for name, least in least_counts.items():
-        value = getattr(cfg, name)
-        if value is not None and value < least:
-            raise ConfigError(f"{name}={value} must be >= {least}")
     bad = [eps for eps in cfg.eps_values if not 0.0 <= eps <= 1.0]
     if bad:
         raise ConfigError(f"eps_values {bad} outside [0, 1]")

@@ -98,27 +98,26 @@ def run_relaxation(
     Configuration c uses stream (master_seed, c); any worker count gives the
     same bits (see :func:`stream_mean`).  ``spec`` may be a tuple of sweep
     cells' specs: the result is then a list of their series, each the same
-    bits as the cell's own run, and cells that share their draws
-    (:func:`block.draw_groups`) are simulated together, on one set of draws.
+    bits as the cell's own run.  Cells that share their draws
+    (:func:`block.draw_signature`) are simulated together, on one set of
+    draws; a tuple whose cells draw differently runs each cell as its own run.
     """
     specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
     for s in specs:
         s.validate()
-    from .block import draw_groups  # not at import: the CLI's start need not compile it
+    from .block import draw_signature  # not at import: the CLI's start need not compile it
 
-    series = [None] * len(specs)
-    for group in draw_groups(specs, n):
-        cells = tuple(specs[k] for k in group)
+    if len({draw_signature(s, n) for s in specs}) > 1:
+        return [run_relaxation(s, n, t_max, n_configs, master_seed, workers) for s in specs]
 
-        def traces(start: int, stop: int) -> np.ndarray:
-            """Observable traces of streams [start, stop), shape (configurations, cells, t_max)."""
-            xs = _cells_block(cells, n, master_seed, start, stop).run(t_max)
-            xs /= n
-            return xs.reshape(len(cells), stop - start, t_max).swapaxes(0, 1)
+    def traces(start: int, stop: int) -> np.ndarray:
+        """Observable traces of streams [start, stop), shape (configurations, cells, t_max)."""
+        xs = _cells_block(specs, n, master_seed, start, stop).run(t_max)
+        xs /= n
+        return xs.reshape(len(specs), stop - start, t_max).swapaxes(0, 1)
 
-        labels = [cell.digest() for cell in cells]
-        for k, s in zip(group, cell_series(traces, labels, n, t_max, n_configs, master_seed, workers)):
-            series[k] = s
+    labels = [s.digest() for s in specs]
+    series = cell_series(traces, labels, n, t_max, n_configs, master_seed, workers)
     return series[0] if isinstance(spec, ModelSpec) else series
 
 

@@ -76,8 +76,9 @@ def write_series_csv(series: RelaxationSeries, path: str | Path, extra: dict | N
 
 def read_series_csv(path: str | Path) -> RelaxationSeries:
     """Read a series written by :func:`write_series_csv`.  A line that is not
-    UTF-8, not a ``t,x_mean`` row of an int and a float, or a header count
-    that is not an int raises InvalidParameter naming the file and the line."""
+    UTF-8, not a ``t,x_mean`` row of an int and a float, a step that does not
+    increase, or a header count that is not an int raises InvalidParameter
+    naming the file and the line.  Steps may skip values."""
     meta: dict[str, str | int] = {}
     ts: list[int] = []
     xs: list[float] = []
@@ -91,7 +92,10 @@ def read_series_csv(path: str | Path) -> RelaxationSeries:
                         meta[k] = int(v or 0) if k in ("n_configs", "n", "seed") else v
             elif line and not line.startswith("t,"):
                 t_str, x_str = line.split(",")
-                ts.append(int(t_str))
+                t = int(t_str)
+                if ts and t <= ts[-1]:
+                    raise InvalidParameter(f"{path}, line {number}: step {t} does not follow {ts[-1]}")
+                ts.append(t)
                 xs.append(float(x_str))
     except ValueError as e:  # UnicodeDecodeError among them
         raise InvalidParameter(f"{path}, line {number}: not a series line: {e}") from e

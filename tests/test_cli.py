@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import importlib.util
+import itertools
 import io
 import json
 import os
@@ -22,8 +23,9 @@ from kinex.rrn import LATTICE_INITS
 
 
 def write_cfg(tmp_path, payload, name="exp.yaml"):
+    """``payload`` as YAML, or as the file's bytes where it is bytes."""
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    path.write_bytes(payload if isinstance(payload, bytes) else yaml.safe_dump(payload).encode())
     return path
 
 
@@ -101,6 +103,8 @@ BASE = {
 }
 
 SMALL_RRN = {"side": 8, "t_max": 40, "n_configs": 2, "g_windows": [[0.0, 1.0]]}
+# 60 steps of a series long enough to reach the fit, as rows ``t,x_mean``
+DECAYING_ROWS = [f"{t},{0.1 + float(np.exp(-t / 10))!r}\n".encode() for t in range(1, 61)]
 
 
 class TestConfigLoading:
@@ -460,9 +464,13 @@ class TestCommands:
             ("lambda-family", {**BASE, "master_seed": -3, "lambda_windows": [[0.0, 1.0]]}, []),
             ("dist", BASE, ["--seed", "-1"]),
             ("rrn", {"rrn": SMALL_RRN}, ["--seed", "-1"]),
+            ("relax", b"# \xff\xfe\nn_agents: 20\n", []),
+            ("relax", b"a: [1, 2\n", []),
+            ("rrn", {"rrn": {**SMALL_RRN, "side": 2}}, []),
         ],
         ids=["model_int", "model_str_in_section", "model_list", "model_list_in_section",
-             "seed_relax", "seed_lambda_family", "seed_flag_dist", "seed_flag_rrn"],
+             "seed_relax", "seed_lambda_family", "seed_flag_dist", "seed_flag_rrn",
+             "not_utf8", "malformed_yaml", "rrn_side_2"],
     )
     def test_outside_inputs_fail_at_load(self, tmp_path, capsys, monkeypatch, experiment, payload, argv):
         blocks = record_fan_outs(monkeypatch)
@@ -475,6 +483,39 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "payload,argv,threads_env,message",
+        [
+            ({**BASE, "model": {"epsilon": "abc"}}, [], None,
+             "config error: epsilon='abc' is not a number, 'uniform' or 'default'"),
+            ({**BASE, "relax": [1]}, [], None, "config error: section 'relax' must be a mapping"),
+            (BASE, [], "abc", "config error: KINEX_THREADS='abc' is not an integer"),
+            (BASE, ["--threads", "0"], None, "config error: workers=0 must be >= 1"),
+            ({**BASE, "model": {"rule": "bogus"}}, [], None, "InvalidParameter: unknown rule 'bogus'"),
+            ({**BASE, "model": {"pairing": "bogus"}}, [], None, "InvalidParameter: unknown pairing 'bogus'"),
+            ({**BASE, "model": {"init": "bogus"}}, [], None, "InvalidParameter: unknown init 'bogus'"),
+            ({**BASE, "model": {"init_total": 0}}, [], None, "InvalidParameter: init_total=0.0 must be > 0"),
+            ({**BASE, "model": {"rule": "general", "eps1_window": [1.0, 0.5]}}, [], None,
+             "InvalidParameter: eps1_window=(1.0,0.5) invalid"),
+        ],
+        ids=["epsilon_abc", "section_not_mapping", "threads_env_abc", "threads_flag_0", "unknown_rule",
+             "unknown_pairing", "unknown_init", "init_total_0", "general_eps1_window_reversed"],
+    )
+    def test_load_refusals_exit_2_with_their_line(
+        self, tmp_path, capsys, monkeypatch, payload, argv, threads_env, message
+    ):
+        blocks = record_fan_outs(monkeypatch)
+        if threads_env is None:
+            monkeypatch.delenv("KINEX_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("KINEX_THREADS", threads_env)
+        p = write_cfg(tmp_path, payload)
+        out = tmp_path / "lr"
+        assert main(["relax", "--config", str(p), "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == f"kinex: {message}\n"
+        assert blocks == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "body,line",
         [
             (b"0,1.0\n1,0.5\n2,abc\n", 6),
@@ -482,8 +523,11 @@ class TestCommands:
             (b"0,1.0\n1\n", 5),
             (b"0,1.0\n1,0.5,0.2\n", 5),
             (b"0,1.0\n1,0.5\xff\n", 5),
+            (b"".join(DECAYING_ROWS[::-1]), 5),
+            (b"".join(DECAYING_ROWS[:30] + DECAYING_ROWS[29:]), 34),
         ],
-        ids=["float_field", "float_step", "missing_field", "extra_field", "not_utf8"],
+        ids=["float_field", "float_step", "missing_field", "extra_field", "not_utf8",
+             "out_of_order", "repeated"],
     )
     def test_malformed_series_file_names_its_line(self, tmp_path, capsys, body, line):
         series = tmp_path / "s.csv"
@@ -651,6 +695,22 @@ class TestCommands:
         p = write_cfg(tmp_path, BASE)
         assert main(["relax", "--config", str(p), "--out", str(tmp_path / "v")]) == 0
         assert main(["relax", "--config", str(p), "--strict", "--out", str(tmp_path / "v")]) == 1
+
+    def test_lambda_family_decay_times_out_of_order_are_an_assertion(self, tmp_path, capsys, monkeypatch):
+        import kinex.cli as cli
+        from kinex.expfit import ExpFitResult
+
+        taus = itertools.count(100.0, -1.0)  # every fit's decay time below the last one's
+        monkeypatch.setattr(cli, "_fit_series", lambda series, tail_fraction, forms: (
+            (2, 10), {form: ExpFitResult(0.0, 1.0, next(taus), (2, 10), 0.99, form) for form in forms}))
+        windows = [[0.0, 1.0], [0.5, 1.0], [0.7, 1.0]]
+        p = write_cfg(tmp_path, {**BASE, "lambda-family": {"lambda_windows": windows}})
+        note = "decay time is not strictly increasing with the window mean"
+        for flags, code in (([], 0), (["--strict"], 1)):
+            out = tmp_path / f"lf{len(flags)}"
+            assert main(["lambda-family", "--config", str(p), "--out", str(out), *flags]) == code
+            assert capsys.readouterr().err == f"kinex: assertion: {note}\n"
+            assert json.loads((out / "manifest.json").read_text())["notes"] == [note]
 
     def test_frozen_dynamics_tolerates_fit_failure(self, tmp_path):
         # near-total saving freezes the exchange; fits fail per-row, exit stays 0

@@ -44,7 +44,7 @@ from kinex.exchange import (
 from kinex import block as block_module, distribution, relaxation
 from kinex.relaxation import run_relaxation
 from kinex.rrn import run_rrn_relaxation
-from kinex.errors import InvalidParameter
+from kinex.errors import InvalidParameter, InvalidSize, TopologyMismatch
 from kinex.streams import map_stream_blocks
 
 BLOCK_SIZES = (1, 2, 63, 64, 100)
@@ -245,6 +245,39 @@ def test_block_refuses_cells_whose_draws_differ(other):
     ensembles = [init_ensemble(s, 16, RngStream(1, c)) for s in specs for c in range(2)]
     with pytest.raises(InvalidParameter):
         EnsembleBlock(specs, ensembles, rngs)
+
+
+@pytest.mark.parametrize(
+    "case,error,message",
+    [
+        ("rows", InvalidSize, "2 economies for 1 cells on 3 streams"),
+        ("n_agents", InvalidSize, "every economy of a block needs 9 agents"),
+        ("wealth", InvalidSize, "every economy of a block needs 9 agents"),
+        ("saving", InvalidSize, "every economy of a block needs 9 agents"),
+        ("lattice_side", TopologyMismatch, "lattice side 4 squared != n=9"),
+    ],
+)
+def test_block_refuses_economies_its_kernel_cannot_step(monkeypatch, case, error, message):
+    # The kernel reads and writes the block's arrays through raw pointers, so
+    # the block checks their sizes before it could ever call the kernel.
+    def no_call(*args):
+        raise AssertionError("the block called the kernel")
+
+    monkeypatch.setattr(block_module, "library", lambda: SimpleNamespace(kx_step=no_call, kx_run=no_call))
+    spec = ModelSpec(rule="distributed_saving", eps_fixed=0.5, pairing=LATTICE_2D, lattice_side=3)
+    rngs = [RngStream(1, c) for c in range(3)]
+    ensembles = [init_ensemble(spec, 9, rng) for rng in rngs]
+    if case == "rows":
+        ensembles.pop()
+    elif case == "n_agents":
+        ensembles[1] = init_ensemble(replace(spec, pairing="mean_field"), 8, RngStream(1, 1))
+    elif case in ("wealth", "saving"):
+        ensembles[1] = replace(ensembles[1], **{case: getattr(ensembles[1], case)[:-1]})
+    else:
+        spec = replace(spec, lattice_side=4)
+    with pytest.raises(error) as refused:
+        EnsembleBlock(spec, ensembles, rngs)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("window", [(0.0, -0.0), (-0.0, -0.0), (-0.5, -0.0)])
