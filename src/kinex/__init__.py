@@ -6,115 +6,65 @@ distribution.  This package measures that relaxation through the mean
 absolute per-step wealth change, fits exponential decay laws to extract
 relaxation times, runs the random-resistor-network analog of the same
 observable, and checks the closed-form decay-rate predictions.
+
+The public names below are imported from their modules on first use (PEP 562),
+so ``import kinex`` and the CLI's start load none of the modules a run does
+not call.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    InsufficientData,
-    InvalidParameter,
-    InvalidSize,
-    KinexError,
-    LogDomainError,
-    NoDecayWindow,
-    NotDecaying,
-    ShapeError,
-    TopologyMismatch,
-    WindowContainsCrossing,
-)
-from .exchange import (
-    DELTA_ONE_AGENT,
-    DISTRIBUTED_SAVING,
-    EQUAL_UNIT,
-    FIXED_SAVING,
-    GENERAL,
-    LATTICE_2D,
-    MEAN_FIELD,
-    PURE_GAMBLING,
-    UNIFORM_RANDOM,
-    AgentEnsemble,
-    ModelSpec,
-    exchange_distributed_saving,
-    exchange_fixed_saving,
-    exchange_general,
-    exchange_pure_gambling,
-    init_ensemble,
-    run_time_step,
-)
-from .expfit import ExpFitResult, auto_window, fit_pure, fit_shifted
-from .relaxation import RelaxationSeries, equilibrium_window_stats, run_relaxation
-from .reports import read_series_csv, write_series_csv
-from .rrn import (
-    ResistorLattice,
-    build_lattice,
-    node_current_residuals,
-    relax_sweep,
-    run_rrn_relaxation,
-    solve_kirchhoff_dense,
-)
-from .streams import RngStream
-from .theory import (
-    GeneralParams,
-    OdeSolution,
-    decay_rate,
-    k_positive_for_half,
-    map_random_saving,
-    predict,
-    solution_from_first_two,
-)
+# module: the public names it holds
+_HOMES = {
+    "errors": (
+        "KinexError", "ConfigError", "InsufficientData", "InvalidParameter", "InvalidSize",
+        "LogDomainError", "NoDecayWindow", "NotDecaying", "ShapeError", "TopologyMismatch",
+        "WindowContainsCrossing",
+    ),
+    "exchange": (
+        "AgentEnsemble", "ModelSpec", "PURE_GAMBLING", "FIXED_SAVING", "DISTRIBUTED_SAVING",
+        "GENERAL", "MEAN_FIELD", "LATTICE_2D", "EQUAL_UNIT", "UNIFORM_RANDOM", "DELTA_ONE_AGENT",
+        "exchange_pure_gambling", "exchange_fixed_saving", "exchange_distributed_saving",
+        "exchange_general", "init_ensemble", "run_time_step",
+    ),
+    "streams": ("RngStream",),
+    "relaxation": ("RelaxationSeries", "run_relaxation", "equilibrium_window_stats"),
+    "reports": ("write_series_csv", "read_series_csv"),
+    "expfit": ("ExpFitResult", "fit_shifted", "fit_pure", "auto_window"),
+    "rrn": (
+        "ResistorLattice", "build_lattice", "relax_sweep", "run_rrn_relaxation",
+        "solve_kirchhoff_dense", "node_current_residuals",
+    ),
+    "theory": (
+        "GeneralParams", "OdeSolution", "map_random_saving", "decay_rate", "k_positive_for_half",
+        "predict", "solution_from_first_two",
+    ),
+}
 
-__all__ = [
-    "__version__",
-    "AgentEnsemble",
-    "ModelSpec",
-    "RngStream",
-    "RelaxationSeries",
-    "ExpFitResult",
-    "ResistorLattice",
-    "GeneralParams",
-    "OdeSolution",
-    "KinexError",
-    "ConfigError",
-    "InsufficientData",
-    "InvalidParameter",
-    "InvalidSize",
-    "LogDomainError",
-    "NoDecayWindow",
-    "NotDecaying",
-    "ShapeError",
-    "TopologyMismatch",
-    "WindowContainsCrossing",
-    "PURE_GAMBLING",
-    "FIXED_SAVING",
-    "DISTRIBUTED_SAVING",
-    "GENERAL",
-    "MEAN_FIELD",
-    "LATTICE_2D",
-    "EQUAL_UNIT",
-    "UNIFORM_RANDOM",
-    "DELTA_ONE_AGENT",
-    "exchange_pure_gambling",
-    "exchange_fixed_saving",
-    "exchange_distributed_saving",
-    "exchange_general",
-    "init_ensemble",
-    "run_time_step",
-    "run_relaxation",
-    "equilibrium_window_stats",
-    "write_series_csv",
-    "read_series_csv",
-    "fit_shifted",
-    "fit_pure",
-    "auto_window",
-    "build_lattice",
-    "relax_sweep",
-    "run_rrn_relaxation",
-    "solve_kirchhoff_dense",
-    "node_current_residuals",
-    "map_random_saving",
-    "decay_rate",
-    "k_positive_for_half",
-    "predict",
-    "solution_from_first_two",
-]
+__all__ = ["__version__", *(name for names in _HOMES.values() for name in names)]
+
+
+def _importer(namespace: dict, homes: dict[str, tuple[str, ...]]):
+    """A module ``__getattr__`` (PEP 562) that imports each name of ``homes``,
+    ``{module: names}`` over this package's modules, from its module on first
+    use and binds it in ``namespace``, the module's globals, so that later
+    lookups, and a name patched there, never reach it."""
+    home_of = {name: module for module, names in homes.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home_of:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{home_of[name]}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _importer(globals(), _HOMES)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

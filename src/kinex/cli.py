@@ -18,16 +18,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .distribution import (
-    fit_histogram_slope,
-    lambda_binned_means,
-    run_equilibrium,
-    wealth_histogram,
-)
+from . import _importer
 from .errors import ConfigError, KinexError, NotDecaying
 from .exchange import DISTRIBUTED_SAVING, LATTICE_2D, PURE_GAMBLING, ModelSpec
 from .expfit import FORM_PURE, FORM_SHIFTED, auto_window, fit_pure, fit_shifted
-from .relaxation import DEFAULT_TAIL_FRACTION, equilibrium_window_stats, run_relaxation
+from .relaxation import DEFAULT_TAIL_FRACTION, INIT_HALF, equilibrium_window_stats, run_relaxation
 from .reports import (
     RunManifest,
     read_series_csv,
@@ -38,16 +33,23 @@ from .reports import (
     write_tau_table,
     write_x0_table,
 )
-from .rrn import (
-    DENSE_MAX_INTERIOR,
-    INIT_HALF,
-    build_lattice,
-    node_current_residuals,
-    relax_sweep,
-    run_rrn_relaxation,
-    solve_kirchhoff_dense,
-)
 from .streams import RngStream
+
+# The dist and rrn subcommands' functions are this module's attributes as its
+# imports are, but imported on first use, so that no other subcommand's start
+# compiles their modules.  Their handlers call them through this module, so
+# that a name set here (a test's patch, the benchmark's tracer) is the one called.
+__getattr__ = _importer(globals(), {
+    "distribution": ("fit_histogram_slope", "lambda_binned_means", "run_equilibrium",
+                     "wealth_histogram"),
+    "rrn": ("build_lattice", "node_current_residuals", "relax_sweep", "run_rrn_relaxation",
+            "solve_kirchhoff_dense"),
+})
+_this = sys.modules[__name__]
+
+# Largest lattice `kinex rrn` cross-checks with the dense solve: a 2500 x 2500
+# matrix is 50 MB, where the preset side 100 (9800 nodes) would need 0.77 GB.
+DENSE_MAX_INTERIOR = 2_500
 
 
 @dataclass
@@ -365,7 +367,7 @@ def cmd_dist(cfg: ExperimentConfig) -> list[str]:
                 equil = max(int(np.ceil(5 * fit.tau)), 50)
                 run.notes.append(f"equilibration_steps={equil} (auto)")
 
-        pool = run_equilibrium(
+        pool = _this.run_equilibrium(
             cfg.model,
             cfg.n_agents,
             equil,
@@ -374,19 +376,19 @@ def cmd_dist(cfg: ExperimentConfig) -> list[str]:
             cfg.master_seed,
             cfg.workers,
         )
-        edges, counts, density = wealth_histogram(pool.wealth, cfg.bins)
+        edges, counts, density = _this.wealth_histogram(pool.wealth, cfg.bins)
         note = f"spec={cfg.model.digest()} pooled={pool.wealth.size}"
         write_hist_csv(run.path("hist_wealth.csv"), edges, counts, density, header_note=note)
 
         if cfg.model.rule == PURE_GAMBLING:
             try:
-                slope, r2 = fit_histogram_slope(edges, counts)
+                slope, r2 = _this.fit_histogram_slope(edges, counts)
                 run.notes.append(f"histogram semi-log slope={slope!r} r2={r2!r}")
             except KinexError as e:
                 run.notes.append(f"histogram slope fit failed: {type(e).__name__}")
 
         if cfg.model.rule == DISTRIBUTED_SAVING:
-            lo, hi, means = lambda_binned_means(
+            lo, hi, means = _this.lambda_binned_means(
                 pool.saving, pool.wealth_time_avg, n_bins=5, window=cfg.model.lambda_window
             )
             write_lambda_bins_csv(run.path("lambda_bins.csv"), lo, hi, means)
@@ -397,7 +399,7 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
     """Resistor-network relaxation per conductance window, with decay-time table."""
     windows = sorted(cfg.g_windows, key=sum)
     with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
-        cells = run_rrn_relaxation(
+        cells = _this.run_rrn_relaxation(
             cfg.side, tuple(windows), cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers,
             cfg.rrn_init,
         )
@@ -405,13 +407,13 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
                       lambda w: {"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"})
         if cfg.dense_check:
             rng = RngStream(cfg.master_seed, 0)
-            lat = build_lattice(cfg.side, cfg.g_windows[0], rng, cfg.rrn_init)
+            lat = _this.build_lattice(cfg.side, cfg.g_windows[0], rng, cfg.rrn_init)
             for _ in range(200_000):
-                if relax_sweep(lat) < 1e-12:
+                if _this.relax_sweep(lat) < 1e-12:
                     break
-            exact = solve_kirchhoff_dense(lat)
+            exact = _this.solve_kirchhoff_dense(lat)
             gap = float(np.abs(lat.potential[1:-1, :] - exact).max())
-            residual = float(np.abs(node_current_residuals(lat)).max())
+            residual = float(np.abs(_this.node_current_residuals(lat)).max())
             run.notes.append(f"dense-solver endpoint gap={gap!r} node residual={residual!r}")
     return []
 

@@ -7,20 +7,23 @@ resistor lattice's series of Jacobi sweeps (``kx_relax``; one sweep is
 :func:`pcg64_words` reads through ``PCG64.state``, in chunks of words computed
 four states ahead, and maps whole words to two 32-bit integers at a time where
 no half is pending and no value might be rejected; the draw check is what
-holds it to the installed numpy, on each of those paths.  The lattice's stencil is stated in the sweep and
-once in numpy, as :func:`rrn.neighbor_sum`, which gives the lattice its weight
-sums and the Kirchhoff residuals.  :func:`library` compiles the source with the
+holds it to the installed numpy, on each of those paths.  The lattice's stencil
+is stated in the sweep and once in numpy, as :func:`neighbor_sum`, here beside
+the sweep check, its oracle use; :mod:`rrn` imports it from here for the
+lattice's weight sums and the Kirchhoff residuals, so a wealth run's check
+compiles no lattice code.  :func:`library` compiles the source with the
 system C compiler (``cc``) into ``_build/`` beside it, under a name keyed by
 the source digest, the flags and the platform, loads it, holds its draws to
 numpy's ``Generator`` (:func:`check_draws`) and its sweeps to
-:func:`rrn.neighbor_sum` (:func:`check_sweep`), once per process.  On x86-64
+:func:`neighbor_sum` (:func:`check_sweep`), once per process.  On x86-64
 with gcc, ``kx_relax`` is built twice, for baseline x86-64 and for AVX2, and
 the loader picks the clone the CPU runs; the sweep check holds whichever it
 picked.  The one fan-out, :func:`streams.map_stream_blocks`, calls
 :func:`library` in the calling thread before any block starts, so that worker
-threads never race its build or its checks.  Only that fan-out, :mod:`block`
-and the lattices of :mod:`rrn` import this module, and only when they run: the
-CLI's start neither builds nor loads the kernel.
+threads never race its build or its checks.  Who imports this module: that
+fan-out when a run starts, and :mod:`block` and :mod:`rrn` at their own
+import, which happens only when a run needs them.  No module the CLI's start
+loads imports it, so the start neither builds nor loads the kernel.
 """
 
 from __future__ import annotations
@@ -184,20 +187,28 @@ def check_draws(lib: ctypes.CDLL) -> None:
                 raise mismatch
 
 
+def neighbor_sum(cond_h: np.ndarray, cond_v: np.ndarray, potential: np.ndarray) -> np.ndarray:
+    """sum_nb g_nb V_nb at every interior node, (L - 2) x L, on arrays laid out
+    as :class:`rrn.ResistorLattice`'s: the stencil, stated once in numpy, its
+    terms added in the kernel's order (up, down, right, left).  A sweep is this
+    sum over ``weight_sum``, bit for bit, as :func:`check_sweep` checks."""
+    v, g_h = potential[1:-1], cond_h[1:-1]
+    return (cond_v[:-1] * potential[:-2] + cond_v[1:] * potential[2:]
+            + g_h * np.roll(v, -1, axis=1) + np.roll(g_h, 1, axis=1) * np.roll(v, 1, axis=1))
+
+
 def check_sweep(lib: ctypes.CDLL) -> None:
     """Hold the kernel's lattice sweeps to numpy on a fixed lattice.
 
     Three sweeps (odd, so the kernel copies its result back) of a 13 x 13
     lattice with random potentials, boundary rows included: 11 middle nodes a
     row, so a vectorized loop runs its remainder too, at 2 or 4 lanes.  The
-    numpy form is :func:`rrn.neighbor_sum` over the weight sums, with its mean
+    numpy form is :func:`neighbor_sum` over the weight sums, with its mean
     |dV| summed strictly in row-major order.  Raises SweepMismatch when any
     sweep's value or the final potentials differ in any bit, for example under
     a build whose compiler fused or reordered an operation, instead of letting
     a run continue on different bits.
     """
-    from .rrn import neighbor_sum  # here, not at import: rrn loads this module in turn
-
     L, sweeps = 13, 3
     g = np.random.default_rng(_CHECK_SEED)
     cond_h, cond_v, potential = g.random((L, L)) + 0.1, g.random((L - 1, L)) + 0.1, g.random((L, L))

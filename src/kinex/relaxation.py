@@ -18,6 +18,13 @@ from .exchange import run_time_step  # noqa: F401  (perfbench/child.py times it 
 from .streams import RngStream, map_stream_blocks
 
 DEFAULT_TAIL_FRACTION = 0.25
+# The resistor lattice's initial potentials (rrn.build_lattice), named here,
+# beside the series both systems share, so that config load reads the default
+# without compiling rrn at every subcommand's start.
+INIT_HALF = "half"
+INIT_RAMP = "ramp"
+INIT_RANDOM = "random"
+LATTICE_INITS = (INIT_HALF, INIT_RAMP, INIT_RANDOM)
 
 
 @dataclass

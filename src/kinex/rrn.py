@@ -7,6 +7,12 @@ with the conductance-weighted average of its neighbors, computed from the
 previous sweep only (Jacobi), so results do not depend on visitation order.
 The per-sweep observable is the mean absolute potential change over interior
 nodes, the direct analog of the wealth-model observable.
+
+The stencil's numpy statement, :func:`kernel.neighbor_sum`, lives beside the
+kernel's sweep check, which is its oracle use; this module imports it from
+there, with the kernel's loader, at its own import.  The CLI imports this
+module only when ``kinex rrn`` runs, and the lattice's initial-potential names
+(``INIT_HALF`` ...) come from :mod:`relaxation`, where config load reads them.
 """
 
 from __future__ import annotations
@@ -17,18 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, ShapeError
-from .relaxation import RelaxationSeries, cell_series
+from .kernel import library, neighbor_sum
+from .relaxation import INIT_HALF, INIT_RAMP, LATTICE_INITS, RelaxationSeries, cell_series
 from .streams import RngStream
 
 G_FLOOR = 1e-9  # excludes zero-conductance bonds so no node is isolated
-# Largest lattice `kinex rrn` cross-checks with the dense solve: a 2500 x 2500
-# matrix is 50 MB, where the preset side 100 (9800 nodes) would need 0.77 GB.
-DENSE_MAX_INTERIOR = 2_500
-
-INIT_HALF = "half"
-INIT_RAMP = "ramp"
-INIT_RANDOM = "random"
-LATTICE_INITS = (INIT_HALF, INIT_RAMP, INIT_RANDOM)
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,6 @@ class ResistorLattice:
                 raise InvalidParameter(f"{name} must be a C-contiguous float64 array")
         if not self.potential.flags.writeable:
             raise InvalidParameter("potential must be writeable")
-        from .kernel import library  # not at import: the CLI's start need not build the kernel
-
         setattr_ = functools.partial(object.__setattr__, self)
         setattr_("_kernel", library())
         # the neighbor sum of unit potentials, bit for bit the sum of a node's conductances
@@ -126,16 +123,6 @@ def build_lattice(
     return ResistorLattice(
         side=L, potential=potential, cond_h=cond_h, cond_v=cond_v, g_window=g_window
     )
-
-
-def neighbor_sum(cond_h: np.ndarray, cond_v: np.ndarray, potential: np.ndarray) -> np.ndarray:
-    """sum_nb g_nb V_nb at every interior node, (L - 2) x L, on arrays laid out
-    as :class:`ResistorLattice`'s: the stencil, stated once in numpy, its terms
-    added in the kernel's order (up, down, right, left).  A sweep is this sum
-    over ``weight_sum``, bit for bit, as :func:`kernel.check_sweep` checks."""
-    v, g_h = potential[1:-1], cond_h[1:-1]
-    return (cond_v[:-1] * potential[:-2] + cond_v[1:] * potential[2:]
-            + g_h * np.roll(v, -1, axis=1) + np.roll(g_h, 1, axis=1) * np.roll(v, 1, axis=1))
 
 
 def relax_sweep(lat: ResistorLattice) -> float:

@@ -5,11 +5,14 @@ gets its own stream, keyed by (master_seed, stream_index), so that runs are
 reproducible and configurations can be simulated in any order or in parallel
 without changing the results.  :func:`map_stream_blocks` is the one fan-out
 that spreads contiguous blocks of streams over worker threads, never more
-threads than blocks.
+threads than blocks.  They are bare ``threading.Thread`` objects, where a
+thread pool would import ``multiprocessing`` (25 modules) in every run with
+more than one worker.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -65,11 +68,13 @@ def map_stream_blocks(block: Callable, n_streams: int, workers: int = 1, cells: 
     ``BATCH_MAX_ROWS`` economies.  The
     compiled kernel is loaded here, in the calling thread, before any block
     starts, so that no two threads race its build, its load or its checks.
-    With W > 1 the blocks go to a pool of at most W threads, one per block where
-    there are fewer; the kernel releases the GIL, so they step in parallel.  An
-    exception raised in a block is raised here unchanged.  The results come
-    back in stream order, so a reduction over them in list order is the same
-    for every worker count.
+    With W > 1 the blocks go to min(W, blocks) threads, each taking the next
+    block as it finishes one; the kernel releases the GIL, so they step in
+    parallel.  An exception raised in a block is raised here unchanged once
+    the threads have stopped (the failed block first in stream order), and no
+    thread takes another block after it.  The results come back in stream
+    order, so a reduction over them in list order is the same for every
+    worker count.
     """
     if n_streams < 1:
         raise InvalidParameter(f"n_configs={n_streams} must be >= 1")
@@ -78,9 +83,33 @@ def map_stream_blocks(block: Callable, n_streams: int, workers: int = 1, cells: 
     library()
     size = min(-(-n_streams // max(workers, 1)), max(1, BATCH_MAX_ROWS // cells))
     spans = [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
-    if workers > 1 and len(spans) > 1:
-        from multiprocessing.pool import ThreadPool  # not at import, so not at the CLI's start
+    if workers <= 1 or len(spans) == 1:
+        return [block(start, stop) for start, stop in spans]
+    from threading import Thread  # here, not at import: numpy.random, loaded by now, imports it
 
-        with ThreadPool(min(workers, len(spans))) as pool:
-            return pool.starmap(block, spans, chunksize=1)
-    return [block(start, stop) for start, stop in spans]
+    results = [None] * len(spans)
+    pending = deque(enumerate(spans))  # its pops are atomic: no two threads take a block
+    failed = []
+
+    def work() -> None:
+        while pending and not failed:
+            try:
+                k, (start, stop) = pending.popleft()
+            except IndexError:  # another thread took the last block
+                return
+            try:
+                results[k] = block(start, stop)
+            except BaseException as e:
+                failed.append((k, e))
+
+    threads = [Thread(target=work) for _ in range(min(workers, len(spans)))]
+    for t in threads:
+        t.start()
+    try:
+        for t in threads:
+            t.join()
+    finally:
+        pending.clear()  # an interrupted wait leaves the threads no block to start
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return results

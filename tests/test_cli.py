@@ -5,6 +5,8 @@ import itertools
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -974,6 +976,36 @@ def test_benchmark_traced_names_resolve():
         if not callable(getattr(importlib.import_module("kinex." + mod), name, None))
     ]
     assert missing == []
+
+
+# Each run: its argv after the config, its config's sections over BASE, and the
+# modules it must not load.  Where no bytecode cache is written, each module a
+# run loads is compiled at every start, so a subcommand loads only what it runs.
+STARTUP_RUNS = {
+    "relax": ([], {}, ["kinex.rrn", "kinex.theory", "kinex.distribution", "multiprocessing"]),
+    "lambda-family": (["--threads", "2"], {"lambda_windows": [[0.0, 1.0], [0.5, 1.0]]},
+                      ["kinex.rrn", "kinex.theory", "kinex.distribution", "multiprocessing"]),
+    "rrn": (["--threads", "2"], SMALL_RRN, ["kinex.distribution", "kinex.theory"]),
+    "dist": (["--threads", "2"], {"equilibration_steps": 5, "sample_steps": 5},
+             ["kinex.rrn", "kinex.theory"]),
+}
+
+
+@pytest.mark.parametrize("experiment", list(STARTUP_RUNS))
+def test_a_run_loads_only_the_modules_its_subcommand_runs(tmp_path, experiment):
+    argv, section, unused = STARTUP_RUNS[experiment]
+    p = write_cfg(tmp_path, {**BASE, experiment: section})
+    code = "import json, sys, kinex.cli; print(json.dumps([kinex.cli.main(sys.argv[1:]), sorted(sys.modules)]))"
+    env = {k: v for k, v in os.environ.items() if k != "KINEX_THREADS"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code, experiment, "--config", str(p), "--out", str(tmp_path / "o"), *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    exit_code, modules = json.loads(out.stdout)
+    assert exit_code == 0
+    assert "kinex.kernel" in modules  # the run simulated
+    assert [m for m in modules if any(m == u or m.startswith(u + ".") for u in unused)] == []
 
 
 LAMBDA_EDGES = ((0.0, 1.0), (0.5, 1.0), (0.9999999999999999, 1.0))

@@ -8,7 +8,6 @@ condition; run_time_step in turn must reproduce the scalar exchange_* rules.
 import _posixsubprocess
 import gc
 import itertools
-import multiprocessing.pool
 import os
 import sys
 import threading
@@ -404,24 +403,19 @@ def _span(start, stop):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The sizes of the thread pools a fan-out starts.  A stub pool records
-    its size and runs the blocks here, in order, so no thread starts."""
-    started = []
+    """The number of threads each fan-out starts, one entry per fan-out that
+    starts any.  The threads are the fan-out's own; this only counts them."""
+    started, targets = [], []
 
-    class RecordingPool:
-        def __init__(self, size):
-            started.append(size)
+    class RecordingThread(threading.Thread):
+        def __init__(self, *, target):
+            if not targets or targets[-1] is not target:  # one fan-out's threads share it
+                targets.append(target)
+                started.append(0)
+            started[-1] += 1
+            super().__init__(target=target)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, jobs, chunksize=1):
-            return [fn(*job) for job in jobs]
-
-    monkeypatch.setattr(multiprocessing.pool, "ThreadPool", RecordingPool)
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
     return started
 
 
@@ -514,6 +508,27 @@ def test_fan_out_forks_nothing(monkeypatch, workers):
     assert threading.main_thread().ident not in ran_on
     many = run_relaxation(spec, 12, 10, 8, master_seed=5, workers=workers)
     assert one.x_mean.tobytes() == many.x_mean.tobytes()
+
+
+def test_fan_out_hands_the_next_block_to_the_thread_that_is_free(pools):
+    # Four blocks of 2 streams on 2 threads: whichever thread takes the first
+    # block holds it until the other thread has run the other three, so the
+    # blocks must go to threads as they free up, and come back in stream order.
+    release, done, ran_on = threading.Event(), [], {}
+
+    def block(start, stop):
+        ran_on[start] = threading.get_ident()
+        if start == 0:
+            assert release.wait(10), "the blocks after the first waited for its thread"
+        else:
+            done.append(start)
+            if len(done) == 3:
+                release.set()
+        return start, stop
+
+    assert map_stream_blocks(block, 8, 2, cells=1024) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    assert pools == [2]
+    assert len({ran_on[2], ran_on[4], ran_on[6]}) == 1 and ran_on[0] != ran_on[2]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])

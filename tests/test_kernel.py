@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinex import kernel, rrn
+from kinex import kernel
 from kinex.errors import DrawMismatch, InvalidParameter, KernelBuildError, SweepMismatch
 from kinex.distribution import run_equilibrium
 from kinex.exchange import ModelSpec
@@ -335,7 +335,7 @@ def test_library_refuses_a_build_whose_sweep_differs(tmp_path, monkeypatch, fres
 
 
 def test_sweep_check_holds_the_kernel_to_the_lattice_s_numpy_stencil(monkeypatch):
-    # The check's oracle is rrn.neighbor_sum, which also gives every lattice its
+    # The check's oracle is kernel.neighbor_sum, which also gives every lattice its
     # weight sums and residuals: the same stencil with its right and left terms
     # added the other way round rounds otherwise, and the check must see it.
     def swapped(cond_h, cond_v, potential):
@@ -345,7 +345,7 @@ def test_sweep_check_holds_the_kernel_to_the_lattice_s_numpy_stencil(monkeypatch
 
     lib = kernel.library()
     kernel.check_sweep(lib)
-    monkeypatch.setattr(rrn, "neighbor_sum", swapped)
+    monkeypatch.setattr(kernel, "neighbor_sum", swapped)
     with pytest.raises(SweepMismatch):
         kernel.check_sweep(lib)
 
