@@ -301,7 +301,7 @@ void kx_run(int rule, int64_t n, int64_t streams, int64_t cells, uint64_t *state
 #endif
 
 /* The stencil of one interior row: node c's neighbour sum sum_nb g_nb V_nb,
- * the terms added in the order up, down, right, left, as rrn.neighbor_sum adds
+ * the terms added in the order up, down, right, left, as kernel.neighbor_sum adds
  * them in numpy, over the weight w[c].  The lattice wraps horizontally: g_h[c]
  * joins node c to node c + 1 mod L.  v_up, v and v_dn are the potentials of the
  * rows above, at and below it; out may not alias them.  out[c] gets the new

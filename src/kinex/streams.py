@@ -92,10 +92,10 @@ def map_stream_blocks(block: Callable, n_streams: int, workers: int = 1, cells: 
     failed = []
 
     def work() -> None:
-        while pending and not failed:
+        while not failed:
             try:
                 k, (start, stop) = pending.popleft()
-            except IndexError:  # another thread took the last block
+            except IndexError:  # no block left
                 return
             try:
                 results[k] = block(start, stop)

@@ -531,6 +531,28 @@ def test_fan_out_hands_the_next_block_to_the_thread_that_is_free(pools):
     assert len({ran_on[2], ran_on[4], ran_on[6]}) == 1 and ran_on[0] != ran_on[2]
 
 
+def test_fan_out_runs_every_block_once_under_contention():
+    # More threads than cores, switching every microsecond: 2048 blocks of 2
+    # streams on 8 threads, each block run once and its result in its place.
+    ran = []
+
+    def block(start, stop):
+        ran.append(start)
+        return start, stop
+
+    got, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.append(map_stream_blocks(block, 4096, 8, cells=1024)))
+        runner.start()
+        runner.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [[(lo, lo + 2) for lo in range(0, 4096, 2)]]
+    assert sorted(ran) == list(range(0, 4096, 2))
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_fan_out_raises_a_block_s_exception_unchanged(workers):
     raised = InvalidParameter("stream 5 failed")
@@ -543,6 +565,24 @@ def test_fan_out_raises_a_block_s_exception_unchanged(workers):
     with pytest.raises(InvalidParameter) as caught:
         map_stream_blocks(block, 8, workers)
     assert caught.value is raised
+
+
+def test_fan_out_raises_the_first_failed_block_in_stream_order():
+    # Two blocks on two threads: the second fails first, and the first, held
+    # until then, fails after it; the first block's exception is the one raised.
+    errors = {0: InvalidParameter("stream 0 failed"), 4: InvalidParameter("stream 4 failed")}
+    second_failing = threading.Event()
+
+    def block(start, stop):
+        if start == 0:
+            assert second_failing.wait(10), "the second block never ran"
+        else:
+            second_failing.set()
+        raise errors[start]
+
+    with pytest.raises(InvalidParameter) as caught:
+        map_stream_blocks(block, 8, 2)
+    assert caught.value is errors[0]
 
 
 @pytest.mark.parametrize("n_streams", [0, -3])
