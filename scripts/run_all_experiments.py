@@ -5,7 +5,8 @@ Usage:
     python scripts/run_all_experiments.py [--config configs/experiments.yaml]
                                           [--threads N] [--strict]
 
-Order matters only for `fit`, which re-fits the series the `relax` run wrote.
+The subcommands run in the order of `kinex.cli.HANDLERS`, where `relax` comes
+before `fit`, which re-fits the series the `relax` run wrote.
 """
 
 import argparse
@@ -13,9 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from kinex.cli import main as kinex_main
-
-EXPERIMENT_ORDER = ["relax", "lambda-family", "eps-sweep", "dist", "rrn", "fit"]
+from kinex.cli import HANDLERS, main as kinex_main
 
 
 def main() -> int:
@@ -30,9 +29,9 @@ def main() -> int:
         return 2
 
     worst = 0
-    for name in EXPERIMENT_ORDER:
+    for name in HANDLERS:
         argv = [name, "--config", args.config]
-        if args.threads:
+        if args.threads is not None:
             argv += ["--threads", str(args.threads)]
         if args.strict:
             argv += ["--strict"]

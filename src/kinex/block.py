@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidSize, TopologyMismatch
+from .errors import InvalidParameter
 from .exchange import (
     DISTRIBUTED_SAVING,
     LATTICE_2D,
     RULES,
-    AgentEnsemble,
     ModelSpec,
     _lattice_neighbors,
     _step_plan,
+    init_ensemble,
 )
 from .kernel import library, pcg64_words
 from .streams import RngStream
@@ -43,47 +43,40 @@ class EnsembleBlock:
     """Economies of n agents advanced together, one time step per :meth:`step`,
     or a whole relaxation series per :meth:`run`.
 
-    ``spec`` is one ModelSpec, or the specs of sweep cells that share their
-    draws (see :func:`draw_signature`); with C cells and S ``rngs``,
-    ``ensembles`` holds C * S economies, cell by cell, and row ``k * S + s`` is
-    cell k's economy on stream s.  Its wealth occupies ``wealth[r*n:(r+1)*n]``
-    of one flat array.  The block takes each stream's PCG64 state once, through
-    ``bit_generator.state``, into words of its own, and leaves the streams'
-    Generators where init left them.  On every step each stream makes exactly
-    the draws :func:`exchange._step_plan` lists, as :func:`exchange.run_time_step`
-    makes them through its Generator, and every cell's row on that stream
-    applies them to its N slots in order, with the cell's own saving and split
-    parameters and run_time_step's operations and clamp.  So each economy gets
-    run_time_step's bits.  ``wealth`` and ``saving`` (drawn propensities only,
-    else None) are the block's own arrays, which the kernel reads and writes in
-    place.
+    Row ``k * S + s`` of a block on the S streams ``start <= c < stop`` is cell
+    k's economy on stream (master_seed, start + s), initialised from that
+    stream's fresh state; ``spec`` is one ModelSpec or the specs of sweep cells
+    that share their draws (see :func:`draw_signature`).  Its wealth occupies
+    ``wealth[r*n:(r+1)*n]`` of one flat array.  After init the block takes each
+    stream's PCG64 state into words of its own.  On every step each stream
+    makes exactly the draws :func:`exchange._step_plan` lists, as
+    :func:`exchange.run_time_step` makes them, and every cell's row on that
+    stream applies them to its N slots in order, with the cell's own saving and
+    split parameters and run_time_step's operations and clamp: each economy
+    gets run_time_step's bits.  ``wealth`` and ``saving`` (drawn propensities
+    only, else None) are the block's arrays, which the kernel writes in place.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec | tuple[ModelSpec, ...],
-        ensembles: list[AgentEnsemble],
-        rngs: list[RngStream],
-    ):
+    def __init__(self, spec: ModelSpec | tuple[ModelSpec, ...], n: int, master_seed: int,
+                 start: int, stop: int):
+        specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
+        if len({draw_signature(s, n) for s in specs}) > 1:
+            raise InvalidParameter("a block's cells must make the same draws")
+        rngs = [RngStream(master_seed, c) for c in range(start, stop)]
+        fresh = [rng.gen.bit_generator.state for rng in rngs]
+        ensembles = []
+        for s in specs:
+            # every cell's init makes the same draws from the same fresh stream, so
+            # the streams left by the last cell's stand where every cell's would
+            for rng, state in zip(rngs, fresh):
+                rng.gen.bit_generator.state = state
+                ensembles.append(init_ensemble(s, n, rng))
         states = np.array([pcg64_words(rng.gen.bit_generator) for rng in rngs], dtype=np.uint64)
         lib = library()
         self._step, self._run = lib.kx_step, lib.kx_run
-        specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
         spec = specs[0]
-        n = ensembles[0].n_agents
-        streams, cells, rows = len(rngs), len(specs), len(ensembles)
-        if rows != cells * streams:
-            raise InvalidSize(f"{rows} economies for {cells} cells on {streams} streams")
-        if any(e.n_agents != n or len(e.wealth) != n or len(e.saving) != n for e in ensembles):
-            raise InvalidSize(f"every economy of a block needs {n} agents")
-        if cells > 1 and len({draw_signature(s, n) for s in specs}) > 1:
-            raise InvalidParameter("a block's cells must make the same draws")
-        lattice = None
-        if spec.pairing == LATTICE_2D:
-            lattice = _lattice_neighbors(spec.lattice_side)
-            if len(lattice) != n:
-                raise TopologyMismatch(f"lattice side {spec.lattice_side} squared != n={n}")
-        self.rows = rows
+        lattice = _lattice_neighbors(spec.lattice_side) if spec.pairing == LATTICE_2D else None
+        self.rows = len(ensembles)
         self.n_agents = n
         self._wealth = np.concatenate([e.wealth for e in ensembles], dtype=np.float64)
         self._saving = (
@@ -107,7 +100,7 @@ class EnsembleBlock:
         ]
         pointers = [None if a is None else a.ctypes.data for a in arrays]
         # the kernel numbers the rules in the order of exchange.RULES
-        self._args = (RULES.index(spec.rule), n, streams, cells, pointers[0], partner_span,
+        self._args = (RULES.index(spec.rule), n, len(rngs), len(specs), pointers[0], partner_span,
                       pointers[1], len(splits), *pointers[2:])
 
     # Read-only attributes: the kernel holds the arrays' addresses.

@@ -19,10 +19,11 @@ import numpy as np
 import yaml
 
 from . import _importer
-from .errors import ConfigError, KinexError, NotDecaying
+from .errors import ConfigError, InvalidParameter, KinexError, NotDecaying
 from .exchange import DISTRIBUTED_SAVING, LATTICE_2D, PURE_GAMBLING, ModelSpec
 from .expfit import FORM_PURE, FORM_SHIFTED, auto_window, fit_pure, fit_shifted
 from .relaxation import DEFAULT_TAIL_FRACTION, INIT_HALF, equilibrium_window_stats, run_relaxation
+from .relaxation import _check_lattice
 from .reports import (
     RunManifest,
     read_series_csv,
@@ -216,7 +217,7 @@ def load_experiment_config(
     )
     least_counts = {
         "workers": 1, "n_agents": 2, "n_configs": 1, "fit_configs": 1, "bins": 1, "sample_steps": 0,
-        "equilibration_steps": 0, "master_seed": 0, "side": 3,
+        "equilibration_steps": 0, "master_seed": 0,
     }
     for name, least in least_counts.items():
         value = getattr(cfg, name)
@@ -236,9 +237,10 @@ def load_experiment_config(
     bad = [w for w in cfg.lambda_windows if not 0.0 <= w[0] < w[1] <= 1.0]
     if bad:
         raise ConfigError(f"lambda_windows {bad} not within 0 <= lo < hi <= 1")
-    bad = [w for w in cfg.g_windows if not 0.0 <= w[0] < w[1]]
-    if bad:
-        raise ConfigError(f"g_windows {bad} need 0 <= lo < hi")
+    try:  # whichever subcommand runs, as for every sweep list
+        _check_lattice(cfg.side, cfg.g_windows, cfg.rrn_init)
+    except InvalidParameter as e:
+        raise ConfigError(str(e)) from e
     for name in ("eps_values", "lambda_windows", "g_windows"):
         labels = [_cell_label(cell) for cell in getattr(cfg, name)]
         if len(set(labels)) < len(labels):
@@ -406,15 +408,20 @@ def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
         _window_sweep(cfg, run, "g", windows, cells, "conductance windows, ordered by mean",
                       lambda w: {"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"})
         if cfg.dense_check:
-            rng = RngStream(cfg.master_seed, 0)
-            lat = _this.build_lattice(cfg.side, cfg.g_windows[0], rng, cfg.rrn_init)
-            for _ in range(200_000):
-                if _this.relax_sweep(lat) < 1e-12:
+            w = cfg.g_windows[0]
+            lat = _this.build_lattice(cfg.side, w, RngStream(cfg.master_seed, 0), cfg.rrn_init)
+            for sweeps in range(1, 200_001):
+                dv = _this.relax_sweep(lat)
+                if dv < 1e-12:
                     break
             exact = _this.solve_kirchhoff_dense(lat)
             gap = float(np.abs(lat.potential[1:-1, :] - exact).max())
             residual = float(np.abs(_this.node_current_residuals(lat)).max())
-            run.notes.append(f"dense-solver endpoint gap={gap!r} node residual={residual!r}")
+            settled = "fell below" if dv < 1e-12 else "was still not below"
+            run.notes.append(
+                f"dense-solver check of g_window {w[0]:g}:{w[1]:g}, realization 0: mean |dV|={dv!r}"
+                f" {settled} 1e-12 after {sweeps} sweeps; endpoint gap={gap!r} node residual={residual!r}"
+            )
     return []
 
 

@@ -6,12 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .block import EnsembleBlock
 from .errors import InvalidParameter
 from .exchange import DISTRIBUTED_SAVING, ModelSpec, saving_propensities
 from .exchange import init_ensemble  # noqa: F401  (perfbench/child.py times it under this name)
 from .exchange import run_time_step  # noqa: F401  (perfbench/child.py times it under this name)
 from .expfit import _linear_fit
-from .relaxation import _cells_block
 from .streams import map_stream_blocks
 
 
@@ -46,7 +46,7 @@ def run_equilibrium(
     spec.validate()
 
     def sample(start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        block = _cells_block((spec,), n, master_seed, start, stop)
+        block = EnsembleBlock(spec, n, master_seed, start, stop)
         for _ in range(equil_steps):
             block.step()
         if sample_steps <= 0:

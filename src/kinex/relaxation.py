@@ -13,18 +13,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, InvalidParameter
-from .exchange import ModelSpec, init_ensemble
+from .exchange import ModelSpec
+from .exchange import init_ensemble  # noqa: F401  (perfbench/child.py times it under this name)
 from .exchange import run_time_step  # noqa: F401  (perfbench/child.py times it under this name)
-from .streams import RngStream, map_stream_blocks
+from .streams import map_stream_blocks
 
 DEFAULT_TAIL_FRACTION = 0.25
-# The resistor lattice's initial potentials (rrn.build_lattice), named here,
-# beside the series both systems share, so that config load reads the default
-# without compiling rrn at every subcommand's start.
+# The resistor lattice's initial potentials and the rule for its inputs
+# (rrn.build_lattice), stated here, beside the series both systems share, so
+# that config load reads them without compiling rrn at every subcommand's start.
 INIT_HALF = "half"
 INIT_RAMP = "ramp"
 INIT_RANDOM = "random"
 LATTICE_INITS = (INIT_HALF, INIT_RAMP, INIT_RANDOM)
+
+
+def _check_lattice(side: int, g_windows, init: str) -> None:
+    """Refuse resistor-lattice inputs no sweep can run: a side under 3 (no
+    interior rows), a conductance window outside 0 <= lo < hi < inf (a bond
+    is ``hi - u * (hi - lo)``, which an infinite bound makes nan), or an init
+    not in LATTICE_INITS."""
+    if not side >= 3:
+        raise InvalidParameter(f"side={side} leaves the lattice no interior rows; need side >= 3")
+    bad = [w for w in g_windows if not 0.0 <= w[0] < w[1] < np.inf]
+    if bad:
+        raise InvalidParameter(f"g_windows {bad} need 0 <= lo < hi < inf")
+    if init not in LATTICE_INITS:
+        raise InvalidParameter(f"rrn_init={init!r} is not one of {LATTICE_INITS}")
 
 
 @dataclass
@@ -44,24 +59,6 @@ class RelaxationSeries:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-def _cells_block(specs, n: int, master_seed: int, start: int, stop: int):
-    """One block.EnsembleBlock of every cell's configurations on streams [start, stop),
-    bit for bit as run_time_step steps each configuration of each cell.  ``specs``
-    are sweep cells that share their draws, or one spec."""
-    from .block import EnsembleBlock  # not at import: the CLI's start need not compile it
-
-    rngs = [RngStream(master_seed, c) for c in range(start, stop)]
-    fresh = [rng.gen.bit_generator.state for rng in rngs]
-    ensembles = []
-    for spec in specs:
-        # every cell's init makes the same draws from the same fresh stream, so
-        # the streams left by the last cell's stand where every cell's would
-        for rng, state in zip(rngs, fresh):
-            rng.gen.bit_generator.state = state
-            ensembles.append(init_ensemble(spec, n, rng))
-    return EnsembleBlock(specs, ensembles, rngs)
 
 
 def stream_mean(blocks: list[np.ndarray], n_configs: int) -> np.ndarray:
@@ -112,14 +109,14 @@ def run_relaxation(
     specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
     for s in specs:
         s.validate()
-    from .block import draw_signature  # not at import: the CLI's start need not compile it
+    from .block import EnsembleBlock, draw_signature  # not at import: the CLI's start need not compile it
 
     if len({draw_signature(s, n) for s in specs}) > 1:
         return [run_relaxation(s, n, t_max, n_configs, master_seed, workers) for s in specs]
 
     def traces(start: int, stop: int) -> np.ndarray:
         """Observable traces of streams [start, stop), shape (configurations, cells, t_max)."""
-        xs = _cells_block(specs, n, master_seed, start, stop).run(t_max)
+        xs = EnsembleBlock(specs, n, master_seed, start, stop).run(t_max)
         xs /= n
         return xs.reshape(len(specs), stop - start, t_max).swapaxes(0, 1)
 

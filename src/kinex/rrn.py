@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import InvalidParameter, ShapeError
 from .kernel import library, neighbor_sum
-from .relaxation import INIT_HALF, INIT_RAMP, LATTICE_INITS, RelaxationSeries, cell_series
+from .relaxation import INIT_HALF, INIT_RAMP, RelaxationSeries, _check_lattice, cell_series
+from .relaxation import LATTICE_INITS  # noqa: F401  (the lattice's init names, as rrn's own)
 from .streams import RngStream
 
 G_FLOOR = 1e-9  # excludes zero-conductance bonds so no node is isolated
@@ -98,14 +99,8 @@ def build_lattice(
     positive even for a window starting at 0.  Horizontal bonds are drawn
     before vertical ones.
     """
-    if L < 3:
-        raise InvalidParameter(f"lattice side {L} leaves no interior rows; need L >= 3")
+    _check_lattice(L, (g_window,), init)
     g_min, g_max = g_window
-    if not (0.0 <= g_min < g_max):
-        raise InvalidParameter(f"conductance window ({g_min}, {g_max}) invalid")
-    if init not in LATTICE_INITS:
-        raise InvalidParameter(f"unknown lattice init {init!r}")
-
     g = rng.gen
     lo = max(g_min, G_FLOOR)
     cond_h = g_max - g.random((L, L)) * (g_max - lo)

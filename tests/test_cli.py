@@ -5,6 +5,7 @@ import itertools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -298,14 +299,31 @@ class TestCommands:
     def test_rrn_small_run(self, tmp_path):
         payload = {
             "master_seed": 3,
-            "rrn": {"side": 8, "t_max": 40, "n_configs": 2, "g_windows": [[0.0, 1.0]], "dense_check": True},
+            "rrn": {"side": 8, "t_max": 40, "n_configs": 2, "g_windows": [[0.5, 1.0], [0.0, 1.0]],
+                    "dense_check": True},
         }
         p = write_cfg(tmp_path, payload)
         assert main(["rrn", "--config", str(p), "--out", str(tmp_path / "r")]) == 0
         assert (tmp_path / "r" / "series_g_0_1.csv").exists()
         assert (tmp_path / "r" / "tau_table.csv").exists()
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
-        assert any("dense-solver" in n for n in manifest["notes"])
+        # the dense check names what it checked: the file's first window, not
+        # the first in sorted order, and the sweeps it ran to settle
+        (note,) = manifest["notes"]
+        head, tail = note.split("; ")
+        assert head.startswith("dense-solver check of g_window 0.5:1, realization 0: mean |dV|=")
+        assert re.fullmatch(r".* fell below 1e-12 after [1-9]\d* sweeps", head), head
+        gap = float(re.fullmatch(r"endpoint gap=(\S+) node residual=\S+", tail)[1])
+        assert gap < 1e-9
+
+    def test_dense_check_note_says_when_the_sweeps_never_settle(self, tmp_path, monkeypatch):
+        import kinex.cli as cli
+
+        monkeypatch.setattr(cli, "relax_sweep", lambda lat: 0.5)
+        p = write_cfg(tmp_path, {"rrn": {**SMALL_RRN, "dense_check": True}})
+        assert main(["rrn", "--config", str(p), "--out", str(tmp_path / "r")]) == 0
+        (note,) = json.loads((tmp_path / "r" / "manifest.json").read_text())["notes"]
+        assert "mean |dV|=0.5 was still not below 1e-12 after 200000 sweeps; endpoint gap=" in note
 
     def test_fit_subcommand_on_existing_series(self, tmp_path):
         p = write_cfg(tmp_path, {**BASE, "t_max": 60, "output_dir": str(tmp_path / "src")})
@@ -434,9 +452,15 @@ class TestCommands:
             ("lambda-family", {"lambda_windows": [[-0.2, 0.5]]}),
             ("rrn", {"g_windows": [[0.0, 1.0], [0.5, 0.2]]}),
             ("rrn", {"g_windows": [[-0.1, 1.0]]}),
+            ("rrn", {"g_windows": [[0.0, float("inf")]]}),
+            ("rrn", {"g_windows": [[0.0, 1.0]], "rrn_init": "bogus"}),
+            # the resistor lattice's inputs are refused by every subcommand, as side < 3 is
+            ("relax", {"g_windows": [[0.0, float("inf")]]}),
+            ("relax", {"rrn_init": "bogus"}),
         ],
         ids=["eps_above_1", "eps_below_0", "lambda_hi_above_1", "lambda_empty",
-             "lambda_lo_below_0", "g_hi_below_lo", "g_lo_below_0"],
+             "lambda_lo_below_0", "g_hi_below_lo", "g_lo_below_0", "g_hi_inf", "rrn_init",
+             "g_hi_inf_relax", "rrn_init_relax"],
     )
     def test_sweep_values_fail_before_any_cell_is_simulated(
         self, tmp_path, capsys, monkeypatch, experiment, override
@@ -1008,9 +1032,24 @@ def test_a_run_loads_only_the_modules_its_subcommand_runs(tmp_path, experiment):
     assert [m for m in modules if any(m == u or m.startswith(u + ".") for u in unused)] == []
 
 
+def test_battery_script_passes_threads_0_on_and_writes_nothing(tmp_path):
+    # every subcommand, in HANDLERS's order, refuses the worker count
+    p = write_cfg(tmp_path, {**BASE, "output_dir": str(tmp_path / "o")})
+    env = {k: v for k, v in os.environ.items() if k != "KINEX_THREADS"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    script = ROOT / "scripts" / "run_all_experiments.py"
+    run = subprocess.run([sys.executable, str(script), "--config", str(p), "--threads", "0"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == ["kinex: config error: workers=0 must be >= 1"] * len(HANDLERS)
+    assert [line.split()[:2] for line in run.stdout.splitlines()] == [[name, "exit=2"] for name in HANDLERS]
+    assert list(tmp_path.iterdir()) == [p]
+
+
 LAMBDA_EDGES = ((0.0, 1.0), (0.5, 1.0), (0.9999999999999999, 1.0))
 EPS1_EDGES = ((0.0, 1.0), (1.5, 2.0), (0.9999999999999999, 1.0))
 G_EDGES = ((0.0, 1.0), (0.5, 1.0), (1.0, 1.0 + 1e-12), (0.9999999999999999, 1.0))
+G_NON_FINITE = ((float("nan"), 1.0), (0.0, float("inf")))
 
 
 @st.composite
@@ -1039,6 +1078,8 @@ def generated_configs(draw, experiment):
         "n_configs": draw(st.integers(1, 5)),
         "master_seed": draw(st.integers(0, 2**32 - 1)),
         "tail_fraction": draw(st.sampled_from([0.01, 0.25, 0.5])),
+        # a tenth of the time an init config load refuses, whichever subcommand runs
+        "rrn_init": "bogus" if draw(st.integers(0, 9)) == 9 else draw(st.sampled_from(LATTICE_INITS)),
     }
 
     def cells(values):
@@ -1049,8 +1090,10 @@ def generated_configs(draw, experiment):
     elif experiment == "eps-sweep":
         cfg["eps_values"] = cells([0.0, 0.45, 0.5, 1.0])
     elif experiment == "rrn":
-        cfg |= {"g_windows": [list(w) for w in cells(G_EDGES)], "side": side,
-                "rrn_init": draw(st.sampled_from(LATTICE_INITS)), "dense_check": draw(st.booleans())}
+        windows = cells(G_EDGES)
+        if draw(st.integers(0, 2)) == 2:  # a third of the time, a bound config load refuses
+            windows.append(draw(st.sampled_from(G_NON_FINITE)))
+        cfg |= {"g_windows": [list(w) for w in windows], "side": side, "dense_check": draw(st.booleans())}
     elif experiment == "dist":
         cfg |= {"equilibration_steps": draw(st.sampled_from([None, 0, 20])),
                 "sample_steps": draw(st.sampled_from([0, 5])), "bins": draw(st.sampled_from([1, 10, 50])),

@@ -43,7 +43,7 @@ from kinex.exchange import (
 from kinex import block as block_module, distribution, relaxation
 from kinex.relaxation import run_relaxation
 from kinex.rrn import run_rrn_relaxation
-from kinex.errors import InvalidParameter, InvalidSize, TopologyMismatch
+from kinex.errors import InvalidParameter, TopologyMismatch
 from kinex.streams import map_stream_blocks
 
 BLOCK_SIZES = (1, 2, 63, 64, 100)
@@ -83,11 +83,12 @@ def _block_changes(block, steps: int):
 
 
 def _block_of(spec, n, seed, streams):
-    rngs = [RngStream(seed, c) for c in streams]
-    return EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    return EnsembleBlock(spec, n, seed, streams.start, streams.stop)
 
 
 def _block(spec, n, steps, seed, streams):
+    """(per-step traces, final wealth) of the block of ``spec``, one spec or
+    sweep cells, on ``streams``, a range."""
     block = _block_of(spec, n, seed, streams)
     traces = np.array(list(_block_changes(block, steps))).T
     return traces, block.wealth
@@ -138,17 +139,6 @@ def test_block_matches_per_config_bit_for_bit(
         assert got_final.tobytes() == want_final[start * n:].tobytes()
 
 
-def _cells_block(specs, n, steps, seed, streams):
-    """Every cell's economies on ``streams`` in one block, on shared draws."""
-    ensembles = []
-    for spec in specs:
-        rngs = [RngStream(seed, c) for c in streams]
-        ensembles += [init_ensemble(spec, n, rng) for rng in rngs]
-    block = EnsembleBlock(specs, ensembles, rngs)
-    traces = np.array(list(_block_changes(block, steps))).T
-    return traces, block.wealth
-
-
 @pytest.mark.parametrize(
     "rule,pairing,redraw,init", list(itertools.product(RULES, PAIRINGS, (True, False), INITS))
 )
@@ -191,7 +181,7 @@ def test_block_of_cells_matches_per_config_bit_for_bit(
         )
         for (eps, lam, total), lam_window in zip(cells, lam_windows)
     )
-    got_traces, got_final = _cells_block(specs, n, steps, seed, range(3, 3 + streams))
+    got_traces, got_final = _block(specs, n, steps, seed, range(3, 3 + streams))
     for k, spec in enumerate(specs):
         want_traces, want_final = _per_config(spec, n, steps, seed, range(3, 3 + streams))
         assert got_traces[k * streams : (k + 1) * streams].tobytes() == want_traces.tobytes()
@@ -221,7 +211,7 @@ def test_cells_keep_splits_that_differ_only_in_the_sign_of_zero():
     # eps = -0.0 leaves new_i = -0.0 where eps = 0.0 leaves 0.0, which the
     # observable cannot see, so the final wealth must tell the cells apart.
     specs = tuple(ModelSpec(rule="pure_gambling", eps_fixed=e) for e in (0.0, -0.0, 0.0))
-    _, got_final = _cells_block(specs, 10, 3, 4, range(2))
+    _, got_final = _block(specs, 10, 3, 4, range(2))
     for k, spec in enumerate(specs):
         want_final = _per_config(spec, 10, 3, 4, range(2))[1]
         assert got_final[k * 20 : (k + 1) * 20].tobytes() == want_final.tobytes()
@@ -240,42 +230,27 @@ def test_cells_keep_splits_that_differ_only_in_the_sign_of_zero():
 def test_block_refuses_cells_whose_draws_differ(other):
     spec = ModelSpec(rule="distributed_saving", eps_fixed=0.5)
     specs = (spec, replace(spec, **other))
-    rngs = [RngStream(1, c) for c in range(2)]
-    ensembles = [init_ensemble(s, 16, RngStream(1, c)) for s in specs for c in range(2)]
-    with pytest.raises(InvalidParameter):
-        EnsembleBlock(specs, ensembles, rngs)
+    with pytest.raises(InvalidParameter, match="a block's cells must make the same draws"):
+        EnsembleBlock(specs, 16, 1, 0, 2)
 
 
 @pytest.mark.parametrize(
     "case,error,message",
     [
-        ("rows", InvalidSize, "2 economies for 1 cells on 3 streams"),
-        ("n_agents", InvalidSize, "every economy of a block needs 9 agents"),
-        ("wealth", InvalidSize, "every economy of a block needs 9 agents"),
-        ("saving", InvalidSize, "every economy of a block needs 9 agents"),
         ("lattice_side", TopologyMismatch, "lattice side 4 squared != n=9"),
     ],
 )
 def test_block_refuses_economies_its_kernel_cannot_step(monkeypatch, case, error, message):
-    # The kernel reads and writes the block's arrays through raw pointers, so
-    # the block checks their sizes before it could ever call the kernel.
+    # The kernel reads the lattice's neighbour table through a raw pointer, so
+    # a side that does not square to n is refused (by the economies' init)
+    # before the block could ever call the kernel.
     def no_call(*args):
         raise AssertionError("the block called the kernel")
 
     monkeypatch.setattr(block_module, "library", lambda: SimpleNamespace(kx_step=no_call, kx_run=no_call))
-    spec = ModelSpec(rule="distributed_saving", eps_fixed=0.5, pairing=LATTICE_2D, lattice_side=3)
-    rngs = [RngStream(1, c) for c in range(3)]
-    ensembles = [init_ensemble(spec, 9, rng) for rng in rngs]
-    if case == "rows":
-        ensembles.pop()
-    elif case == "n_agents":
-        ensembles[1] = init_ensemble(replace(spec, pairing="mean_field"), 8, RngStream(1, 1))
-    elif case in ("wealth", "saving"):
-        ensembles[1] = replace(ensembles[1], **{case: getattr(ensembles[1], case)[:-1]})
-    else:
-        spec = replace(spec, lattice_side=4)
+    spec = ModelSpec(rule="distributed_saving", eps_fixed=0.5, pairing=LATTICE_2D, lattice_side=4)
     with pytest.raises(error) as refused:
-        EnsembleBlock(spec, ensembles, rngs)
+        EnsembleBlock(spec, 9, 1, 0, 3)
     assert str(refused.value) == message
 
 
@@ -307,8 +282,7 @@ def test_block_conserves_each_economy_and_keeps_saving_rules_nonneg(rule, pairin
         eps1_window=(-0.5, 1.5),
         init="uniform_random",
     )
-    rngs = [RngStream(8, c) for c in range(24)]
-    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    block = EnsembleBlock(spec, n, 8, 0, 24)
     totals = block.wealth.reshape(-1, n).sum(axis=1)
     for _ in range(100):
         block.step()
@@ -642,8 +616,7 @@ def test_blocks_stepped_on_two_threads_match_blocks_stepped_in_turn():
     steps = 200
 
     def run(spec, n, seed, barrier=None):
-        rngs = [RngStream(seed, c) for c in range(16)]
-        block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+        block = EnsembleBlock(spec, n, seed, 0, 16)
         if barrier is not None:
             barrier.wait(timeout=60)
         traces = np.array([changes.copy() for changes in _block_changes(block, steps)])
@@ -779,8 +752,7 @@ def test_small_equilibrium_runs_match_the_time_step(spec, configs, workers):
 def test_steady_state_steps_allocate_less_than_one_block_array(spec, rows, n):
     # The kernel draws into the block's own buffers and updates the wealth in
     # place, so a step allocates nothing the size of the block.
-    rngs = [RngStream(17, c) for c in range(rows)]
-    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
+    block = EnsembleBlock(spec, n, 17, 0, rows)
     block.step()
     block.step()
     tracemalloc.start()
@@ -793,11 +765,17 @@ def test_steady_state_steps_allocate_less_than_one_block_array(spec, rows, n):
     assert peak < rows * n * np.dtype(np.float64).itemsize
 
 
-class _RawOnly:
-    """A stream whose generator offers only its bit generator, no Generator calls."""
+class _DrawsUntil:
+    """A stream's Generator whose draw methods raise once ``built`` is set;
+    its bit generator, whose state the block reads, stays reachable."""
 
-    def __init__(self, rng):
-        self.gen = SimpleNamespace(bit_generator=rng.gen.bit_generator)
+    def __init__(self, gen, built):
+        self._gen, self._built = gen, built
+
+    def __getattr__(self, name):
+        if self._built.is_set() and name != "bit_generator":
+            raise AssertionError(f"Generator.{name} called after the block was built")
+        return getattr(self._gen, name)
 
 
 @pytest.mark.parametrize(
@@ -808,45 +786,24 @@ class _RawOnly:
     ],
     ids=["general", "fixed_saving_lattice"],
 )
-def test_block_draws_from_raw_words_only(spec):
+def test_block_draws_from_raw_words_only(monkeypatch, spec):
+    # Init draws through each stream's Generator; every step after it draws
+    # from the block's own PCG64 words, so no Generator call may follow.
     n, rows = 9, 5
     want_traces, want_final = _per_config(spec, n, 6, 3, range(rows))
-    rngs = [RngStream(3, c) for c in range(rows)]
-    ensembles = [init_ensemble(spec, n, rng) for rng in rngs]
-    block = EnsembleBlock(spec, ensembles, [_RawOnly(rng) for rng in rngs])
+    built = threading.Event()
+
+    class Stream(RngStream):
+        @property
+        def gen(self):
+            return _DrawsUntil(super().gen, built)
+
+    monkeypatch.setattr(block_module, "RngStream", Stream)
+    block = EnsembleBlock(spec, n, 3, 0, rows)
+    built.set()
     traces = np.array(list(_block_changes(block, 6))).T
     assert traces.tobytes() == want_traces.tobytes()
     assert block.wealth.tobytes() == want_final.tobytes()
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ModelSpec(rule="distributed_saving", eps_fixed=None),
-        ModelSpec(rule="general", pairing=LATTICE_2D, lattice_side=3, eps1_window=(-0.5, 1.5)),
-    ],
-    ids=["distributed_saving", "general_lattice"],
-)
-def test_block_row_carries_a_pending_half_across_steps(spec):
-    # One integer draw before the block leaves stream 2 with a 32-bit half
-    # pending, which the kernel's first integer draw must read first.
-    n, rows, steps = 9, 4, 6
-    traces, finals = [], []
-    for c in range(rows):
-        rng = RngStream(13, c)
-        ens = init_ensemble(spec, n, rng)
-        if c == 2:
-            rng.gen.integers(0, 7, size=1)
-        traces.append([run_time_step(ens, spec, rng) for _ in range(steps)])
-        finals.append(ens.wealth)
-    rngs = [RngStream(13, c) for c in range(rows)]
-    ensembles = [init_ensemble(spec, n, rng) for rng in rngs]
-    rngs[2].gen.integers(0, 7, size=1)
-    assert rngs[2].gen.bit_generator.state["has_uint32"]
-    block = EnsembleBlock(spec, ensembles, rngs)
-    got = np.array(list(_block_changes(block, steps))).T
-    assert got.tobytes() == np.array(traces).tobytes()
-    assert block.wealth.tobytes() == np.concatenate(finals).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -859,13 +816,11 @@ def test_block_row_carries_a_pending_half_across_steps(spec):
 )
 def test_block_holds_the_generators_its_kernel_draws_from(spec):
     # The block steps state words of its own, taken from each stream once; it
-    # must step on alike after its caller lets go of the streams and their
-    # memory is reused.
+    # must step on alike after it has released its streams and their memory
+    # is reused.
     n, rows, steps = 9, 3, 5
     want_traces, want_final = _per_config(spec, n, steps, 23, range(rows))
-    rngs = [RngStream(23, c) for c in range(rows)]
-    block = EnsembleBlock(spec, [init_ensemble(spec, n, rng) for rng in rngs], rngs)
-    del rngs
+    block = EnsembleBlock(spec, n, 23, 0, rows)
     gc.collect()
     [RngStream(99, c).gen.integers(0, 2**31, 64) for c in range(2 * rows)]  # reuse freed memory
     traces = np.array(list(_block_changes(block, steps))).T
@@ -938,7 +893,7 @@ def test_a_relaxation_block_constructs_one_stream_per_configuration(monkeypatch)
         built.append(stream_index)
         return RngStream(master_seed, stream_index)
 
-    monkeypatch.setattr(relaxation, "RngStream", counting)
+    monkeypatch.setattr(block_module, "RngStream", counting)
     specs = tuple(
         ModelSpec(rule="distributed_saving", lambda_window=w, eps_fixed=0.5)
         for w in [(0.0, 1.0), (0.5, 1.0), (0.7, 1.0)]
@@ -955,15 +910,18 @@ def test_a_relaxation_block_constructs_one_stream_per_configuration(monkeypatch)
 
 
 def test_block_refuses_a_stream_that_is_not_pcg64(monkeypatch):
-    # The kernel steps PCG64 state, so any other bit generator is refused
-    # before the block calls into the kernel at all.
+    # The kernel steps PCG64 state, so a default_rng whose bit generator is
+    # another is refused before the block calls into the kernel at all.
     def no_kernel():
         raise AssertionError("the block loaded the kernel")
 
+    default_rng = np.random.default_rng
+
+    def stream_1_on_mt19937(seq):
+        return np.random.Generator(np.random.MT19937(seq)) if seq.spawn_key == (1,) else default_rng(seq)
+
     monkeypatch.setattr(block_module, "library", no_kernel)
-    spec = ModelSpec(rule="pure_gambling", eps_fixed=0.5)
-    rngs = [RngStream(1, c) for c in range(3)]
-    ensembles = [init_ensemble(spec, 8, rng) for rng in rngs]
-    rngs[1]._gen = np.random.Generator(np.random.MT19937(1))
+    monkeypatch.setattr(np.random, "default_rng", stream_1_on_mt19937)
+    spec = ModelSpec(rule="pure_gambling", eps_fixed=0.5, init="uniform_random")
     with pytest.raises(InvalidParameter, match="MT19937"):
-        EnsembleBlock(spec, ensembles, rngs)
+        EnsembleBlock(spec, 8, 1, 0, 3)
