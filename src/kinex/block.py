@@ -59,6 +59,8 @@ class EnsembleBlock:
 
     def __init__(self, spec: ModelSpec | tuple[ModelSpec, ...], n: int, master_seed: int,
                  start: int, stop: int):
+        if not 0 <= start < stop:
+            raise InvalidParameter(f"stream range start={start}, stop={stop} needs 0 <= start < stop")
         specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
         if len({draw_signature(s, n) for s in specs}) > 1:
             raise InvalidParameter("a block's cells must make the same draws")

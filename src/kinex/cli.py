@@ -237,6 +237,8 @@ def load_experiment_config(
     bad = [w for w in cfg.lambda_windows if not 0.0 <= w[0] < w[1] <= 1.0]
     if bad:
         raise ConfigError(f"lambda_windows {bad} not within 0 <= lo < hi <= 1")
+    if cfg.fit_window is not None and cfg.fit_window[0] >= cfg.fit_window[1]:
+        raise ConfigError(f"fit_window={cfg.fit_window} needs t_lo < t_hi")
     try:  # whichever subcommand runs, as for every sweep list
         _check_lattice(cfg.side, cfg.g_windows, cfg.rrn_init)
     except InvalidParameter as e:
@@ -265,15 +267,16 @@ def _fit_series(series, tail_fraction, forms, x0=None, window=None):
     """The fit pass: plateau x0 and auto window unless given, then each form.
 
     Returns (window, {form: ExpFitResult or the KinexError its fit raised}).
-    When the auto window fails, window is None and every form carries its error.
+    When the plateau estimate or the auto window fails, every form carries its
+    error, and window is the given one, or None.
     """
-    if x0 is None:
-        x0, _ = equilibrium_window_stats(series, tail_fraction)
-    if window is None:
-        try:
+    try:
+        if x0 is None:
+            x0, _ = equilibrium_window_stats(series, tail_fraction)
+        if window is None:
             window = auto_window(series, x0, tail_fraction)
-        except KinexError as e:
-            return None, dict.fromkeys(forms, e)
+    except KinexError as e:
+        return window, dict.fromkeys(forms, e)
     fits = {}
     for form in forms:
         try:
@@ -297,147 +300,137 @@ def _window_sweep(cfg, run, prefix, windows, cells, note, extra=lambda w: None) 
     return fits
 
 
-def cmd_relax(cfg: ExperimentConfig) -> list[str]:
+def cmd_relax(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Single relaxation run: series CSV plus a fit report."""
-    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
-        series = run_relaxation(
-            cfg.model, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
-        )
-        write_series_csv(series, run.path("series_relax.csv"))
-        forms = (FORM_SHIFTED, FORM_PURE) if cfg.model.eps_fixed == 0.5 else (FORM_SHIFTED,)
-        window, fits = _fit_series(series, cfg.tail_fraction, forms)
-        write_fit_csv(run.path("fit_relax.csv"), window, fits, header_note=f"spec={series.spec}")
+    series = run_relaxation(
+        cfg.model, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
+    )
+    write_series_csv(series, run.path("series_relax.csv"))
+    forms = (FORM_SHIFTED, FORM_PURE) if cfg.model.eps_fixed == 0.5 else (FORM_SHIFTED,)
+    window, fits = _fit_series(series, cfg.tail_fraction, forms)
+    write_fit_csv(run.path("fit_relax.csv"), window, fits, header_note=f"spec={series.spec}")
+
+
+def cmd_lambda_family(cfg: ExperimentConfig, run: RunManifest) -> list[str]:
+    """One run per propensity window, with a decay-time table ordered by window
+    mean.  Returns the table's assertion violations."""
+    windows = sorted(cfg.lambda_windows, key=sum)
+    specs = tuple(replace(cfg.model, rule=DISTRIBUTED_SAVING, lambda_window=w) for w in windows)
+    cells = run_relaxation(
+        specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
+    )
+    fits = _window_sweep(cfg, run, "lw", windows, cells, "propensity windows, ordered by mean")
+    taus = [fit.tau for fit in fits if not isinstance(fit, KinexError)]
+    if len(taus) < len(fits):
+        return ["some windows produced no decay-time fit"]
+    if not all(a < b for a, b in zip(taus, taus[1:])):
+        return ["decay time is not strictly increasing with the window mean"]
     return []
 
 
-def cmd_lambda_family(cfg: ExperimentConfig) -> list[str]:
-    """One run per propensity window, with a decay-time table ordered by window mean."""
-    windows = sorted(cfg.lambda_windows, key=sum)
-    specs = tuple(replace(cfg.model, rule=DISTRIBUTED_SAVING, lambda_window=w) for w in windows)
-    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
-        cells = run_relaxation(
-            specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
-        )
-        fits = _window_sweep(cfg, run, "lw", windows, cells, "propensity windows, ordered by mean")
-        taus = [fit.tau for fit in fits if not isinstance(fit, KinexError)]
-        violations = []
-        if len(taus) < len(fits):
-            violations.append("some windows produced no decay-time fit")
-        elif not all(a < b for a, b in zip(taus, taus[1:])):
-            violations.append("decay time is not strictly increasing with the window mean")
-        run.notes.extend(violations)
-    return violations
-
-
-def cmd_eps_sweep(cfg: ExperimentConfig) -> list[str]:
+def cmd_eps_sweep(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Plateau estimate per split parameter; marks the minimum."""
     values = sorted(cfg.eps_values)
     specs = tuple(replace(cfg.model, eps_fixed=eps) for eps in values)
-    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
-        plateaus = []
-        cells = run_relaxation(
-            specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
-        )
-        for eps, series in zip(values, cells):
-            write_series_csv(series, run.path(f"series_eps_{_cell_label(eps)}.csv"))
-            plateaus.append(equilibrium_window_stats(series, cfg.tail_fraction))
+    plateaus = []
+    cells = run_relaxation(
+        specs, cfg.n_agents, cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers
+    )
+    for eps, series in zip(values, cells):
+        write_series_csv(series, run.path(f"series_eps_{_cell_label(eps)}.csv"))
+        plateaus.append(equilibrium_window_stats(series, cfg.tail_fraction))
 
-        argmin = min(range(len(values)), key=lambda k: plateaus[k][0])
-        run.notes.append(f"plateau minimum at eps={values[argmin]:g}")
-        write_x0_table(run.path("x0_table.csv"), values, plateaus, argmin)
-    return []
+    argmin = min(range(len(values)), key=lambda k: plateaus[k][0])
+    run.notes.append(f"plateau minimum at eps={values[argmin]:g}")
+    write_x0_table(run.path("x0_table.csv"), values, plateaus, argmin)
 
 
-def cmd_dist(cfg: ExperimentConfig) -> list[str]:
+def cmd_dist(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Pooled equilibrium wealth histogram (+ propensity-binned means)."""
-    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
-        equil = cfg.equilibration_steps
-        if equil is None:
-            # discard max(5*tau, 50) steps; tau from a reduced-size relaxation fit
-            n_probe = min(cfg.fit_configs, cfg.n_configs)
-            probe = run_relaxation(
-                cfg.model, cfg.n_agents, cfg.t_max, n_probe, cfg.master_seed, cfg.workers
-            )
-            diverged = probe.t[~np.isfinite(probe.x_mean)]
-            if diverged.size:  # a model that never settles has no equilibrium to sample
-                raise NotDecaying(f"the probe relaxation is first not finite at step {diverged[0]}")
-            fit = _fit_series(probe, cfg.tail_fraction, (FORM_SHIFTED,))[1][FORM_SHIFTED]
-            if isinstance(fit, KinexError):
-                equil = 50
-                run.notes.append(f"equilibration_steps=50 (auto; probe fit failed: {type(fit).__name__})")
-            else:
-                equil = max(int(np.ceil(5 * fit.tau)), 50)
-                run.notes.append(f"equilibration_steps={equil} (auto)")
-
-        pool = _this.run_equilibrium(
-            cfg.model,
-            cfg.n_agents,
-            equil,
-            cfg.sample_steps,
-            cfg.n_configs,
-            cfg.master_seed,
-            cfg.workers,
+    equil = cfg.equilibration_steps
+    if equil is None:
+        # discard max(5*tau, 50) steps; tau from a reduced-size relaxation fit
+        n_probe = min(cfg.fit_configs, cfg.n_configs)
+        probe = run_relaxation(
+            cfg.model, cfg.n_agents, cfg.t_max, n_probe, cfg.master_seed, cfg.workers
         )
-        edges, counts, density = _this.wealth_histogram(pool.wealth, cfg.bins)
-        note = f"spec={cfg.model.digest()} pooled={pool.wealth.size}"
-        write_hist_csv(run.path("hist_wealth.csv"), edges, counts, density, header_note=note)
+        diverged = probe.t[~np.isfinite(probe.x_mean)]
+        if diverged.size:  # a model that never settles has no equilibrium to sample
+            raise NotDecaying(f"the probe relaxation is first not finite at step {diverged[0]}")
+        fit = _fit_series(probe, cfg.tail_fraction, (FORM_SHIFTED,))[1][FORM_SHIFTED]
+        if isinstance(fit, KinexError):
+            equil = 50
+            run.notes.append(f"equilibration_steps=50 (auto; probe fit failed: {type(fit).__name__})")
+        else:
+            equil = max(int(np.ceil(5 * fit.tau)), 50)
+            run.notes.append(f"equilibration_steps={equil} (auto)")
 
-        if cfg.model.rule == PURE_GAMBLING:
-            try:
-                slope, r2 = _this.fit_histogram_slope(edges, counts)
-                run.notes.append(f"histogram semi-log slope={slope!r} r2={r2!r}")
-            except KinexError as e:
-                run.notes.append(f"histogram slope fit failed: {type(e).__name__}")
+    pool = _this.run_equilibrium(
+        cfg.model,
+        cfg.n_agents,
+        equil,
+        cfg.sample_steps,
+        cfg.n_configs,
+        cfg.master_seed,
+        cfg.workers,
+    )
+    edges, counts, density = _this.wealth_histogram(pool.wealth, cfg.bins)
+    note = f"spec={cfg.model.digest()} pooled={pool.wealth.size}"
+    write_hist_csv(run.path("hist_wealth.csv"), edges, counts, density, header_note=note)
 
-        if cfg.model.rule == DISTRIBUTED_SAVING:
-            lo, hi, means = _this.lambda_binned_means(
-                pool.saving, pool.wealth_time_avg, n_bins=5, window=cfg.model.lambda_window
-            )
-            write_lambda_bins_csv(run.path("lambda_bins.csv"), lo, hi, means)
-    return []
+    if cfg.model.rule == PURE_GAMBLING:
+        try:
+            slope, r2 = _this.fit_histogram_slope(edges, counts)
+            run.notes.append(f"histogram semi-log slope={slope!r} r2={r2!r}")
+        except KinexError as e:
+            run.notes.append(f"histogram slope fit failed: {type(e).__name__}")
+
+    if cfg.model.rule == DISTRIBUTED_SAVING:
+        lo, hi, means = _this.lambda_binned_means(
+            pool.saving, pool.wealth_time_avg, n_bins=5, window=cfg.model.lambda_window
+        )
+        write_lambda_bins_csv(run.path("lambda_bins.csv"), lo, hi, means)
 
 
-def cmd_rrn(cfg: ExperimentConfig) -> list[str]:
+def cmd_rrn(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Resistor-network relaxation per conductance window, with decay-time table."""
     windows = sorted(cfg.g_windows, key=sum)
-    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
-        cells = _this.run_rrn_relaxation(
-            cfg.side, tuple(windows), cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers,
-            cfg.rrn_init,
+    cells = _this.run_rrn_relaxation(
+        cfg.side, tuple(windows), cfg.t_max, cfg.n_configs, cfg.master_seed, cfg.workers,
+        cfg.rrn_init,
+    )
+    _window_sweep(cfg, run, "g", windows, cells, "conductance windows, ordered by mean",
+                  lambda w: {"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"})
+    if cfg.dense_check:
+        w = cfg.g_windows[0]
+        lat = _this.build_lattice(cfg.side, w, RngStream(cfg.master_seed, 0), cfg.rrn_init)
+        for sweeps in range(1, 200_001):
+            dv = _this.relax_sweep(lat)
+            if dv < 1e-12:
+                break
+        exact = _this.solve_kirchhoff_dense(lat)
+        gap = float(np.abs(lat.potential[1:-1, :] - exact).max())
+        residual = float(np.abs(_this.node_current_residuals(lat)).max())
+        settled = "fell below" if dv < 1e-12 else "was still not below"
+        run.notes.append(
+            f"dense-solver check of g_window {w[0]:g}:{w[1]:g}, realization 0: mean |dV|={dv!r}"
+            f" {settled} 1e-12 after {sweeps} sweeps; endpoint gap={gap!r} node residual={residual!r}"
         )
-        _window_sweep(cfg, run, "g", windows, cells, "conductance windows, ordered by mean",
-                      lambda w: {"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"})
-        if cfg.dense_check:
-            w = cfg.g_windows[0]
-            lat = _this.build_lattice(cfg.side, w, RngStream(cfg.master_seed, 0), cfg.rrn_init)
-            for sweeps in range(1, 200_001):
-                dv = _this.relax_sweep(lat)
-                if dv < 1e-12:
-                    break
-            exact = _this.solve_kirchhoff_dense(lat)
-            gap = float(np.abs(lat.potential[1:-1, :] - exact).max())
-            residual = float(np.abs(_this.node_current_residuals(lat)).max())
-            settled = "fell below" if dv < 1e-12 else "was still not below"
-            run.notes.append(
-                f"dense-solver check of g_window {w[0]:g}:{w[1]:g}, realization 0: mean |dV|={dv!r}"
-                f" {settled} 1e-12 after {sweeps} sweeps; endpoint gap={gap!r} node residual={residual!r}"
-            )
-    return []
 
 
-def cmd_fit(cfg: ExperimentConfig) -> list[str]:
+def cmd_fit(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Re-fit an existing series CSV, at the configured plateau and window if given."""
-    with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
-        series = read_series_csv(cfg.series_csv)
-        window, fits = _fit_series(
-            series, cfg.tail_fraction, (FORM_SHIFTED, FORM_PURE), cfg.fit_x0, cfg.fit_window
-        )
-        write_fit_csv(
-            run.path("fit_series.csv"), window, fits, header_note=f"source={Path(cfg.series_csv).name}"
-        )
-    return []
+    series = read_series_csv(cfg.series_csv)
+    window, fits = _fit_series(
+        series, cfg.tail_fraction, (FORM_SHIFTED, FORM_PURE), cfg.fit_x0, cfg.fit_window
+    )
+    write_fit_csv(
+        run.path("fit_series.csv"), window, fits, header_note=f"source={Path(cfg.series_csv).name}"
+    )
 
 
+# Each handler simulates and writes into the run `main` opens around it;
+# lambda-family alone returns assertion violations, which `main` records.
 HANDLERS = {
     "relax": cmd_relax,
     "dist": cmd_dist,
@@ -468,7 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_experiment_config(
             args.config, args.experiment, out=args.out, seed=args.seed, threads=args.threads
         )
-        violations = HANDLERS[args.experiment](cfg)
+        with RunManifest(asdict(cfg), cfg.experiment, cfg.output_dir) as run:
+            violations = HANDLERS[args.experiment](cfg, run) or []
+            run.notes.extend(violations)
     except ConfigError as e:
         print(f"kinex: config error: {e}", file=sys.stderr)
         return 2

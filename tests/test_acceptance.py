@@ -26,7 +26,7 @@ from kinex import (
     run_time_step,
     solve_kirchhoff_dense,
 )
-from kinex.cli import cmd_eps_sweep, cmd_lambda_family, cmd_relax, load_experiment_config
+from kinex.cli import main
 from kinex.distribution import fit_histogram_slope, lambda_binned_means, run_equilibrium, wealth_histogram
 from kinex.relaxation import RelaxationSeries
 
@@ -216,18 +216,13 @@ def test_c10_thread_count_reproducibility(tmp_path):
         ),
         encoding="utf-8",
     )
-    runs = {
-        "relax": cmd_relax,
-        "lambda-family": cmd_lambda_family,
-        "eps-sweep": cmd_eps_sweep,
-    }
+    runs = ("relax", "lambda-family", "eps-sweep")
     mismatches = []
-    for name, handler in runs.items():
+    for name in runs:
         outputs = {}
         for workers in (1, 4):
             out = tmp_path / f"{name}-w{workers}"
-            cfg = load_experiment_config(cfg_file, name, out=str(out), threads=workers)
-            handler(cfg)
+            main([name, "--config", str(cfg_file), "--out", str(out), "--threads", str(workers)])
             outputs[workers] = {
                 p.name: p.read_bytes() for p in sorted(out.glob("series_*.csv"))
             }

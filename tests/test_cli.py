@@ -493,10 +493,11 @@ class TestCommands:
             ("relax", b"# \xff\xfe\nn_agents: 20\n", []),
             ("relax", b"a: [1, 2\n", []),
             ("rrn", {"rrn": {**SMALL_RRN, "side": 2}}, []),
+            ("fit", {"fit": {"series_csv": "s.csv", "fit_window": [50, 10]}}, []),
         ],
         ids=["model_int", "model_str_in_section", "model_list", "model_list_in_section",
              "seed_relax", "seed_lambda_family", "seed_flag_dist", "seed_flag_rrn",
-             "not_utf8", "malformed_yaml", "rrn_side_2"],
+             "not_utf8", "malformed_yaml", "rrn_side_2", "fit_window_reversed"],
     )
     def test_outside_inputs_fail_at_load(self, tmp_path, capsys, monkeypatch, experiment, payload, argv):
         blocks = record_fan_outs(monkeypatch)
@@ -522,9 +523,12 @@ class TestCommands:
             ({**BASE, "model": {"init_total": 0}}, [], None, "InvalidParameter: init_total=0.0 must be > 0"),
             ({**BASE, "model": {"rule": "general", "eps1_window": [1.0, 0.5]}}, [], None,
              "InvalidParameter: eps1_window=(1.0,0.5) invalid"),
+            ({**BASE, "fit_window": [50, 10]}, [], None, "config error: fit_window=(50, 10) needs t_lo < t_hi"),
+            ({**BASE, "fit_window": [10, 10]}, [], None, "config error: fit_window=(10, 10) needs t_lo < t_hi"),
         ],
         ids=["epsilon_abc", "section_not_mapping", "threads_env_abc", "threads_flag_0", "unknown_rule",
-             "unknown_pairing", "unknown_init", "init_total_0", "general_eps1_window_reversed"],
+             "unknown_pairing", "unknown_init", "init_total_0", "general_eps1_window_reversed",
+             "fit_window_reversed", "fit_window_empty"],
     )
     def test_load_refusals_exit_2_with_their_line(
         self, tmp_path, capsys, monkeypatch, payload, argv, threads_env, message
@@ -708,6 +712,16 @@ class TestCommands:
             "pure_decay,,,,,,,InsufficientData",
         ]
 
+    @pytest.mark.parametrize("fit_window,cells", [(None, ",,,"), ([1, 5], ",1,5,")], ids=["auto", "given"])
+    def test_fit_tags_every_form_with_a_failed_plateau_estimate(self, tmp_path, fit_window, cells):
+        # 5 rows, under the 10 a plateau estimate needs; the fit_x0 case is above
+        series = tmp_path / "s.csv"
+        series.write_bytes(b"# kinex relaxation series\nt,x_mean\n" + b"".join(DECAYING_ROWS[:5]))
+        p = write_cfg(tmp_path, {"fit": {"series_csv": str(series), "fit_window": fit_window}})
+        assert main(["fit", "--config", str(p), "--out", str(tmp_path / "f")]) == 0
+        rows = (tmp_path / "f" / "fit_series.csv").read_text().splitlines()[2:]
+        assert rows == [f"shifted_approach{cells},,,,InsufficientData", f"pure_decay{cells},,,,InsufficientData"]
+
     def test_strict_flags_ordering_violation(self, tmp_path):
         # a single window cannot violate the ordering check
         payload = {**BASE, "t_max": 40, "lambda-family": {"lambda_windows": [[0.0, 1.0]]}}
@@ -717,9 +731,11 @@ class TestCommands:
     def test_strict_violation_exits_1(self, tmp_path, monkeypatch):
         import kinex.cli as cli
 
-        monkeypatch.setitem(cli.HANDLERS, "relax", lambda cfg: ["simulated ordering violation"])
+        monkeypatch.setitem(cli.HANDLERS, "relax", lambda cfg, run: ["simulated ordering violation"])
         p = write_cfg(tmp_path, BASE)
         assert main(["relax", "--config", str(p), "--out", str(tmp_path / "v")]) == 0
+        notes = json.loads((tmp_path / "v" / "manifest.json").read_text())["notes"]
+        assert notes == ["simulated ordering violation"]
         assert main(["relax", "--config", str(p), "--strict", "--out", str(tmp_path / "v")]) == 1
 
     def test_lambda_family_decay_times_out_of_order_are_an_assertion(self, tmp_path, capsys, monkeypatch):
@@ -984,6 +1000,16 @@ def test_preset_rrn_prefix_matches_committed(tmp_path, threads):
         assert got == _data_rows(ROOT / "out" / "rrn" / name, 200)
         header = [r for r in (out / name).read_text().splitlines() if r[0] in "#t"]
         assert header == (ROOT / "out" / "rrn" / name).read_text().splitlines()[:4]
+
+
+def test_preset_rrn_reproduces_committed_digests_at_two_workers(tmp_path):
+    """Every series and the decay-time table of the committed out/rrn run."""
+    out = tmp_path / "rrn"
+    assert main(["rrn", "--config", str(PRESET), "--out", str(out), "--threads", "2"]) == 0
+    got = json.loads((out / "manifest.json").read_text())["outputs"]
+    want = json.loads((ROOT / "out" / "rrn" / "manifest.json").read_text())["outputs"]
+    assert got == want
+    assert len(want) == 4
 
 
 def test_benchmark_traced_names_resolve():

@@ -234,6 +234,17 @@ def test_block_refuses_cells_whose_draws_differ(other):
         EnsembleBlock(specs, 16, 1, 0, 2)
 
 
+@pytest.mark.parametrize("start,stop", [(3, 3), (5, 3), (-1, 2)], ids=["empty", "reversed", "negative"])
+def test_block_refuses_a_stream_range_that_holds_no_stream(monkeypatch, start, stop):
+    def no_stream(*args):
+        raise AssertionError("the block made a stream")
+
+    monkeypatch.setattr(block_module, "RngStream", no_stream)
+    with pytest.raises(InvalidParameter) as refused:
+        EnsembleBlock(ModelSpec(), 10, 0, start, stop)
+    assert str(refused.value) == f"stream range start={start}, stop={stop} needs 0 <= start < stop"
+
+
 @pytest.mark.parametrize(
     "case,error,message",
     [
