@@ -1,5 +1,6 @@
 /* The compiled kernel of kinex: one time step of a block of economies, a
- * relaxation block's whole series, and a resistor lattice's series of sweeps.
+ * relaxation block's whole series, the fresh PCG64 state of each of a block's
+ * streams, seeded as numpy seeds it, and a resistor lattice's series of sweeps.
  *
  * Each stream makes exactly the draws that exchange._step_plan lists, as
  * Generator.integers, random and uniform would, on the stream's own PCG64 state,
@@ -358,4 +359,84 @@ void kx_relax(int64_t L, const double *cond_v, const double *cond_h, const doubl
     }
     if (src != potential)
         memcpy(potential + L, src + L, (size_t)(L - 2) * row);
+}
+
+/* numpy's SeedSequence (numpy/random/bit_generator.pyx), as RngStream seeds a
+ * stream: entropy, the master seed, and spawn key (c,), hashed into a pool of
+ * four 32-bit words with numpy's constants.  run_words holds the master seed
+ * in 32-bit words, lowest first, zero-padded to at least the pool's four, as
+ * SeedSequence pads it when a spawn key follows; c adds one word, or two from
+ * 2^32 on. */
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_MULT_L 0xca01f9ddu
+#define SS_MIX_MULT_R 0x4973f715u
+enum { SS_POOL = 4 };
+
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    const uint32_t result = SS_MIX_MULT_L * x - SS_MIX_MULT_R * y;
+    return result ^ result >> 16;
+}
+
+/* An entropy word beyond the pool's first four, mixed into every pool word. */
+static void ss_absorb(uint32_t *pool, uint32_t *hash_const, uint32_t word)
+{
+    for (int d = 0; d < SS_POOL; d++)
+        pool[d] = ss_mix(pool[d], ss_hashmix(word, hash_const));
+}
+
+/* The fresh state of stream (master seed, c), for each c in [start, start +
+ * streams), as six words in states[6 (c - start) ..]: PCG64 seeded from
+ * SeedSequence.generate_state(4, uint64).  The run words come first in every
+ * stream's entropy, so their part of the hash is done once. */
+void kx_seed(const uint32_t *run_words, int64_t n_run, uint64_t start, int64_t streams,
+             uint64_t *states)
+{
+    uint32_t pool[SS_POOL], hash_const = SS_INIT_A;
+    for (int d = 0; d < SS_POOL; d++)
+        pool[d] = ss_hashmix(run_words[d], &hash_const);
+    for (int s = 0; s < SS_POOL; s++)
+        for (int d = 0; d < SS_POOL; d++)
+            if (s != d)
+                pool[d] = ss_mix(pool[d], ss_hashmix(pool[s], &hash_const));
+    for (int64_t k = SS_POOL; k < n_run; k++)
+        ss_absorb(pool, &hash_const, run_words[k]);
+
+    for (int64_t i = 0; i < streams; i++) {
+        const uint64_t c = start + (uint64_t)i;
+        uint32_t p[SS_POOL], h = hash_const, b = SS_INIT_B;
+        memcpy(p, pool, sizeof p);
+        ss_absorb(p, &h, (uint32_t)c);
+        if (c >> 32)
+            ss_absorb(p, &h, (uint32_t)(c >> 32));
+        /* generate_state: eight words from the pool in turn, read as four
+         * little-endian 64-bit words */
+        uint64_t seed[4] = {0};
+        for (int k = 0; k < 8; k++) {
+            uint32_t v = p[k % SS_POOL] ^ b;
+            b *= SS_MULT_B;
+            v *= b;
+            seed[k / 2] |= (uint64_t)(v ^ v >> 16) << 32 * (k % 2);
+        }
+        /* pcg64_set_seed: state seed[0]:seed[1] and sequence seed[2]:seed[3],
+         * high words first, then PCG's srandom: two steps from state 0 with
+         * the initial state added between them */
+        const u128 init = (u128)seed[0] << 64 | seed[1];
+        const u128 inc = ((u128)seed[2] << 64 | seed[3]) << 1 | 1;
+        const pcg64 g = {((inc + init) * PCG64_MULTIPLIER) + inc, inc, 0, 0};
+        uint64_t *w = states + 6 * i;
+        pcg64_store(&g, w);
+        w[2] = (uint64_t)inc, w[3] = (uint64_t)(inc >> 64);
+    }
 }

@@ -23,12 +23,13 @@ from .exchange import (
     LATTICE_2D,
     RULES,
     ModelSpec,
+    _check_economy,
+    _init_draws,
+    _init_economies,
     _lattice_neighbors,
     _step_plan,
-    init_ensemble,
 )
-from .kernel import library, pcg64_words
-from .streams import RngStream
+from .kernel import library, seed_words
 
 
 def draw_signature(spec: ModelSpec, n: int) -> tuple:
@@ -47,8 +48,10 @@ class EnsembleBlock:
     k's economy on stream (master_seed, start + s), initialised from that
     stream's fresh state; ``spec`` is one ModelSpec or the specs of sweep cells
     that share their draws (see :func:`draw_signature`).  Its wealth occupies
-    ``wealth[r*n:(r+1)*n]`` of one flat array.  After init the block takes each
-    stream's PCG64 state into words of its own.  On every step each stream
+    ``wealth[r*n:(r+1)*n]`` of one flat array.  Each stream is six PCG64 words
+    of the block's own, made fresh by :func:`kernel.seed_words` with no numpy
+    Generator; the kernel makes the init's draws on them, as
+    :func:`exchange.init_ensemble` makes them.  On every step each stream
     makes exactly the draws :func:`exchange._step_plan` lists, as
     :func:`exchange.run_time_step` makes them, and every cell's row on that
     stream applies them to its N slots in order, with the cell's own saving and
@@ -64,25 +67,26 @@ class EnsembleBlock:
         specs = (spec,) if isinstance(spec, ModelSpec) else tuple(spec)
         if len({draw_signature(s, n) for s in specs}) > 1:
             raise InvalidParameter("a block's cells must make the same draws")
-        rngs = [RngStream(master_seed, c) for c in range(start, stop)]
-        fresh = [rng.gen.bit_generator.state for rng in rngs]
-        ensembles = []
         for s in specs:
-            # every cell's init makes the same draws from the same fresh stream, so
-            # the streams left by the last cell's stand where every cell's would
-            for rng, state in zip(rngs, fresh):
-                rng.gen.bit_generator.state = state
-                ensembles.append(init_ensemble(s, n, rng))
-        states = np.array([pcg64_words(rng.gen.bit_generator) for rng in rngs], dtype=np.uint64)
+            _check_economy(s, n)
         lib = library()
         self._step, self._run = lib.kx_step, lib.kx_run
+        states = seed_words(lib, master_seed, start, stop)
+        # Every cell's init makes the same draws (its init and rule are in the
+        # draw signature), so each stream draws them once, for all cells.
+        streams, size = stop - start, _init_draws(specs[0]) * n
+        u = np.empty((streams, size))
+        words, drawn = states.ctypes.data, u.ctypes.data
+        for row in range(streams if size else 0):
+            lib.kx_uniform(words + row * states.strides[0], 0.0, 1.0, size, drawn + row * u.strides[0])
+        economies = [_init_economies(s, n, u) for s in specs]
         spec = specs[0]
         lattice = _lattice_neighbors(spec.lattice_side) if spec.pairing == LATTICE_2D else None
-        self.rows = len(ensembles)
+        self.rows = len(specs) * streams
         self.n_agents = n
-        self._wealth = np.concatenate([e.wealth for e in ensembles], dtype=np.float64)
+        self._wealth = np.concatenate([wealth for wealth, _ in economies]).reshape(-1)
         self._saving = (
-            np.concatenate([e.saving for e in ensembles], dtype=np.float64)
+            np.concatenate([saving for _, saving in economies]).reshape(-1)
             if spec.rule == DISTRIBUTED_SAVING
             else None
         )
@@ -102,7 +106,7 @@ class EnsembleBlock:
         ]
         pointers = [None if a is None else a.ctypes.data for a in arrays]
         # the kernel numbers the rules in the order of exchange.RULES
-        self._args = (RULES.index(spec.rule), n, len(rngs), len(specs), pointers[0], partner_span,
+        self._args = (RULES.index(spec.rule), n, streams, len(specs), pointers[0], partner_span,
                       pointers[1], len(splits), *pointers[2:])
 
     # Read-only attributes: the kernel holds the arrays' addresses.

@@ -239,6 +239,8 @@ def load_experiment_config(
         raise ConfigError(f"lambda_windows {bad} not within 0 <= lo < hi <= 1")
     if cfg.fit_window is not None and cfg.fit_window[0] >= cfg.fit_window[1]:
         raise ConfigError(f"fit_window={cfg.fit_window} needs t_lo < t_hi")
+    if cfg.fit_x0 is not None and not np.isfinite(cfg.fit_x0):
+        raise ConfigError(f"fit_x0={cfg.fit_x0} must be finite")
     try:  # whichever subcommand runs, as for every sweep list
         _check_lattice(cfg.side, cfg.g_windows, cfg.rrn_init)
     except InvalidParameter as e:

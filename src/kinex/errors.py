@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 Every one is a :class:`KinexError`, which the CLI reports as exit code 2 and
-one line.  :class:`KernelBuildError`, :class:`DrawMismatch` and
-:class:`SweepMismatch` come from loading the compiled kernel
-(:func:`kernel.library`), which a run does before it simulates, so a run that
-raises them has written nothing.
+one line.  :class:`KernelBuildError`, :class:`DrawMismatch`,
+:class:`SeedMismatch` and :class:`SweepMismatch` come from loading the
+compiled kernel (:func:`kernel.library`), which a run does before it
+simulates, so a run that raises them has written nothing.
 """
 
 
@@ -54,6 +54,10 @@ class ConfigError(KinexError):
 
 class DrawMismatch(KinexError):
     """The compiled kernel's draws disagree with numpy's Generator on this platform."""
+
+
+class SeedMismatch(KinexError):
+    """The compiled kernel's fresh stream states disagree with numpy's SeedSequence on this platform."""
 
 
 class SweepMismatch(KinexError):

@@ -119,9 +119,19 @@ def init_ensemble(spec: ModelSpec, n: int, rng: RngStream) -> AgentEnsemble:
     """Populate an ensemble of ``n`` agents per the spec's init and rule.
 
     Draw order (when draws are needed): initial wealths first, then saving
-    propensities.  Raises InvalidSize for n < 2 and TopologyMismatch when a
-    2D lattice side does not square to n.
+    propensities, as :func:`_init_economies` reads them.  Raises InvalidSize
+    for n < 2 and TopologyMismatch when a 2D lattice side does not square to n.
     """
+    _check_economy(spec, n)
+    wealth, drawn = _init_economies(spec, n, rng.gen.random((1, _init_draws(spec) * n)))
+    saving = drawn[0] if drawn is not None else saving_propensities(spec, n)
+    return AgentEnsemble(wealth=wealth[0], saving=saving, n_agents=n)
+
+
+def _check_economy(spec: ModelSpec, n: int) -> None:
+    """Refuse an economy of ``n`` agents that ``spec`` cannot run: n < 2
+    (InvalidSize), an invalid spec, or a 2D lattice side that does not square
+    to n (TopologyMismatch)."""
     if n < 2:
         raise InvalidSize(f"need at least 2 agents, got {n}")
     spec.validate()
@@ -130,25 +140,45 @@ def init_ensemble(spec: ModelSpec, n: int, rng: RngStream) -> AgentEnsemble:
         if side * side != n:
             raise TopologyMismatch(f"lattice side {side} squared != n={n}")
 
-    g = rng.gen
-    if spec.init == EQUAL_UNIT:
-        wealth = np.ones(n)
-    elif spec.init == UNIFORM_RANDOM:
-        total = spec.init_total if spec.init_total is not None else float(n)
-        u = g.random(n)
-        wealth = u * (total / u.sum())
-    else:  # DELTA_ONE_AGENT
-        total = spec.init_total if spec.init_total is not None else float(n)
-        wealth = np.zeros(n)
-        wealth[0] = total
 
-    return AgentEnsemble(wealth=wealth, saving=saving_propensities(spec, n, g), n_agents=n)
+def _init_draws(spec: ModelSpec) -> int:
+    """How many ``Generator.random`` values per agent an economy's init draws:
+    one for uniform_random wealth, one for distributed saving's propensities."""
+    return (spec.init == UNIFORM_RANDOM) + (spec.rule == DISTRIBUTED_SAVING)
+
+
+def _init_economies(spec: ModelSpec, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The initial wealth of economies of ``n`` agents, one a row, and their
+    drawn saving propensities (None unless the rule draws them), from each
+    economy's init draws: row r of ``u`` holds economy r's
+    ``_init_draws(spec) * n`` values of ``Generator.random``, the wealths'
+    first."""
+    total = spec.init_total if spec.init_total is not None else float(n)
+    if spec.init == EQUAL_UNIT:
+        wealth = np.ones((len(u), n))
+    elif spec.init == UNIFORM_RANDOM:
+        drawn = u[:, :n]
+        wealth = drawn * (total / drawn.sum(axis=1, keepdims=True))
+    else:  # DELTA_ONE_AGENT
+        wealth = np.zeros((len(u), n))
+        wealth[:, 0] = total
+    if spec.rule != DISTRIBUTED_SAVING:
+        return wealth, None
+    return wealth, _drawn_propensities(spec.lambda_window, u[:, -n:])
 
 
 def saving_propensities(spec: ModelSpec, n: int, g: np.random.Generator | None = None) -> np.ndarray:
     """``n`` quenched saving propensities: drawn from ``g`` under distributed
-    saving, uniform in [lo, hi), else the rule's constant (lambda_fixed, or 0
-    without saving).
+    saving (:func:`_drawn_propensities`), else the rule's constant
+    (lambda_fixed, or 0 without saving)."""
+    if spec.rule == DISTRIBUTED_SAVING:
+        return _drawn_propensities(spec.lambda_window, g.random(n))
+    return np.full(n, spec.lambda_fixed if spec.rule == FIXED_SAVING else 0.0)
+
+
+def _drawn_propensities(window: tuple[float, float], u: np.ndarray) -> np.ndarray:
+    """Saving propensities uniform in the window [lo, hi), from
+    ``Generator.random`` values ``u``.
 
     ``lo + (hi - lo) * u`` can round up to ``hi`` for ``u`` just below 1 (for
     the window (0.5, 1) at the largest ``u``, or for half of all ``u`` when
@@ -156,11 +186,9 @@ def saving_propensities(spec: ModelSpec, n: int, g: np.random.Generator | None =
     ``hi``: a window ending at 1 leaves every propensity below 1, which the
     saving rules require.
     """
-    if spec.rule == DISTRIBUTED_SAVING:
-        lo, hi = spec.lambda_window
-        lam = lo + (hi - lo) * g.random(n)
-        return np.minimum(lam, math.nextafter(hi, lo), out=lam)
-    return np.full(n, spec.lambda_fixed if spec.rule == FIXED_SAVING else 0.0)
+    lo, hi = window
+    lam = lo + (hi - lo) * u
+    return np.minimum(lam, math.nextafter(hi, lo), out=lam)
 
 
 def exchange_pure_gambling(w_i: float, w_j: float, eps: float) -> tuple[float, float]:

@@ -1,29 +1,33 @@
 """The compiled kernel, ``_kernel.c``, built on first use and loaded with ctypes.
 
 It holds the wealth models' step (``kx_step``, its draws on PCG64 state the
-caller owns, and ``kx_run``, a relaxation block's whole series) and the
-resistor lattice's series of Jacobi sweeps (``kx_relax``; one sweep is
-``t_max = 1``).  The kernel steps numpy's PCG64 itself, from the state that
-:func:`pcg64_words` reads through ``PCG64.state``, in chunks of words computed
-four states ahead, and maps whole words to two 32-bit integers at a time where
-no half is pending and no value might be rejected; the draw check is what
-holds it to the installed numpy, on each of those paths.  The lattice's stencil
-is stated in the sweep and once in numpy, as :func:`neighbor_sum`, here beside
-the sweep check, its oracle use; :mod:`rrn` imports it from here for the
-lattice's weight sums and the Kirchhoff residuals, so a wealth run's check
-compiles no lattice code.  :func:`library` compiles the source with the
-system C compiler (``cc``) into ``_build/`` beside it, under a name keyed by
-the source digest, the flags and the platform, loads it, holds its draws to
-numpy's ``Generator`` (:func:`check_draws`) and its sweeps to
-:func:`neighbor_sum` (:func:`check_sweep`), once per process.  On x86-64
-with gcc, ``kx_relax`` is built twice, for baseline x86-64 and for AVX2, and
-the loader picks the clone the CPU runs; the sweep check holds whichever it
-picked.  The one fan-out, :func:`streams.map_stream_blocks`, calls
-:func:`library` in the calling thread before any block starts, so that worker
-threads never race its build or its checks.  Who imports this module: that
-fan-out when a run starts, and :mod:`block` and :mod:`rrn` at their own
-import, which happens only when a run needs them.  No module the CLI's start
-loads imports it, so the start neither builds nor loads the kernel.
+caller owns, and ``kx_run``, a relaxation block's whole series), the fresh
+state of each of a block's streams (``kx_seed``, numpy's ``SeedSequence``
+hash and PCG64 seeding, read by :func:`seed_words`) and the resistor
+lattice's series of Jacobi sweeps (``kx_relax``; one sweep is ``t_max =
+1``).  The kernel steps numpy's PCG64 itself, from the state that
+:func:`seed_words` makes or :func:`pcg64_words` reads through
+``PCG64.state``, in chunks of words computed four states ahead, and maps
+whole words to two 32-bit integers at a time where no half is pending and no
+value might be rejected; the draw check is what holds it to the installed
+numpy, on each of those paths.  The lattice's stencil is stated in the sweep
+and once in numpy, as :func:`neighbor_sum`, here beside the sweep check, its
+oracle use; :mod:`rrn` imports it from here for the lattice's weight sums and
+the Kirchhoff residuals, so a wealth run's check compiles no lattice code.
+:func:`library` compiles the source with the system C compiler (``cc``) into
+``_build/`` beside it, under a name keyed by the source digest, the flags and
+the platform, loads it, holds its draws to numpy's ``Generator``
+(:func:`check_draws`), its sweeps to :func:`neighbor_sum`
+(:func:`check_sweep`) and its seeding to numpy's ``SeedSequence``
+(:func:`check_seeds`), once per process.  On x86-64 with gcc, ``kx_relax`` is
+built twice, for baseline x86-64 and for AVX2, and the loader picks the clone
+the CPU runs; the sweep check holds whichever it picked.  The one fan-out,
+:func:`streams.map_stream_blocks`, calls :func:`library` in the calling thread
+before any block starts, so that worker threads never race its build or its
+checks.  Who imports this module: that fan-out when a run starts, and
+:mod:`block` and :mod:`rrn` at their own import, which happens only when a run
+needs them.  No module the CLI's start loads imports it, so the start neither
+builds nor loads the kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import operator
 import os
 import platform
 import sys
@@ -38,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DrawMismatch, InvalidParameter, KernelBuildError, SweepMismatch
+from .errors import DrawMismatch, InvalidParameter, KernelBuildError, SeedMismatch, SweepMismatch
 from .streams import RngStream, replay
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -64,6 +69,7 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "kx_pairwise_sum": (_f64, (_ptr, _i64)),
     "kx_run": (None, (*_STEP, _i64, _ptr, _ptr)),
     "kx_relax": (None, (_i64, *[_ptr] * 5, _i64, _ptr)),
+    "kx_seed": (None, (_ptr, _i64, _u64, _i64, _ptr)),
 }
 
 
@@ -94,8 +100,8 @@ def _compile(path: Path) -> None:
 @functools.cache
 def library() -> ctypes.CDLL:
     """The kernel, built if its cache holds no build of this source,
-    loaded and checked (:func:`check_draws`, :func:`check_sweep`), once per
-    process."""
+    loaded and checked (:func:`check_draws`, :func:`check_sweep`,
+    :func:`check_seeds`), once per process."""
     key = hashlib.blake2b(SOURCE.read_bytes(), digest_size=8)
     key.update(repr((FLAGS, sys.platform, platform.machine())).encode())
     path = BUILD_DIR / f"kernel-{key.hexdigest()}.so"
@@ -107,6 +113,7 @@ def library() -> ctypes.CDLL:
         fn.restype, fn.argtypes = restype, argtypes
     check_draws(lib)
     check_sweep(lib)
+    check_seeds(lib)
     return lib
 
 
@@ -118,6 +125,21 @@ def pcg64_words(bit_generator) -> list[int]:
         raise InvalidParameter(f"the kernel steps PCG64 streams, not {state['bit_generator']}")
     s, inc = state["state"]["state"], state["state"]["inc"]
     return [s % 2**64, s >> 64, inc % 2**64, inc >> 64, state["has_uint32"], state["uinteger"]]
+
+
+def seed_words(lib: ctypes.CDLL, master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The fresh state of stream (master_seed, c), for each c in [start, stop),
+    as the six words of :func:`pcg64_words`, one row a stream: the state of
+    ``RngStream(master_seed, c).gen.bit_generator``, made by ``kx_seed``
+    without a Generator.  Python only splits the seed into 32-bit words."""
+    master_seed = operator.index(master_seed)  # a numpy integer too, as SeedSequence takes it
+    if master_seed < 0:
+        raise InvalidParameter(f"master_seed={master_seed} must be >= 0")
+    n_run = max(4, -(-master_seed.bit_length() // 32))
+    run = np.frombuffer(master_seed.to_bytes(4 * n_run, "little"), dtype="<u4").astype(np.uint32)
+    states = np.empty((stop - start, 6), dtype=np.uint64)
+    lib.kx_seed(run.ctypes.data, n_run, start, stop - start, states.ctypes.data)
+    return states
 
 
 def kernel_draws(lib: ctypes.CDLL, bit_generator, plan: tuple) -> list[np.ndarray]:
@@ -185,6 +207,32 @@ def check_draws(lib: ctypes.CDLL) -> None:
         for g, oracle in zip(gens, oracles):
             if g.integers(0, 2**31 + 1, 3).tobytes() != oracle.integers(0, 2**31 + 1, 3).tobytes():
                 raise mismatch
+
+
+# Master seeds of one, two, three and five 32-bit words (words beyond the
+# pool's four take their own path in kx_seed), each on a stream index of one
+# spawn word and one of two.
+_CHECK_SEEDS = (_CHECK_SEED, _CHECK_SEED << 32 | 7, 2**95 + _CHECK_SEED, 2**130 + _CHECK_SEED)
+_CHECK_STREAMS = (0, 2**32 + 1)
+
+
+def check_seeds(lib: ctypes.CDLL) -> None:
+    """Hold the kernel's fresh stream states (:func:`seed_words`) to the
+    PCG64 state of ``RngStream(seed, c)`` for the seeds and streams above.
+
+    Raises SeedMismatch when any word differs, or when that stream's bit
+    generator is not a PCG64, for example under a numpy whose SeedSequence
+    hashes or whose PCG64 seeds otherwise, instead of letting a run start its
+    streams from other states than numpy's.
+    """
+    for seed in _CHECK_SEEDS:
+        for c in _CHECK_STREAMS:
+            bit_generator = RngStream(seed, c).gen.bit_generator
+            if (not isinstance(bit_generator, np.random.PCG64)
+                    or seed_words(lib, seed, c, c + 1).tolist() != [pcg64_words(bit_generator)]):
+                raise SeedMismatch(
+                    f"the kernel's stream seeding differs from the SeedSequence of numpy {np.__version__}"
+                )
 
 
 def neighbor_sum(cond_h: np.ndarray, cond_v: np.ndarray, potential: np.ndarray) -> np.ndarray:

@@ -525,10 +525,12 @@ class TestCommands:
              "InvalidParameter: eps1_window=(1.0,0.5) invalid"),
             ({**BASE, "fit_window": [50, 10]}, [], None, "config error: fit_window=(50, 10) needs t_lo < t_hi"),
             ({**BASE, "fit_window": [10, 10]}, [], None, "config error: fit_window=(10, 10) needs t_lo < t_hi"),
+            ({**BASE, "fit_x0": float("nan")}, [], None, "config error: fit_x0=nan must be finite"),
+            ({**BASE, "fit_x0": float("inf")}, [], None, "config error: fit_x0=inf must be finite"),
         ],
         ids=["epsilon_abc", "section_not_mapping", "threads_env_abc", "threads_flag_0", "unknown_rule",
              "unknown_pairing", "unknown_init", "init_total_0", "general_eps1_window_reversed",
-             "fit_window_reversed", "fit_window_empty"],
+             "fit_window_reversed", "fit_window_empty", "fit_x0_nan", "fit_x0_inf"],
     )
     def test_load_refusals_exit_2_with_their_line(
         self, tmp_path, capsys, monkeypatch, payload, argv, threads_env, message

@@ -6,7 +6,6 @@ condition; run_time_step in turn must reproduce the scalar exchange_* rules.
 """
 
 import _posixsubprocess
-import gc
 import itertools
 import os
 import sys
@@ -239,7 +238,7 @@ def test_block_refuses_a_stream_range_that_holds_no_stream(monkeypatch, start, s
     def no_stream(*args):
         raise AssertionError("the block made a stream")
 
-    monkeypatch.setattr(block_module, "RngStream", no_stream)
+    monkeypatch.setattr(block_module, "seed_words", no_stream)
     with pytest.raises(InvalidParameter) as refused:
         EnsembleBlock(ModelSpec(), 10, 0, start, stop)
     assert str(refused.value) == f"stream range start={start}, stop={stop} needs 0 <= start < stop"
@@ -776,69 +775,6 @@ def test_steady_state_steps_allocate_less_than_one_block_array(spec, rows, n):
     assert peak < rows * n * np.dtype(np.float64).itemsize
 
 
-class _DrawsUntil:
-    """A stream's Generator whose draw methods raise once ``built`` is set;
-    its bit generator, whose state the block reads, stays reachable."""
-
-    def __init__(self, gen, built):
-        self._gen, self._built = gen, built
-
-    def __getattr__(self, name):
-        if self._built.is_set() and name != "bit_generator":
-            raise AssertionError(f"Generator.{name} called after the block was built")
-        return getattr(self._gen, name)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ModelSpec(rule="general", eps1_window=(-0.5, 1.5)),
-        ModelSpec(rule="fixed_saving", lambda_fixed=0.3, pairing=LATTICE_2D, lattice_side=3),
-    ],
-    ids=["general", "fixed_saving_lattice"],
-)
-def test_block_draws_from_raw_words_only(monkeypatch, spec):
-    # Init draws through each stream's Generator; every step after it draws
-    # from the block's own PCG64 words, so no Generator call may follow.
-    n, rows = 9, 5
-    want_traces, want_final = _per_config(spec, n, 6, 3, range(rows))
-    built = threading.Event()
-
-    class Stream(RngStream):
-        @property
-        def gen(self):
-            return _DrawsUntil(super().gen, built)
-
-    monkeypatch.setattr(block_module, "RngStream", Stream)
-    block = EnsembleBlock(spec, n, 3, 0, rows)
-    built.set()
-    traces = np.array(list(_block_changes(block, 6))).T
-    assert traces.tobytes() == want_traces.tobytes()
-    assert block.wealth.tobytes() == want_final.tobytes()
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ModelSpec(rule="pure_gambling", eps_fixed=None),
-        ModelSpec(rule="general", pairing=LATTICE_2D, lattice_side=3, eps1_window=(-0.5, 1.5)),
-    ],
-    ids=["pure_gambling", "general_lattice"],
-)
-def test_block_holds_the_generators_its_kernel_draws_from(spec):
-    # The block steps state words of its own, taken from each stream once; it
-    # must step on alike after it has released its streams and their memory
-    # is reused.
-    n, rows, steps = 9, 3, 5
-    want_traces, want_final = _per_config(spec, n, steps, 23, range(rows))
-    block = EnsembleBlock(spec, n, 23, 0, rows)
-    gc.collect()
-    [RngStream(99, c).gen.integers(0, 2**31, 64) for c in range(2 * rows)]  # reuse freed memory
-    traces = np.array(list(_block_changes(block, steps))).T
-    assert traces.tobytes() == want_traces.tobytes()
-    assert block.wealth.tobytes() == want_final.tobytes()
-
-
 ORDER_SIZES = (2, 7, 8, 9, 100, 128, 129, 1000, 1024)
 
 
@@ -895,44 +831,27 @@ def test_run_allocates_only_its_traces_and_one_copy_of_the_wealth():
     assert xs.nbytes + block.wealth.nbytes <= peak < xs.nbytes + block.wealth.nbytes + 2048
 
 
-def test_a_relaxation_block_constructs_one_stream_per_configuration(monkeypatch):
-    # Every cell's init starts from the same fresh stream, restored from its
-    # saved state, not from a stream built again for every cell.
-    built = []
+@pytest.mark.parametrize("cells", [1, 3])
+@pytest.mark.parametrize("rule,pairing,init", list(itertools.product(RULES, PAIRINGS, INITS)))
+def test_building_a_block_makes_no_seed_sequence_or_generator(monkeypatch, rule, pairing, init, cells):
+    # The block seeds its streams in the kernel (kernel.seed_words) and makes
+    # its init's draws there too, once a stream for all its cells.  Numpy's
+    # seeding and Generator serve the oracle alone, run before they are
+    # patched to raise.  The streams straddle 2^32, where a stream's spawn key
+    # takes a second word.
+    spec = ModelSpec(rule=rule, pairing=pairing, lattice_side=3, init=init, lambda_window=(0.1, 0.9),
+                     eps1_window=(-0.5, 1.5))
+    specs = (spec, replace(spec, lambda_window=(0.5, 1.0), lambda_fixed=0.7, init_total=3.0),
+             replace(spec, lambda_window=(0.0, 0.2), lambda_fixed=0.2, init_total=20.0))[:cells]
+    n, steps, streams = 9, 5, range(2**32 - 2, 2**32 + 2)
+    want = [_per_config(s, n, steps, 11, streams) for s in specs]
+    kernel.library()  # loaded, and its checks run, before the patches
 
-    def counting(master_seed, stream_index):
-        built.append(stream_index)
-        return RngStream(master_seed, stream_index)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block made a SeedSequence or Generator")
 
-    monkeypatch.setattr(block_module, "RngStream", counting)
-    specs = tuple(
-        ModelSpec(rule="distributed_saving", lambda_window=w, eps_fixed=0.5)
-        for w in [(0.0, 1.0), (0.5, 1.0), (0.7, 1.0)]
-    )
-    got = run_relaxation(specs, 12, 10, 8, master_seed=5, workers=1)
-    assert sorted(built) == list(range(8))
-    for spec, series in zip(specs, got):
-        acc = np.zeros(10)
-        for c in range(8):
-            rng = RngStream(5, c)
-            ens = init_ensemble(spec, 12, rng)
-            acc += np.array([run_time_step(ens, spec, rng) / 12 for _ in range(10)])
-        assert series.x_mean.tobytes() == (acc / 8).tobytes()
-
-
-def test_block_refuses_a_stream_that_is_not_pcg64(monkeypatch):
-    # The kernel steps PCG64 state, so a default_rng whose bit generator is
-    # another is refused before the block calls into the kernel at all.
-    def no_kernel():
-        raise AssertionError("the block loaded the kernel")
-
-    default_rng = np.random.default_rng
-
-    def stream_1_on_mt19937(seq):
-        return np.random.Generator(np.random.MT19937(seq)) if seq.spawn_key == (1,) else default_rng(seq)
-
-    monkeypatch.setattr(block_module, "library", no_kernel)
-    monkeypatch.setattr(np.random, "default_rng", stream_1_on_mt19937)
-    spec = ModelSpec(rule="pure_gambling", eps_fixed=0.5, init="uniform_random")
-    with pytest.raises(InvalidParameter, match="MT19937"):
-        EnsembleBlock(spec, 8, 1, 0, 3)
+    for name in ("SeedSequence", "default_rng", "Generator", "PCG64"):
+        monkeypatch.setattr(np.random, name, refuse)
+    traces, final = _block(specs, n, steps, 11, streams)
+    assert traces.tobytes() == np.concatenate([t for t, _ in want]).tobytes()
+    assert final.tobytes() == np.concatenate([f for _, f in want]).tobytes()

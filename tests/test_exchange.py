@@ -157,6 +157,18 @@ class TestInitEnsemble:
         assert ens.wealth.min() >= 0.0
         assert ens.total_wealth() == pytest.approx(50.0, rel=1e-12)
 
+    def test_draws_wealth_first_then_propensities(self):
+        # The block maps its init draws with init_ensemble's own arithmetic, so
+        # the oracle's draws are pinned here to the Generator, written out.
+        spec = ModelSpec(rule="distributed_saving", init="uniform_random", init_total=50.0,
+                         lambda_window=(0.2, 0.9))
+        ens = init_ensemble(spec, 10, RngStream(3, 1))
+        g = RngStream(3, 1).gen
+        u = g.random(10)
+        lam = 0.2 + (0.9 - 0.2) * g.random(10)
+        assert ens.wealth.tobytes() == (u * (50.0 / u.sum())).tobytes()
+        assert ens.saving.tobytes() == lam.tobytes()
+
     def test_distributed_lambdas_land_in_window(self):
         spec = ModelSpec(rule="distributed_saving", lambda_window=(0.5, 1.0))
         ens = init_ensemble(spec, 1000, RngStream(11))

@@ -1,5 +1,6 @@
-"""The compiled step kernel: its draws against numpy's Generator, byte for byte,
-its draw check, and how it is built and loaded.
+"""The compiled step kernel: its draws against numpy's Generator and its fresh
+stream states against numpy's SeedSequence, byte for byte, its load checks,
+and how it is built and loaded.
 
 The kernel's draws must be what ``Generator.integers``, ``random`` and
 ``uniform`` return for the same calls on the same stream, and leave the stream
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinex import kernel
-from kinex.errors import DrawMismatch, InvalidParameter, KernelBuildError, SweepMismatch
+from kinex.errors import DrawMismatch, InvalidParameter, KernelBuildError, SeedMismatch, SweepMismatch
 from kinex.distribution import run_equilibrium
 from kinex.exchange import ModelSpec
 from kinex.relaxation import run_relaxation
@@ -256,6 +257,25 @@ def test_kernel_draws_refuse_a_stream_that_is_not_pcg64():
         kernel.kernel_draws(kernel.library(), g.bit_generator, (("random", 3),))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**160 - 1),
+    start=st.one_of(st.integers(0, 2**33), st.integers(2**32 - 64, 2**32)),
+    span=st.integers(1, 64),
+)
+def test_seed_words_are_numpy_s_fresh_states(seed, start, span):
+    got = kernel.seed_words(kernel.library(), seed, start, start + span)
+    want = [kernel.pcg64_words(RngStream(seed, c).gen.bit_generator) for c in range(start, start + span)]
+    assert got.dtype == np.uint64 and got.tolist() == want
+
+
+def test_seed_words_take_a_numpy_integer_seed_and_refuse_a_negative_one():
+    lib = kernel.library()
+    assert kernel.seed_words(lib, np.int64(5), 0, 3).tobytes() == kernel.seed_words(lib, 5, 0, 3).tobytes()
+    with pytest.raises(InvalidParameter, match="master_seed=-1 must be >= 0"):
+        kernel.seed_words(lib, -1, 0, 2)
+
+
 def _c_definitions() -> dict[str, int]:
     """Every non-static kx_* function defined in _kernel.c: name -> argument count."""
     source = kernel.SOURCE.read_text()
@@ -270,6 +290,17 @@ def test_every_kernel_function_has_a_ctypes_signature_of_its_arity():
     assert "kx_run" in defined and "kx_step" in defined
     declared = {name: len(argtypes) for name, (_, argtypes) in kernel._SIGNATURES.items()}
     assert declared == defined
+
+
+def _use_source_with(old: str, new: str, tmp_path, monkeypatch) -> None:
+    """Make library() build and load a copy of the kernel's source with
+    ``old`` replaced by ``new``, into an empty cache."""
+    source = kernel.SOURCE.read_text()
+    assert old in source
+    broken = tmp_path / "_kernel.c"
+    broken.write_text(source.replace(old, new))
+    monkeypatch.setattr(kernel, "SOURCE", broken)
+    monkeypatch.setattr(kernel, "BUILD_DIR", tmp_path / "cache")
 
 
 @pytest.mark.parametrize(
@@ -296,12 +327,7 @@ def test_library_refuses_a_build_whose_draws_differ(tmp_path, monkeypatch, fresh
     # power-of-two span's shift one bit short, a step four states ahead that
     # adds the increment once too few, and a pass that does not rewind to the
     # value that might be rejected.
-    source = kernel.SOURCE.read_text()
-    assert old in source
-    broken = tmp_path / "_kernel.c"
-    broken.write_text(source.replace(old, new))
-    monkeypatch.setattr(kernel, "SOURCE", broken)
-    monkeypatch.setattr(kernel, "BUILD_DIR", tmp_path / "cache")
+    _use_source_with(old, new, tmp_path, monkeypatch)
     with pytest.raises(DrawMismatch):
         kernel.library()
     assert kernel.library.cache_info().currsize == 0
@@ -323,15 +349,56 @@ def test_library_refuses_a_build_whose_sweep_differs(tmp_path, monkeypatch, fres
     # terms, divide through a reciprocal (as fast-math may), sum |dV| in
     # another order, or leave the third sweep's result in the second buffer:
     # each passes the draw check and must fail the sweep check.
-    source = kernel.SOURCE.read_text()
-    assert old in source
-    broken = tmp_path / "_kernel.c"
-    broken.write_text(source.replace(old, new))
-    monkeypatch.setattr(kernel, "SOURCE", broken)
-    monkeypatch.setattr(kernel, "BUILD_DIR", tmp_path / "cache")
+    _use_source_with(old, new, tmp_path, monkeypatch)
     with pytest.raises(SweepMismatch):
         kernel.library()
     assert kernel.library.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("#define SS_MULT_A 0x931e8875u", "#define SS_MULT_A 0x931e8877u"),
+        ("if (c >> 32)\n            ss_absorb", "if (0)\n            ss_absorb"),
+        ("k < n_run; k++)", "k < 4; k++)"),
+        ("const u128 init = (u128)seed[0] << 64 | seed[1];", "const u128 init = (u128)seed[1] << 64 | seed[0];"),
+    ],
+    ids=["hash_constant", "no_second_spawn_word", "no_run_word_past_the_pool", "seed_halves_swapped"],
+)
+def test_library_refuses_a_build_whose_seeding_differs(tmp_path, monkeypatch, fresh_library, old, new):
+    # Kernels built from copies of the source with a hash multiplier off in
+    # one bit, a stream index from 2^32 on hashed by its low word alone, a
+    # master seed's words past the pool's four left out, and a PCG64 state
+    # whose two 64-bit halves are taken the other way round.  The library
+    # checks its seeding last, so each has passed the draw and sweep checks.
+    _use_source_with(old, new, tmp_path, monkeypatch)
+    with pytest.raises(SeedMismatch):
+        kernel.library()
+    assert kernel.library.cache_info().currsize == 0
+
+
+def test_seed_check_passes_here_and_catches_a_mismatch(monkeypatch):
+    # The check's oracle is RngStream's numpy stream; each patch stands for a
+    # numpy that seeds it otherwise: a SeedSequence with a pool of 8 words, one
+    # that keeps a stream index's low word alone, one that keeps a master
+    # seed's low 64 bits alone, and a default_rng whose stream is not a PCG64.
+    lib = kernel.library()
+    kernel.check_seeds(lib)
+    seed_sequence = np.random.SeedSequence
+    mutations = {
+        "SeedSequence": [
+            lambda entropy, spawn_key=(): seed_sequence(entropy, spawn_key=spawn_key, pool_size=8),
+            lambda entropy, spawn_key=(): seed_sequence(entropy, spawn_key=[k % 2**32 for k in spawn_key]),
+            lambda entropy, spawn_key=(): seed_sequence(entropy % 2**64, spawn_key=spawn_key),
+        ],
+        "default_rng": [lambda seq: np.random.Generator(np.random.MT19937(seq))],
+    }
+    for name, patches in mutations.items():
+        for patched in patches:
+            with monkeypatch.context() as m:
+                m.setattr(np.random, name, patched)
+                with pytest.raises(SeedMismatch):
+                    kernel.check_seeds(lib)
 
 
 def test_sweep_check_holds_the_kernel_to_the_lattice_s_numpy_stencil(monkeypatch):
