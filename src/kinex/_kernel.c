@@ -189,12 +189,12 @@ void kx_uniform(uint64_t *stream, double lo, double hi, int64_t size, double *ou
  * among the other n - 1 agents, or, with `lattice`, the (n, 4) neighbour table,
  * a direction), then `n_eps` arrays of n splits, array e uniform in
  * [windows[2e], windows[2e + 1]).  With no drawn split, cell c's split is
- * eps[c]; lam[c] is its fixed saving fraction.  ii, jj, e1 and e2 hold n values
- * each, for one stream's draws. */
+ * eps[c].  Its saving holds every agent's propensity: drawn, its fixed saving
+ * fraction, or 0.  ii, jj, e1 and e2 hold n values each, for one stream's draws. */
 void kx_step(int rule, int64_t n, int64_t streams, int64_t cells, uint64_t *states,
              uint64_t partner_span, const int64_t *lattice, int n_eps, const double *windows,
-             const double *eps, const double *lam, double *wealth, const double *saving,
-             int64_t *ii, int64_t *jj, double *e1, double *e2)
+             const double *eps, double *wealth, const double *saving, int64_t *ii, int64_t *jj,
+             double *e1, double *e2)
 {
     for (int64_t s = 0; s < streams; s++) {
         uint64_t *stream = states + 6 * s;
@@ -210,7 +210,7 @@ void kx_step(int rule, int64_t n, int64_t streams, int64_t cells, uint64_t *stat
         for (int64_t c = 0; c < cells; c++) {
             const int64_t row = (c * streams + s) * n;
             double *w = wealth + row;
-            const double *sav = saving ? saving + row : 0;
+            const double *sav = saving + row;
             for (int64_t k = 0; k < n; k++) {
                 const int64_t i = ii[k], j = jj[k];
                 const double w_i = w[i], w_j = w[j], total = w_i + w_j;
@@ -221,7 +221,7 @@ void kx_step(int rule, int64_t n, int64_t streams, int64_t cells, uint64_t *stat
                     new_i = e * total;
                     break;
                 case FIXED_SAVING:
-                    new_i = lam[c] * w_i + e * (1.0 - lam[c]) * total;
+                    new_i = sav[i] * w_i + e * (1.0 - sav[i]) * total;
                     break;
                 case DISTRIBUTED_SAVING:
                     new_i = sav[i] * w_i + e * ((1.0 - sav[i]) * w_i + (1.0 - sav[j]) * w_j);
@@ -274,14 +274,13 @@ double kx_pairwise_sum(const double *a, int64_t n)
  * `before` holds every row's wealth. */
 void kx_run(int rule, int64_t n, int64_t streams, int64_t cells, uint64_t *states,
             uint64_t partner_span, const int64_t *lattice, int n_eps, const double *windows,
-            const double *eps, const double *lam, double *wealth, const double *saving,
-            int64_t *ii, int64_t *jj, double *e1, double *e2, int64_t t_max, double *before,
-            double *xs)
+            const double *eps, double *wealth, const double *saving, int64_t *ii, int64_t *jj,
+            double *e1, double *e2, int64_t t_max, double *before, double *xs)
 {
     const int64_t rows = cells * streams;
     for (int64_t t = 0; t < t_max; t++) {
         memcpy(before, wealth, (size_t)(rows * n) * sizeof *before);
-        kx_step(rule, n, streams, cells, states, partner_span, lattice, n_eps, windows, eps, lam,
+        kx_step(rule, n, streams, cells, states, partner_span, lattice, n_eps, windows, eps,
                 wealth, saving, ii, jj, e1, e2);
         for (int64_t r = 0; r < rows; r++) {
             double *d = before + r * n;

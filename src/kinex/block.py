@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .exchange import (
-    DISTRIBUTED_SAVING,
     LATTICE_2D,
     RULES,
     ModelSpec,
@@ -56,8 +55,10 @@ class EnsembleBlock:
     :func:`exchange.run_time_step` makes them, and every cell's row on that
     stream applies them to its N slots in order, with the cell's own saving and
     split parameters and run_time_step's operations and clamp: each economy
-    gets run_time_step's bits.  ``wealth`` and ``saving`` (drawn propensities
-    only, else None) are the block's arrays, which the kernel writes in place.
+    gets run_time_step's bits.  ``wealth`` and ``saving`` are the block's
+    arrays, each row r at ``[r*n:(r+1)*n]``: row r's wealth, which the kernel
+    writes in place, and its agents' saving propensities, drawn or the rule's
+    constant (:func:`exchange._init_economies`).
     """
 
     def __init__(self, spec: ModelSpec | tuple[ModelSpec, ...], n: int, master_seed: int,
@@ -85,11 +86,7 @@ class EnsembleBlock:
         self.rows = len(specs) * streams
         self.n_agents = n
         self._wealth = np.concatenate([wealth for wealth, _ in economies]).reshape(-1)
-        self._saving = (
-            np.concatenate([saving for _, saving in economies]).reshape(-1)
-            if spec.rule == DISTRIBUTED_SAVING
-            else None
-        )
+        self._saving = np.concatenate([saving for _, saving in economies]).reshape(-1)
         _, (_, _, partner_span, _), *splits = _step_plan(spec, n)
         windows = [args[:2] if name == "uniform" else (0.0, 1.0) for name, *args in splits]
         # Every array the kernel reads or writes, held for the block's lifetime.
@@ -98,7 +95,6 @@ class EnsembleBlock:
             lattice,
             np.array(windows, dtype=np.float64).reshape(-1),
             np.array([0.0 if s.eps_fixed is None else s.eps_fixed for s in specs]),
-            np.array([s.lambda_fixed for s in specs], dtype=np.float64),
             self._wealth,
             self._saving,
             *np.empty((2, n), dtype=np.int64),  # one stream's agents i and partners j
@@ -115,7 +111,7 @@ class EnsembleBlock:
         return self._wealth
 
     @property
-    def saving(self) -> np.ndarray | None:
+    def saving(self) -> np.ndarray:
         return self._saving
 
     def step(self) -> None:

@@ -85,7 +85,23 @@ class ExperimentConfig:
     fit_window: tuple[int, int] | None = None
 
 
-def _pair(value, cast=float) -> tuple:
+def _float(value) -> float:
+    """A number, not a bool: ``float(True)`` would read a YAML boolean as 1.0.
+    A string still goes to ``float``: PyYAML reads ``1e-3`` (no dot) as a string."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _int(value) -> int:
+    """An integral number, not a bool: 100.0 is 100, where ``int`` would cut
+    100.7 to 100, read true as 1 and raise OverflowError on .inf."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _pair(value, cast=_float) -> tuple:
     lo, hi = value
     return cast(lo), cast(hi)
 
@@ -99,14 +115,14 @@ def _bool(value) -> bool:
 
 # YAML value -> annotated field type, for ExperimentConfig and ModelSpec alike.
 _CASTS = {
-    "int": int,
-    "float": float,
+    "int": _int,
+    "float": _float,
     "bool": _bool,
     "str": str,
     "Path": Path,
     "tuple[float, float]": _pair,
-    "tuple[int, int]": lambda v: _pair(v, int),
-    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+    "tuple[int, int]": lambda v: _pair(v, _int),
+    "tuple[float, ...]": lambda v: tuple(_float(x) for x in v),
     "tuple[tuple[float, float], ...]": lambda v: tuple(_pair(w) for w in v),
 }
 
@@ -146,7 +162,7 @@ def build_model(raw: dict | None, experiment: str) -> ModelSpec:
         eps_fixed = None
     else:
         try:
-            eps_fixed = float(eps)
+            eps_fixed = _float(eps)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"epsilon={eps!r} is not a number, 'uniform' or 'default'") from e
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .block import EnsembleBlock
 from .errors import InvalidParameter
-from .exchange import DISTRIBUTED_SAVING, ModelSpec, saving_propensities
+from .exchange import ModelSpec
 from .exchange import init_ensemble  # noqa: F401  (perfbench/child.py times it under this name)
 from .exchange import run_time_step  # noqa: F401  (perfbench/child.py times it under this name)
 from .expfit import _linear_fit
@@ -40,12 +40,12 @@ def run_equilibrium(
     Each block of configurations steps ``equil_steps`` times, then
     ``sample_steps`` times over which the wealth is averaged (with none, the
     average is the final snapshot).  Configuration c uses stream
-    (master_seed, c), and the blocks are pooled in stream order.  Blocks hold
-    drawn propensities only; constant ones are built from the spec here.
+    (master_seed, c), and the blocks are pooled in stream order, their saving
+    propensities (drawn, or the rule's constant) with them.
     """
     spec.validate()
 
-    def sample(start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    def sample(start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         block = EnsembleBlock(spec, n, master_seed, start, stop)
         for _ in range(equil_steps):
             block.step()
@@ -61,11 +61,7 @@ def run_equilibrium(
     parts = map_stream_blocks(sample, n_configs, workers)
     return EquilibriumSample(
         wealth=np.concatenate([p[0] for p in parts]),
-        saving=(
-            np.concatenate([p[1] for p in parts])
-            if spec.rule == DISTRIBUTED_SAVING
-            else saving_propensities(spec, n * n_configs)
-        ),
+        saving=np.concatenate([p[1] for p in parts]),
         wealth_time_avg=np.concatenate([p[2] for p in parts]),
         n_configs=n_configs,
         n_agents=n,

@@ -75,7 +75,7 @@ class ModelSpec:
             raise InvalidParameter(f"lambda_fixed={self.lambda_fixed} outside [0,1)")
         if self.rule == DISTRIBUTED_SAVING:
             lo, hi = self.lambda_window
-            # saving_propensities keeps every draw in [lo, hi), so hi == 1 still
+            # _drawn_propensities keeps every draw in [lo, hi), so hi == 1 still
             # keeps every lambda < 1
             if not (0.0 <= lo < hi <= 1.0):
                 raise InvalidParameter(f"lambda_window={self.lambda_window} invalid")
@@ -123,9 +123,8 @@ def init_ensemble(spec: ModelSpec, n: int, rng: RngStream) -> AgentEnsemble:
     for n < 2 and TopologyMismatch when a 2D lattice side does not square to n.
     """
     _check_economy(spec, n)
-    wealth, drawn = _init_economies(spec, n, rng.gen.random((1, _init_draws(spec) * n)))
-    saving = drawn[0] if drawn is not None else saving_propensities(spec, n)
-    return AgentEnsemble(wealth=wealth[0], saving=saving, n_agents=n)
+    wealth, saving = _init_economies(spec, n, rng.gen.random((1, _init_draws(spec) * n)))
+    return AgentEnsemble(wealth=wealth[0], saving=saving[0], n_agents=n)
 
 
 def _check_economy(spec: ModelSpec, n: int) -> None:
@@ -147,12 +146,13 @@ def _init_draws(spec: ModelSpec) -> int:
     return (spec.init == UNIFORM_RANDOM) + (spec.rule == DISTRIBUTED_SAVING)
 
 
-def _init_economies(spec: ModelSpec, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _init_economies(spec: ModelSpec, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The initial wealth of economies of ``n`` agents, one a row, and their
-    drawn saving propensities (None unless the rule draws them), from each
-    economy's init draws: row r of ``u`` holds economy r's
-    ``_init_draws(spec) * n`` values of ``Generator.random``, the wealths'
-    first."""
+    saving propensities, from each economy's init draws: row r of ``u`` holds
+    economy r's ``_init_draws(spec) * n`` values of ``Generator.random``, the
+    wealths' first.  The propensities are drawn under distributed saving
+    (:func:`_drawn_propensities`), else the rule's constant: lambda_fixed, or
+    0 without saving."""
     total = spec.init_total if spec.init_total is not None else float(n)
     if spec.init == EQUAL_UNIT:
         wealth = np.ones((len(u), n))
@@ -162,18 +162,9 @@ def _init_economies(spec: ModelSpec, n: int, u: np.ndarray) -> tuple[np.ndarray,
     else:  # DELTA_ONE_AGENT
         wealth = np.zeros((len(u), n))
         wealth[:, 0] = total
-    if spec.rule != DISTRIBUTED_SAVING:
-        return wealth, None
-    return wealth, _drawn_propensities(spec.lambda_window, u[:, -n:])
-
-
-def saving_propensities(spec: ModelSpec, n: int, g: np.random.Generator | None = None) -> np.ndarray:
-    """``n`` quenched saving propensities: drawn from ``g`` under distributed
-    saving (:func:`_drawn_propensities`), else the rule's constant
-    (lambda_fixed, or 0 without saving)."""
     if spec.rule == DISTRIBUTED_SAVING:
-        return _drawn_propensities(spec.lambda_window, g.random(n))
-    return np.full(n, spec.lambda_fixed if spec.rule == FIXED_SAVING else 0.0)
+        return wealth, _drawn_propensities(spec.lambda_window, u[:, -n:])
+    return wealth, np.full((len(u), n), spec.lambda_fixed if spec.rule == FIXED_SAVING else 0.0)
 
 
 def _drawn_propensities(window: tuple[float, float], u: np.ndarray) -> np.ndarray:
@@ -272,7 +263,7 @@ def _step_plan(spec: ModelSpec, n: int) -> tuple:
     A ``general`` draw ``lo + (hi - lo) * u`` can round up to ``hi`` for ``u``
     just below 1.  That breaks no invariant: the rule has no clamp and takes
     any coefficient, unlike the saving propensities, which
-    :func:`saving_propensities` keeps below their window's end."""
+    :func:`_drawn_propensities` keeps below their window's end."""
     partner_span = n - 1 if spec.pairing == MEAN_FIELD else 4
     plan = (("integers", 0, n, n), ("integers", 0, partner_span, n))
     if spec.rule == GENERAL:

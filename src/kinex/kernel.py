@@ -61,7 +61,7 @@ FLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
 _int, _i64, _u64, _f64, _ptr = (
     ctypes.c_int, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
 )
-_STEP = (_int, _i64, _i64, _i64, _ptr, _u64, _ptr, _int, *[_ptr] * 9)  # kx_step's arguments
+_STEP = (_int, _i64, _i64, _i64, _ptr, _u64, _ptr, _int, *[_ptr] * 8)  # kx_step's arguments
 _SIGNATURES = {  # name: (restype, argtypes)
     "kx_integers": (None, (_ptr, _u64, _i64, _ptr)),
     "kx_uniform": (None, (_ptr, _f64, _f64, _i64, _ptr)),

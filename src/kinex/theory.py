@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .exchange import DISTRIBUTED_SAVING, ModelSpec, saving_propensities
+from .exchange import DISTRIBUTED_SAVING, ModelSpec, _drawn_propensities
 from .streams import RngStream
 
 
@@ -66,15 +66,13 @@ def k_positive_for_half(
     The analytic infimum over the window is 1 - lam_max, non-negative for any
     window with 0 <= lo < hi <= 1; the sampled sweep makes the claim
     executable.  The propensities are drawn as the distributed-saving model
-    draws them (:func:`exchange.saving_propensities`), so each lies in
+    draws them (:func:`exchange._drawn_propensities`), so each lies in
     [lo, hi), below 1.  Returns True only if every sampled pair yields a
     strictly positive rate.
     """
     spec = ModelSpec(rule=DISTRIBUTED_SAVING, lambda_window=tuple(lam_window))
     spec.validate()
-    g = RngStream(seed).gen
-    lam_i = saving_propensities(spec, n_samples, g)
-    lam_j = saving_propensities(spec, n_samples, g)
+    lam_i, lam_j = _drawn_propensities(spec.lambda_window, RngStream(seed).gen.random((2, n_samples)))
     k = 1.0 - 0.5 * (lam_i + lam_j)
     return bool(np.all(k > 0.0))
 

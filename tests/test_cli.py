@@ -141,6 +141,14 @@ class TestConfigLoading:
         cfg = load_experiment_config(path, "relax", threads=5)
         assert cfg.workers == 5
 
+    def test_integral_floats_read_as_ints_and_ints_as_floats(self, tmp_path):
+        payload = {**BASE, "n_agents": 20.0, "fit_window": [2.0, 5], "eps_values": [0, 0.5],
+                   "model": {**BASE["model"], "epsilon": 1}}
+        cfg = load_experiment_config(write_cfg(tmp_path, payload), "relax")
+        assert (cfg.n_agents, cfg.fit_window, cfg.eps_values) == (20, (2, 5), (0.0, 0.5))
+        assert type(cfg.n_agents) is int and type(cfg.fit_window[0]) is int
+        assert type(cfg.eps_values[0]) is float and type(cfg.model.eps_fixed) is float
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_experiment_config(tmp_path / "nope.yaml", "relax")
@@ -527,10 +535,25 @@ class TestCommands:
             ({**BASE, "fit_window": [10, 10]}, [], None, "config error: fit_window=(10, 10) needs t_lo < t_hi"),
             ({**BASE, "fit_x0": float("nan")}, [], None, "config error: fit_x0=nan must be finite"),
             ({**BASE, "fit_x0": float("inf")}, [], None, "config error: fit_x0=inf must be finite"),
+            # a number field takes no bool, and an int field no value int() would cut or overflow on
+            ({**BASE, "n_configs": float("inf")}, [], None, "config error: n_configs=inf cannot be read as int"),
+            ({**BASE, "fit_window": [float("inf"), 5]}, [], None,
+             "config error: fit_window=[inf, 5] cannot be read as tuple[int, int]"),
+            ({**BASE, "n_configs": True}, [], None, "config error: n_configs=True cannot be read as int"),
+            ({**BASE, "master_seed": 3.5}, [], None, "config error: master_seed=3.5 cannot be read as int"),
+            ({**BASE, "n_agents": 100.7}, [], None, "config error: n_agents=100.7 cannot be read as int"),
+            ({**BASE, "eps_values": [True, 0.5]}, [], None,
+             "config error: eps_values=[True, 0.5] cannot be read as tuple[float, ...]"),
+            ({**BASE, "lambda_windows": [[False, True]]}, [], None,
+             "config error: lambda_windows=[[False, True]] cannot be read as tuple[tuple[float, float], ...]"),
+            ({**BASE, "model": {**BASE["model"], "epsilon": True}}, [], None,
+             "config error: epsilon=True is not a number, 'uniform' or 'default'"),
         ],
         ids=["epsilon_abc", "section_not_mapping", "threads_env_abc", "threads_flag_0", "unknown_rule",
              "unknown_pairing", "unknown_init", "init_total_0", "general_eps1_window_reversed",
-             "fit_window_reversed", "fit_window_empty", "fit_x0_nan", "fit_x0_inf"],
+             "fit_window_reversed", "fit_window_empty", "fit_x0_nan", "fit_x0_inf", "n_configs_inf",
+             "fit_window_inf", "n_configs_bool", "master_seed_fraction", "n_agents_fraction",
+             "eps_values_bool", "lambda_windows_bool", "epsilon_bool"],
     )
     def test_load_refusals_exit_2_with_their_line(
         self, tmp_path, capsys, monkeypatch, payload, argv, threads_env, message

@@ -684,8 +684,8 @@ def test_relaxation_is_the_same_at_any_worker_count(workers):
     ids=["distributed_saving", "pure_gambling_lattice", "fixed_saving", "general"],
 )
 def test_equilibrium_is_the_same_at_any_worker_count(spec):
-    # The saving of rules without drawn propensities is built by the caller,
-    # not returned by the workers; it must come out the same all the same.
+    # Every block returns its economies' propensities, drawn or constant, and
+    # the pool joins them in stream order whatever the worker count.
     n = 16
     one = run_equilibrium(spec, n, 6, 4, 130, master_seed=9, workers=1)
     assert one.saving.tobytes() == np.concatenate(
@@ -695,6 +695,32 @@ def test_equilibrium_is_the_same_at_any_worker_count(spec):
         many = run_equilibrium(spec, n, 6, 4, 130, master_seed=9, workers=workers)
         for field in ("wealth", "saving", "wealth_time_avg"):
             assert getattr(one, field).tobytes() == getattr(many, field).tobytes()
+
+
+@pytest.mark.parametrize("cells", [1, 3])
+@pytest.mark.parametrize("rule", ["pure_gambling", "fixed_saving", "general"])
+def test_block_saving_is_each_cell_s_constant_where_the_rule_draws_none(rule, cells):
+    # Every economy carries its agents' propensities: the cell's lambda_fixed
+    # under fixed saving, else 0.0, whatever lambda_fixed the spec holds.
+    spec = ModelSpec(rule=rule, lambda_fixed=0.3, eps1_window=(-0.5, 1.5))
+    specs = (spec, replace(spec, lambda_fixed=0.7), replace(spec, lambda_fixed=0.1))[:cells]
+    n, streams = 9, 4
+    block = EnsembleBlock(specs, n, 5, 0, streams)
+    constants = [s.lambda_fixed if rule == "fixed_saving" else 0.0 for s in specs]
+    assert block.saving.dtype == np.float64
+    assert block.saving.shape == (block.rows * n,)
+    assert block.saving.tobytes() == np.repeat(constants, streams * n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec,constant",
+    [(ModelSpec(rule="pure_gambling", lambda_fixed=0.6), 0.0), (ModelSpec(rule="fixed_saving", lambda_fixed=0.6), 0.6)],
+    ids=["pure_gambling", "fixed_saving"],
+)
+def test_equilibrium_saving_is_the_rule_s_constant(spec, constant):
+    n, n_configs = 9, 7
+    got = run_equilibrium(spec, n, 2, 1, n_configs, master_seed=3, workers=2)
+    assert got.saving.tobytes() == np.full(n * n_configs, constant).tobytes()
 
 
 # Runs whose blocks hold fewer than 24 rows: C = 1, 2 and 5 configurations at

@@ -18,7 +18,7 @@ from kinex import (
     init_ensemble,
     run_time_step,
 )
-from kinex.exchange import _lattice_neighbors, _partners, saving_propensities
+from kinex.exchange import _lattice_neighbors, _partners
 
 wealth = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 lam = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -183,13 +183,13 @@ class TestInitEnsemble:
         # rules need every lambda below 1.
         edge = ModelSpec(rule="distributed_saving", lambda_window=(0.9999999999999999, 1.0))
         assert (init_ensemble(edge, 1000, RngStream(11)).saving < 1.0).all()
-        largest_u = SimpleNamespace(random=lambda n: np.full(n, 1.0 - 2.0**-53))
+        largest_u = SimpleNamespace(gen=SimpleNamespace(random=lambda shape: np.full(shape, 1.0 - 2.0**-53)))
         half = ModelSpec(rule="distributed_saving", lambda_window=(0.5, 1.0))
-        assert saving_propensities(half, 3, largest_u).tolist() == [np.nextafter(1.0, 0.0)] * 3
+        assert init_ensemble(half, 3, largest_u).saving.tolist() == [np.nextafter(1.0, 0.0)] * 3
 
     def test_distributed_lambdas_below_the_window_end_keep_their_bits(self):
         spec = ModelSpec(rule="distributed_saving", lambda_window=(0.2, 0.9))
-        got = saving_propensities(spec, 1000, RngStream(5).gen)
+        got = init_ensemble(spec, 1000, RngStream(5)).saving
         assert got.tobytes() == (0.2 + (0.9 - 0.2) * RngStream(5).gen.random(1000)).tobytes()
 
     def test_too_small_ensemble(self):
