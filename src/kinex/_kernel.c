@@ -12,7 +12,7 @@
  * values, and the state a stream is left in, are numpy's all the same.
  * kernel.py builds this file without FMA contraction or fast-math, so
  * every economy gets the bits run_time_step gives it, and holds the draws to
- * np.random.Generator.  For the same reason a sweep's potentials and its sum of
+ * values committed from np.random.Generator.  For the same reason a sweep's potentials and its sum of
  * |dV| have the same bits on any host with IEEE doubles.
  */
 #include <math.h>
@@ -23,7 +23,7 @@ enum { PURE_GAMBLING, FIXED_SAVING, DISTRIBUTED_SAVING, GENERAL };
 
 /* numpy's PCG64: O'Neill's XSL-RR 128/64 generator (PCG, HMC-CS-2014-0905),
  * with numpy's pending 32-bit half.  A stream's state is six words, as
- * kernel.pcg64_words lays out PCG64.state: state low and high, increment low and
+ * kernel.seed_words lays out PCG64.state: state low and high, increment low and
  * high, has_uint32 and uinteger.  numpy keeps the last high half in uinteger
  * after it is read, so a stream's six words are its whole state.  Each draw
  * loop steps a local copy: stores to its output could otherwise alias the

@@ -34,7 +34,6 @@ from .reports import (
     write_tau_table,
     write_x0_table,
 )
-from .streams import RngStream
 
 # The dist and rrn subcommands' functions are this module's attributes as its
 # imports are, but imported on first use, so that no other subcommand's start
@@ -95,8 +94,11 @@ def _float(value) -> float:
 
 def _int(value) -> int:
     """An integral number, not a bool: 100.0 is 100, where ``int`` would cut
-    100.7 to 100, read true as 1 and raise OverflowError on .inf."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    100.7 to 100, read true as 1 and raise OverflowError on .inf.  A float
+    beyond 2^53 is refused too: YAML's 1.0e+30 is the double nearest 10^30,
+    which ``int`` reads as 1000000000000000019884624838656."""
+    exact = not isinstance(value, float) or value.is_integer() and abs(value) <= 2**53
+    if isinstance(value, bool) or not exact:
         raise TypeError(f"{value!r} is not an integer")
     return int(value)
 
@@ -420,8 +422,11 @@ def cmd_rrn(cfg: ExperimentConfig, run: RunManifest) -> None:
     _window_sweep(cfg, run, "g", windows, cells, "conductance windows, ordered by mean",
                   lambda w: {"L": cfg.side, "g_window": f"{w[0]:g}:{w[1]:g}"})
     if cfg.dense_check:
+        from .kernel import library, seed_words  # loaded by now, by the run above
+
         w = cfg.g_windows[0]
-        lat = _this.build_lattice(cfg.side, w, RngStream(cfg.master_seed, 0), cfg.rrn_init)
+        words = seed_words(library(), cfg.master_seed, 0, 1)[0]
+        lat = _this.build_lattice(cfg.side, w, words, cfg.rrn_init)
         for sweeps in range(1, 200_001):
             dv = _this.relax_sweep(lat)
             if dv < 1e-12:

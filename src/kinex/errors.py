@@ -53,11 +53,11 @@ class ConfigError(KinexError):
 
 
 class DrawMismatch(KinexError):
-    """The compiled kernel's draws disagree with numpy's Generator on this platform."""
+    """The compiled kernel's draws disagree with the values committed for numpy's Generator."""
 
 
 class SeedMismatch(KinexError):
-    """The compiled kernel's fresh stream states disagree with numpy's SeedSequence on this platform."""
+    """The compiled kernel's fresh stream states disagree with those committed for numpy's SeedSequence."""
 
 
 class SweepMismatch(KinexError):

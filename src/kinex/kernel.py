@@ -5,29 +5,33 @@ caller owns, and ``kx_run``, a relaxation block's whole series), the fresh
 state of each of a block's streams (``kx_seed``, numpy's ``SeedSequence``
 hash and PCG64 seeding, read by :func:`seed_words`) and the resistor
 lattice's series of Jacobi sweeps (``kx_relax``; one sweep is ``t_max =
-1``).  The kernel steps numpy's PCG64 itself, from the state that
-:func:`seed_words` makes or :func:`pcg64_words` reads through
-``PCG64.state``, in chunks of words computed four states ahead, and maps
-whole words to two 32-bit integers at a time where no half is pending and no
-value might be rejected; the draw check is what holds it to the installed
-numpy, on each of those paths.  The lattice's stencil is stated in the sweep
-and once in numpy, as :func:`neighbor_sum`, here beside the sweep check, its
-oracle use; :mod:`rrn` imports it from here for the lattice's weight sums and
-the Kirchhoff residuals, so a wealth run's check compiles no lattice code.
+1``).  The kernel steps numpy's PCG64 itself, from the six words that
+:func:`seed_words` makes, in chunks of words computed four states ahead, and
+maps whole words to two 32-bit integers at a time where no half is pending
+and no value might be rejected; :func:`kernel_draws` makes ``Generator``-style
+draws through it, for the draw check and the resistor lattice.  A PCG64
+stream is a pure function of its six words, so committed values pin it as
+tightly as a live ``Generator`` would: the load checks compare the kernel with
+values committed here, equal to what numpy 2.4.6's ``SeedSequence`` and
+``Generator`` give, and no run imports ``numpy.random``.  A test recomputes
+those values from the installed numpy, so a numpy that streams otherwise fails
+a test, not a run.  The lattice's stencil is stated in the sweep and once in
+numpy, as :func:`neighbor_sum`, here beside the sweep check, its oracle use;
+:mod:`rrn` imports it from here for the lattice's weight sums and the
+Kirchhoff residuals, so a wealth run's check compiles no lattice code.
 :func:`library` compiles the source with the system C compiler (``cc``) into
 ``_build/`` beside it, under a name keyed by the source digest, the flags and
-the platform, loads it, holds its draws to numpy's ``Generator``
-(:func:`check_draws`), its sweeps to :func:`neighbor_sum`
-(:func:`check_sweep`) and its seeding to numpy's ``SeedSequence``
-(:func:`check_seeds`), once per process.  On x86-64 with gcc, ``kx_relax`` is
-built twice, for baseline x86-64 and for AVX2, and the loader picks the clone
-the CPU runs; the sweep check holds whichever it picked.  The one fan-out,
-:func:`streams.map_stream_blocks`, calls :func:`library` in the calling thread
-before any block starts, so that worker threads never race its build or its
-checks.  Who imports this module: that fan-out when a run starts, and
-:mod:`block` and :mod:`rrn` at their own import, which happens only when a run
-needs them.  No module the CLI's start loads imports it, so the start neither
-builds nor loads the kernel.
+the platform, loads it, and holds its draws (:func:`check_draws`) and its
+seeding (:func:`check_seeds`) to the committed values and its sweeps to
+:func:`neighbor_sum` (:func:`check_sweep`), once per process.  On x86-64 with
+gcc, ``kx_relax`` is built twice, for baseline x86-64 and for AVX2, and the
+loader picks the clone the CPU runs; the sweep check holds whichever it
+picked.  The one fan-out, :func:`streams.map_stream_blocks`, calls
+:func:`library` in the calling thread before any block starts, so that worker
+threads never race its build or its checks.  Who imports this module: that
+fan-out when a run starts, and :mod:`block` and :mod:`rrn` at their own
+import, which happens only when a run needs them.  No module the CLI's start
+loads imports it, so the start neither builds nor loads the kernel.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DrawMismatch, InvalidParameter, KernelBuildError, SeedMismatch, SweepMismatch
-from .streams import RngStream, replay
 
+PINNED_NUMPY = "2.4.6"
 SOURCE = Path(__file__).with_name("_kernel.c")
 BUILD_DIR = Path(__file__).with_name("_build")
 # No FMA contraction, no fast-math and no -march=native: the kernel has to do
@@ -100,8 +104,8 @@ def _compile(path: Path) -> None:
 @functools.cache
 def library() -> ctypes.CDLL:
     """The kernel, built if its cache holds no build of this source,
-    loaded and checked (:func:`check_draws`, :func:`check_sweep`,
-    :func:`check_seeds`), once per process."""
+    loaded and checked (:func:`check_draws`, :func:`check_seeds`,
+    :func:`check_sweep`), once per process."""
     key = hashlib.blake2b(SOURCE.read_bytes(), digest_size=8)
     key.update(repr((FLAGS, sys.platform, platform.machine())).encode())
     path = BUILD_DIR / f"kernel-{key.hexdigest()}.so"
@@ -112,26 +116,18 @@ def library() -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     check_draws(lib)
-    check_sweep(lib)
     check_seeds(lib)
+    check_sweep(lib)  # last: its lattice is drawn on a stream seed_words made
     return lib
-
-
-def pcg64_words(bit_generator) -> list[int]:
-    """A PCG64 bit generator's state as the kernel's six words: state low and
-    high, increment low and high, has_uint32 and uinteger."""
-    state = bit_generator.state
-    if state["bit_generator"] != "PCG64":
-        raise InvalidParameter(f"the kernel steps PCG64 streams, not {state['bit_generator']}")
-    s, inc = state["state"]["state"], state["state"]["inc"]
-    return [s % 2**64, s >> 64, inc % 2**64, inc >> 64, state["has_uint32"], state["uinteger"]]
 
 
 def seed_words(lib: ctypes.CDLL, master_seed: int, start: int, stop: int) -> np.ndarray:
     """The fresh state of stream (master_seed, c), for each c in [start, stop),
-    as the six words of :func:`pcg64_words`, one row a stream: the state of
-    ``RngStream(master_seed, c).gen.bit_generator``, made by ``kx_seed``
-    without a Generator.  Python only splits the seed into 32-bit words."""
+    as six words, one row a stream: the state of
+    ``RngStream(master_seed, c).gen.bit_generator`` laid out as the kernel
+    reads it (state low and high, increment low and high, has_uint32 and
+    uinteger), made by ``kx_seed`` without a Generator.  Python only splits the
+    seed into 32-bit words."""
     master_seed = operator.index(master_seed)  # a numpy integer too, as SeedSequence takes it
     if master_seed < 0:
         raise InvalidParameter(f"master_seed={master_seed} must be >= 0")
@@ -142,11 +138,11 @@ def seed_words(lib: ctypes.CDLL, master_seed: int, start: int, stop: int) -> np.
     return states
 
 
-def kernel_draws(lib: ctypes.CDLL, bit_generator, plan: tuple) -> list[np.ndarray]:
+def kernel_draws(lib: ctypes.CDLL, words: np.ndarray, plan: tuple) -> list[np.ndarray]:
     """Make the draws ``plan`` lists, ``(name, *args)`` Generator calls as in
-    :func:`exchange._step_plan`, through the kernel on the state of
-    ``bit_generator``, a PCG64, and leave it where the kernel left it."""
-    words = np.array(pcg64_words(bit_generator), dtype=np.uint64)
+    :func:`exchange._step_plan`, through the kernel on the stream whose state
+    is ``words``, six uint64 words laid out as :func:`seed_words` lays out a
+    row, and leave ``words`` where the kernel left the stream."""
     out = []
     for name, *args in plan:
         if name == "integers":
@@ -159,13 +155,6 @@ def kernel_draws(lib: ctypes.CDLL, bit_generator, plan: tuple) -> list[np.ndarra
             values = np.empty(size)
             lib.kx_uniform(words.ctypes.data, lo, hi, size, values.ctypes.data)
         out.append(values)
-    s_lo, s_hi, inc_lo, inc_hi, has_uint32, uinteger = map(int, words)
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo},
-        "has_uint32": has_uint32,
-        "uinteger": uinteger,
-    }
     return out
 
 
@@ -183,30 +172,57 @@ _CHECK_PLANS = (
     # rejected, and rewind the stream to it.
     (("integers", 0, 64, 515), ("integers", 0, 4, 515), ("random", 515), ("integers", 0, 2**27 + 1, 41)),
 )
+# What the draw check draws besides each plan: one value that leaves a half
+# pending in stream 1 first, and three that continue every stream last.
+_CHECK_PENDING = (("integers", 0, 7, 1),)
+_CHECK_CONTINUE = (("integers", 0, 2**31 + 1, 3),)
+# Committed values, equal to what numpy 2.4.6's SeedSequence and Generator
+# give (tests/test_kernel.py recomputes them from the installed numpy): the fresh
+# states of streams (_CHECK_SEED, 0..2), and the digest of each plan's draws.
+_CHECK_STARTS = (
+    (0x3d0fe0276cccbf4e, 0x0940fcfb73f6ccf1, 0x0e2fc5bb4df83d3f, 0x6ed5226017c30091, 0, 0),
+    (0xdaf08456ab20d514, 0x9f334ecc648e7ff5, 0xd6e1a96d37b58951, 0xc6447773df3e50f8, 0, 0),
+    (0x593a89da5d8bd048, 0x0a4bee0a1227c1ed, 0x1cc877654558a749, 0xe7f6b321190818e0, 0, 0),
+)
+_CHECK_DRAWS = (
+    "cae061473d2a31c76a52c91ae6cea548",
+    "e943650ca019f07f36e1177b511bc354",
+    "028d546d13e87469202e97af83a69f22",
+)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def check_draws(lib: ctypes.CDLL) -> None:
-    """Hold the kernel's draws to numpy's Generator on three streams.
+    """Hold the kernel's draws to the values committed for numpy's Generator
+    on three streams.
 
-    Raises DrawMismatch when any draw differs, or when a stream does not
-    continue as the Generator's does (a pending half lost or kept wrongly),
-    for example under a numpy whose PCG64 steps, or whose Generator maps its
-    output, otherwise, instead of letting a run continue on different bits.
+    Streams (_CHECK_SEED, 0..2) start from their committed fresh states
+    (``_CHECK_STARTS``), not from :func:`seed_words`, so that this check
+    holds the draws alone.  For each plan the check makes, on fresh streams,
+    the pending draw of stream 1, three rounds of the plan on each stream and
+    the continuing draws, and digests them with the streams' final six words;
+    each digest must equal the committed one (``_CHECK_DRAWS``).  Raises
+    DrawMismatch when any differs, for example under a build whose PCG64
+    steps, or whose maps turn words into values, otherwise, or which loses
+    or keeps a pending half wrongly, instead of letting a run continue on
+    different bits.
     """
-    mismatch = DrawMismatch(f"the step kernel's draws differ from the Generator of numpy {np.__version__}")
-    for plan in _CHECK_PLANS:
-        gens = [RngStream(_CHECK_SEED, c).gen for c in range(3)]
-        oracles = [RngStream(_CHECK_SEED, c).gen for c in range(3)]
-        for g in (gens[1], oracles[1]):
-            g.integers(0, 7, 1)  # leaves a half pending in stream 1
+    for plan, want in zip(_CHECK_PLANS, _CHECK_DRAWS):
+        words = np.array(_CHECK_STARTS, dtype=np.uint64)
+        values = kernel_draws(lib, words[1], _CHECK_PENDING)
         for _ in range(3):
-            for g, oracle in zip(gens, oracles):
-                got = kernel_draws(lib, g.bit_generator, plan)
-                if any(a.tobytes() != b.tobytes() for a, b in zip(got, replay(oracle, plan))):
-                    raise mismatch
-        for g, oracle in zip(gens, oracles):
-            if g.integers(0, 2**31 + 1, 3).tobytes() != oracle.integers(0, 2**31 + 1, 3).tobytes():
-                raise mismatch
+            for w in words:
+                values += kernel_draws(lib, w, plan)
+        for w in words:
+            values += kernel_draws(lib, w, _CHECK_CONTINUE)
+        if _digest([*values, words]) != want:
+            raise DrawMismatch(f"the step kernel's draws differ from numpy {PINNED_NUMPY}'s Generator")
 
 
 # Master seeds of one, two, three and five 32-bit words (words beyond the
@@ -214,25 +230,33 @@ def check_draws(lib: ctypes.CDLL) -> None:
 # spawn word and one of two.
 _CHECK_SEEDS = (_CHECK_SEED, _CHECK_SEED << 32 | 7, 2**95 + _CHECK_SEED, 2**130 + _CHECK_SEED)
 _CHECK_STREAMS = (0, 2**32 + 1)
+# The committed fresh state of each (seed, stream) above, seeds outer, and the
+# digest of the sweep check's lattice.
+_CHECK_SEED_WORDS = (
+    (0x3d0fe0276cccbf4e, 0x0940fcfb73f6ccf1, 0x0e2fc5bb4df83d3f, 0x6ed5226017c30091, 0, 0),
+    (0x839b9b3455d45939, 0x145c94aeaedef99b, 0xa4df80425e1c72f5, 0x8f19c15397570d32, 0, 0),
+    (0xa1db033737de3f47, 0x640ec0e88098d8a0, 0x67c8598fb83afa1d, 0xb8f956bb31a99e18, 0, 0),
+    (0x6e234c8074fe99ed, 0xccc4b6a958de936e, 0x82803a7901cb48c7, 0x95d8dd7a42c9405b, 0, 0),
+    (0x73f8514ed7364d43, 0x8601bf0e41920f6a, 0x88719b8a31d35cab, 0x47ae9b7e2f45bb05, 0, 0),
+    (0xf7b535e7db45ab49, 0x21396733c5a484de, 0x3ec7859cec54dc2f, 0x066eb0ec7c958146, 0, 0),
+    (0x81fe3f2cf51e7f2f, 0xaf7ceaeb77767cd1, 0xfd7e34e61f7c52c7, 0xf21791fea2a4516a, 0, 0),
+    (0xf9331ab12a34cbdc, 0xf560d9e5f7bb715b, 0x56144f363fb7d099, 0x621afe56b2bc0bb0, 0, 0),
+)
+_CHECK_LATTICE = "c5e26f85d156137cf824d108e38b8f0a"
 
 
 def check_seeds(lib: ctypes.CDLL) -> None:
     """Hold the kernel's fresh stream states (:func:`seed_words`) to the
-    PCG64 state of ``RngStream(seed, c)`` for the seeds and streams above.
+    committed PCG64 states of ``RngStream(seed, c)`` (``_CHECK_SEED_WORDS``)
+    for the seeds and streams above.
 
-    Raises SeedMismatch when any word differs, or when that stream's bit
-    generator is not a PCG64, for example under a numpy whose SeedSequence
-    hashes or whose PCG64 seeds otherwise, instead of letting a run start its
-    streams from other states than numpy's.
+    Raises SeedMismatch when any word differs, for example under a build whose
+    SeedSequence hash or PCG64 seeding differs from numpy's, instead of letting
+    a run start its streams from other states than numpy's.
     """
-    for seed in _CHECK_SEEDS:
-        for c in _CHECK_STREAMS:
-            bit_generator = RngStream(seed, c).gen.bit_generator
-            if (not isinstance(bit_generator, np.random.PCG64)
-                    or seed_words(lib, seed, c, c + 1).tolist() != [pcg64_words(bit_generator)]):
-                raise SeedMismatch(
-                    f"the kernel's stream seeding differs from the SeedSequence of numpy {np.__version__}"
-                )
+    got = [seed_words(lib, seed, c, c + 1)[0] for seed in _CHECK_SEEDS for c in _CHECK_STREAMS]
+    if np.array(got).tolist() != [list(w) for w in _CHECK_SEED_WORDS]:
+        raise SeedMismatch(f"the kernel's stream seeding differs from numpy {PINNED_NUMPY}'s SeedSequence")
 
 
 def neighbor_sum(cond_h: np.ndarray, cond_v: np.ndarray, potential: np.ndarray) -> np.ndarray:
@@ -245,21 +269,33 @@ def neighbor_sum(cond_h: np.ndarray, cond_v: np.ndarray, potential: np.ndarray) 
             + g_h * np.roll(v, -1, axis=1) + np.roll(g_h, 1, axis=1) * np.roll(v, 1, axis=1))
 
 
+def _sweep_lattice(lib: ctypes.CDLL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep check's 13 x 13 lattice: conductances in [0.1, 1.1) and
+    potentials in [0, 1), boundary rows included, drawn in that order on stream
+    (_CHECK_SEED, 0) as ``Generator.random`` draws them."""
+    L = 13
+    plan = (("random", L * L), ("random", (L - 1) * L), ("random", L * L))
+    u_h, u_v, potential = kernel_draws(lib, seed_words(lib, _CHECK_SEED, 0, 1)[0], plan)
+    return u_h.reshape(L, L) + 0.1, u_v.reshape(L - 1, L) + 0.1, potential.reshape(L, L)
+
+
 def check_sweep(lib: ctypes.CDLL) -> None:
     """Hold the kernel's lattice sweeps to numpy on a fixed lattice.
 
-    Three sweeps (odd, so the kernel copies its result back) of a 13 x 13
-    lattice with random potentials, boundary rows included: 11 middle nodes a
-    row, so a vectorized loop runs its remainder too, at 2 or 4 lanes.  The
-    numpy form is :func:`neighbor_sum` over the weight sums, with its mean
-    |dV| summed strictly in row-major order.  Raises SweepMismatch when any
-    sweep's value or the final potentials differ in any bit, for example under
-    a build whose compiler fused or reordered an operation, instead of letting
-    a run continue on different bits.
+    Three sweeps (odd, so the kernel copies its result back) of
+    :func:`_sweep_lattice`, whose digest must be the committed one
+    (``_CHECK_LATTICE``): 11 middle nodes a row, so a vectorized loop runs its
+    remainder too, at 2 or 4 lanes.  The numpy form is :func:`neighbor_sum`
+    over the weight sums, with its mean |dV| summed strictly in row-major
+    order.  Raises SweepMismatch when the lattice or any sweep's value or the
+    final potentials differ in any bit, for example under a build whose
+    compiler fused or reordered an operation, instead of letting a run continue
+    on different bits.
     """
-    L, sweeps = 13, 3
-    g = np.random.default_rng(_CHECK_SEED)
-    cond_h, cond_v, potential = g.random((L, L)) + 0.1, g.random((L - 1, L)) + 0.1, g.random((L, L))
+    cond_h, cond_v, potential = _sweep_lattice(lib)
+    if _digest((cond_h, cond_v, potential)) != _CHECK_LATTICE:
+        raise SweepMismatch(f"the sweep check's lattice differs from numpy {PINNED_NUMPY}'s draws")
+    L, sweeps = potential.shape[0], 3
     weight_sum = neighbor_sum(cond_h, cond_v, np.ones((L, L)))
     want, want_xs = potential.copy(), np.empty(sweeps)
     for t in range(sweeps):

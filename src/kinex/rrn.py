@@ -10,7 +10,9 @@ nodes, the direct analog of the wealth-model observable.
 
 The stencil's numpy statement, :func:`kernel.neighbor_sum`, lives beside the
 kernel's sweep check, which is its oracle use; this module imports it from
-there, with the kernel's loader, at its own import.  The CLI imports this
+there, with the kernel's loader and its draws, at its own import.  Each
+realization's lattice is drawn by the kernel on its stream's six words, so a
+run builds no numpy ``Generator``.  The CLI imports this
 module only when ``kinex rrn`` runs, and the lattice's initial-potential names
 (``INIT_HALF`` ...) come from :mod:`relaxation`, where config load reads them.
 """
@@ -23,10 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, ShapeError
-from .kernel import library, neighbor_sum
+from .kernel import kernel_draws, library, neighbor_sum, seed_words
 from .relaxation import INIT_HALF, INIT_RAMP, RelaxationSeries, _check_lattice, cell_series
 from .relaxation import LATTICE_INITS  # noqa: F401  (the lattice's init names, as rrn's own)
-from .streams import RngStream
 
 G_FLOOR = 1e-9  # excludes zero-conductance bonds so no node is isolated
 
@@ -88,23 +89,32 @@ class ResistorLattice:
 def build_lattice(
     L: int,
     g_window: tuple[float, float],
-    rng: RngStream,
+    words: np.ndarray,
     init: str = INIT_HALF,
 ) -> ResistorLattice:
     """Sample bond conductances uniformly in [max(g_min, 1e-9), g_max].
 
-    A bond is ``g_max - u (g_max - lo)`` for ``u`` in [0, 1), with
-    ``lo = max(g_min, 1e-9)``; at the largest ``u`` it can round to ``lo``
-    (for the window (0.5, 1), say).  The floor keeps every bond strictly
-    positive even for a window starting at 0.  Horizontal bonds are drawn
-    before vertical ones.
+    The draws are made by the kernel on a copy of ``words``, a stream's six
+    words as a row of :func:`kernel.seed_words`, which is left as it was: the
+    lattice of stream (master_seed, c) is built from
+    ``seed_words(library(), master_seed, c, c + 1)[0]``, with the bits that
+    ``RngStream(master_seed, c).gen.random`` would give.  A bond is
+    ``g_max - u (g_max - lo)`` for ``u`` in [0, 1), with ``lo = max(g_min,
+    1e-9)``; at the largest ``u`` it can round to ``lo`` (for the window (0.5,
+    1), say).  The floor keeps every bond strictly positive even for a window
+    starting at 0.  Horizontal bonds are drawn before vertical ones, and the
+    random init's interior potentials after both.
     """
     _check_lattice(L, (g_window,), init)
+    words = np.array(words, dtype=np.uint64)  # the kernel steps this copy
+    if words.shape != (6,):
+        raise ShapeError(f"a stream's state is 6 words, not an array of shape {words.shape}")
+    lib = library()
     g_min, g_max = g_window
-    g = rng.gen
     lo = max(g_min, G_FLOOR)
-    cond_h = g_max - g.random((L, L)) * (g_max - lo)
-    cond_v = g_max - g.random((L - 1, L)) * (g_max - lo)
+    u_h, u_v = kernel_draws(lib, words, (("random", L * L), ("random", (L - 1) * L)))
+    cond_h = g_max - u_h.reshape(L, L) * (g_max - lo)
+    cond_v = g_max - u_v.reshape(L - 1, L) * (g_max - lo)
 
     potential = np.empty((L, L))
     if init == INIT_HALF:
@@ -112,7 +122,7 @@ def build_lattice(
     elif init == INIT_RAMP:
         potential[:] = (1.0 - np.arange(L) / (L - 1))[:, None]
     else:
-        potential[1:-1, :] = g.random((L - 2, L))
+        potential[1:-1, :] = kernel_draws(lib, words, (("random", (L - 2) * L),))[0].reshape(L - 2, L)
     potential[0, :] = 1.0
     potential[-1, :] = 0.0
     return ResistorLattice(
@@ -183,8 +193,8 @@ def solve_kirchhoff_dense(lat: ResistorLattice) -> np.ndarray:
     return v.reshape(n_rows, L)
 
 
-def _realization_series(L, g_window, t_max, init, rng: RngStream) -> np.ndarray:
-    return _relax(build_lattice(L, g_window, rng, init=init), t_max)
+def _realization_series(L, g_window, t_max, init, words: np.ndarray) -> np.ndarray:
+    return _relax(build_lattice(L, g_window, words, init=init), t_max)
 
 
 def run_rrn_relaxation(
@@ -203,7 +213,7 @@ def run_rrn_relaxation(
     (:func:`relaxation.stream_mean`).  ``g_window`` may be a tuple of windows,
     the cells of a sweep: the result is then a list of their series from one
     fan-out, each the same bits as the window's own run, since every window
-    builds realization c's lattice from a fresh stream (master_seed, c).
+    builds realization c's lattice from stream (master_seed, c)'s fresh words.
     """
     single = np.ndim(g_window) == 1
     windows = (g_window,) if single else tuple(g_window)
@@ -211,8 +221,8 @@ def run_rrn_relaxation(
     def traces(start: int, stop: int) -> np.ndarray:
         """Sweep traces of realizations [start, stop), shape (realizations, windows, t_max)."""
         return np.array([
-            [_realization_series(L, w, t_max, init, RngStream(master_seed, c)) for w in windows]
-            for c in range(start, stop)
+            [_realization_series(L, w, t_max, init, words) for w in windows]
+            for words in seed_words(library(), master_seed, start, stop)
         ])
 
     labels = [f"rrn-L{L}-g{w[0]:g}-{w[1]:g}" for w in windows]

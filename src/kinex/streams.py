@@ -85,7 +85,7 @@ def map_stream_blocks(block: Callable, n_streams: int, workers: int = 1, cells: 
     spans = [(lo, min(lo + size, n_streams)) for lo in range(0, n_streams, size)]
     if workers <= 1 or len(spans) == 1:
         return [block(start, stop) for start, stop in spans]
-    from threading import Thread  # here, not at import: numpy.random, loaded by now, imports it
+    from threading import Thread  # here, not at import: a run on one thread never loads it
 
     results = [None] * len(spans)
     pending = deque(enumerate(spans))  # its pops are atomic: no two threads take a block

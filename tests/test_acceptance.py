@@ -27,6 +27,7 @@ from kinex import (
     solve_kirchhoff_dense,
 )
 from kinex.cli import main
+from kinex.kernel import library, seed_words
 from kinex.distribution import fit_histogram_slope, lambda_binned_means, run_equilibrium, wealth_histogram
 from kinex.relaxation import RelaxationSeries
 
@@ -175,7 +176,7 @@ def test_c08_rrn_fixed_point_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for c in range(10):
-        lat = build_lattice(10, (0.0, 1.0), RngStream(SEED, c))
+        lat = build_lattice(10, (0.0, 1.0), seed_words(library(), SEED, c, c + 1)[0])
         for _ in range(20_000):
             if relax_sweep(lat) < 1e-13:
                 break

@@ -63,16 +63,11 @@ def record_fan_outs(monkeypatch):
 
 
 def break_draw_check(monkeypatch, tmp_path):
-    """Make numpy's Generator, the draw check's oracle, disagree with the step
-    kernel's draws, as a numpy that mapped its bit generator's output
-    differently would."""
+    """Make the draw check's committed digests disagree with the step kernel's
+    draws, as they would for a build whose draws differ."""
     from kinex import kernel
-    from kinex.streams import replay
 
-    def shifted(source, plan):
-        return [np.nextafter(a, np.inf) if a.dtype.kind == "f" else a for a in replay(source, plan)]
-
-    monkeypatch.setattr(kernel, "replay", shifted)
+    monkeypatch.setattr(kernel, "_CHECK_DRAWS", ("0" * 32, *kernel._CHECK_DRAWS[1:]))
     kernel.library.cache_clear()
 
 
@@ -542,6 +537,8 @@ class TestCommands:
             ({**BASE, "n_configs": True}, [], None, "config error: n_configs=True cannot be read as int"),
             ({**BASE, "master_seed": 3.5}, [], None, "config error: master_seed=3.5 cannot be read as int"),
             ({**BASE, "n_agents": 100.7}, [], None, "config error: n_agents=100.7 cannot be read as int"),
+            # a float beyond 2^53 may not be the integer it was written as
+            ({**BASE, "master_seed": 1.0e30}, [], None, "config error: master_seed=1e+30 cannot be read as int"),
             ({**BASE, "eps_values": [True, 0.5]}, [], None,
              "config error: eps_values=[True, 0.5] cannot be read as tuple[float, ...]"),
             ({**BASE, "lambda_windows": [[False, True]]}, [], None,
@@ -552,7 +549,7 @@ class TestCommands:
         ids=["epsilon_abc", "section_not_mapping", "threads_env_abc", "threads_flag_0", "unknown_rule",
              "unknown_pairing", "unknown_init", "init_total_0", "general_eps1_window_reversed",
              "fit_window_reversed", "fit_window_empty", "fit_x0_nan", "fit_x0_inf", "n_configs_inf",
-             "fit_window_inf", "n_configs_bool", "master_seed_fraction", "n_agents_fraction",
+             "fit_window_inf", "n_configs_bool", "master_seed_fraction", "n_agents_fraction", "master_seed_1e30",
              "eps_values_bool", "lambda_windows_bool", "epsilon_bool"],
     )
     def test_load_refusals_exit_2_with_their_line(
@@ -1053,22 +1050,28 @@ def test_benchmark_traced_names_resolve():
     assert missing == []
 
 
-# Each run: its argv after the config, its config's sections over BASE, and the
-# modules it must not load.  Where no bytecode cache is written, each module a
-# run loads is compiled at every start, so a subcommand loads only what it runs.
+# Each run: its subcommand, its argv after the config, its config's sections
+# over BASE, and the modules it must not load.  Where no bytecode cache is
+# written, each module a run loads is compiled at every start, so a subcommand
+# loads only what it runs.  No run loads numpy.random: the kernel seeds and
+# steps every stream, and its load checks compare it with committed values.
+NOT_WEALTH = ["kinex.rrn", "kinex.theory", "kinex.distribution", "multiprocessing", "numpy.random"]
 STARTUP_RUNS = {
-    "relax": ([], {}, ["kinex.rrn", "kinex.theory", "kinex.distribution", "multiprocessing"]),
-    "lambda-family": (["--threads", "2"], {"lambda_windows": [[0.0, 1.0], [0.5, 1.0]]},
-                      ["kinex.rrn", "kinex.theory", "kinex.distribution", "multiprocessing"]),
-    "rrn": (["--threads", "2"], SMALL_RRN, ["kinex.distribution", "kinex.theory"]),
-    "dist": (["--threads", "2"], {"equilibration_steps": 5, "sample_steps": 5},
-             ["kinex.rrn", "kinex.theory"]),
+    "relax": ("relax", [], {}, NOT_WEALTH),
+    "lambda-family": ("lambda-family", ["--threads", "2"], {"lambda_windows": [[0.0, 1.0], [0.5, 1.0]]},
+                      NOT_WEALTH),
+    "eps-sweep": ("eps-sweep", ["--threads", "2"], {"eps_values": [0.3, 0.5]}, NOT_WEALTH),
+    "rrn": ("rrn", ["--threads", "2"], SMALL_RRN, ["kinex.distribution", "kinex.theory", "numpy.random"]),
+    "rrn-dense-check": ("rrn", [], {**SMALL_RRN, "dense_check": True},
+                        ["kinex.distribution", "kinex.theory", "numpy.random"]),
+    "dist": ("dist", ["--threads", "2"], {"equilibration_steps": 5, "sample_steps": 5},
+             ["kinex.rrn", "kinex.theory", "numpy.random"]),
 }
 
 
-@pytest.mark.parametrize("experiment", list(STARTUP_RUNS))
-def test_a_run_loads_only_the_modules_its_subcommand_runs(tmp_path, experiment):
-    argv, section, unused = STARTUP_RUNS[experiment]
+@pytest.mark.parametrize("run", list(STARTUP_RUNS))
+def test_a_run_loads_only_the_modules_its_subcommand_runs(tmp_path, run):
+    experiment, argv, section, unused = STARTUP_RUNS[run]
     p = write_cfg(tmp_path, {**BASE, experiment: section})
     code = "import json, sys, kinex.cli; print(json.dumps([kinex.cli.main(sys.argv[1:]), sorted(sys.modules)]))"
     env = {k: v for k, v in os.environ.items() if k != "KINEX_THREADS"}
@@ -1081,6 +1084,9 @@ def test_a_run_loads_only_the_modules_its_subcommand_runs(tmp_path, experiment):
     assert exit_code == 0
     assert "kinex.kernel" in modules  # the run simulated
     assert [m for m in modules if any(m == u or m.startswith(u + ".") for u in unused)] == []
+    if section.get("dense_check"):
+        notes = json.loads((tmp_path / "o" / "manifest.json").read_text())["notes"]
+        assert any(note.startswith("dense-solver check") for note in notes)
 
 
 def test_battery_script_passes_threads_0_on_and_writes_nothing(tmp_path):

@@ -1,6 +1,7 @@
 """The compiled step kernel: its draws against numpy's Generator and its fresh
 stream states against numpy's SeedSequence, byte for byte, its load checks,
-and how it is built and loaded.
+the committed values they hold it to against the installed numpy, and how it
+is built and loaded.
 
 The kernel's draws must be what ``Generator.integers``, ``random`` and
 ``uniform`` return for the same calls on the same stream, and leave the stream
@@ -33,6 +34,31 @@ from kinex.streams import RngStream, replay
 
 # Spans where about half and a quarter of all 32-bit values are rejected.
 REJECTING = (2**31 + 1, 3 * 2**30 + 7)
+
+
+def pcg64_words(bit_generator) -> list[int]:
+    """A PCG64 bit generator's state as the kernel's six words: state low and
+    high, increment low and high, has_uint32 and uinteger."""
+    state = bit_generator.state
+    if state["bit_generator"] != "PCG64":
+        raise InvalidParameter(f"the kernel steps PCG64 streams, not {state['bit_generator']}")
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return [s % 2**64, s >> 64, inc % 2**64, inc >> 64, state["has_uint32"], state["uinteger"]]
+
+
+def generator_draws(lib, bit_generator, plan: tuple) -> list[np.ndarray]:
+    """The kernel's draws for ``plan`` on the state of ``bit_generator``, a
+    PCG64, which is left where the kernel left the stream."""
+    words = np.array(pcg64_words(bit_generator), dtype=np.uint64)
+    out = kernel.kernel_draws(lib, words, plan)
+    s_lo, s_hi, inc_lo, inc_hi, has_uint32, uinteger = map(int, words)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
+    return out
 
 
 @pytest.fixture
@@ -73,7 +99,7 @@ def test_kernel_draws_match_generator_on_kernel_spans(n, seed):
     lib = kernel.library()
     g, oracle = RngStream(seed, n).gen, RngStream(seed, n).gen
     for _ in range(3):
-        assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+        assert_same_draws(generator_draws(lib, g.bit_generator, plan), replay(oracle, plan))
     assert_continues_alike(g, oracle)
 
 
@@ -102,7 +128,7 @@ def test_kernel_draws_match_generator_per_stream(plan, pending):
         oracles[r].integers(0, 7, 1)
     for _ in range(5):
         for g, oracle in zip(gens, oracles):
-            assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+            assert_same_draws(generator_draws(lib, g.bit_generator, plan), replay(oracle, plan))
     for g, oracle in zip(gens, oracles):
         assert_continues_alike(g, oracle)
 
@@ -119,7 +145,7 @@ def test_kernel_draws_match_generator_where_rejection_is_frequent(seed):
     lib = kernel.library()
     g, oracle = RngStream(seed, 1).gen, RngStream(seed, 1).gen
     for _ in range(3):
-        assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+        assert_same_draws(generator_draws(lib, g.bit_generator, plan), replay(oracle, plan))
     assert_continues_alike(g, oracle)
 
 
@@ -133,7 +159,7 @@ def test_kernel_reads_what_the_generator_left_first(drawn):
     g.integers(0, 10, drawn)
     oracle.integers(0, 10, drawn)
     assert g.bit_generator.state["has_uint32"] == drawn % 2
-    assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+    assert_same_draws(generator_draws(lib, g.bit_generator, plan), replay(oracle, plan))
     assert_continues_alike(g, oracle)
 
 
@@ -145,7 +171,7 @@ def test_kernel_integers_match_generator_at_the_edges_of_the_32_bit_path(span):
     lib = kernel.library()
     g, oracle = RngStream(4, span % 1000).gen, RngStream(4, span % 1000).gen
     for _ in range(3):
-        assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+        assert_same_draws(generator_draws(lib, g.bit_generator, plan), replay(oracle, plan))
     assert_continues_alike(g, oracle)
 
 
@@ -197,7 +223,7 @@ def _state_before(after, inc=INC):
 def test_kernel_steps_pcg64_as_numpy_does_at_its_edges(state, inc, has_uint32, uinteger, plan):
     lib = kernel.library()
     g, oracle = (_generator_at(state, inc, has_uint32, uinteger) for _ in range(2))
-    assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+    assert_same_draws(generator_draws(lib, g.bit_generator, plan), replay(oracle, plan))
     assert g.bit_generator.state == oracle.bit_generator.state
     assert_continues_alike(g, oracle)
 
@@ -216,7 +242,7 @@ def _draws_and_state_match(plan, pending):
     if pending:
         g.integers(0, 7, 1)
         oracle.integers(0, 7, 1)
-    assert_same_draws(kernel.kernel_draws(lib, g.bit_generator, plan), replay(oracle, plan))
+    assert_same_draws(generator_draws(lib, g.bit_generator, plan), replay(oracle, plan))
     assert g.bit_generator.state == oracle.bit_generator.state
     assert_continues_alike(g, oracle)
 
@@ -254,7 +280,7 @@ def test_kernel_draws_match_generator_on_mixed_plans(plan, pending):
 def test_kernel_draws_refuse_a_stream_that_is_not_pcg64():
     g = np.random.Generator(np.random.MT19937(5))
     with pytest.raises(InvalidParameter, match="MT19937"):
-        kernel.kernel_draws(kernel.library(), g.bit_generator, (("random", 3),))
+        generator_draws(kernel.library(), g.bit_generator, (("random", 3),))
 
 
 @settings(max_examples=100, deadline=None)
@@ -265,7 +291,7 @@ def test_kernel_draws_refuse_a_stream_that_is_not_pcg64():
 )
 def test_seed_words_are_numpy_s_fresh_states(seed, start, span):
     got = kernel.seed_words(kernel.library(), seed, start, start + span)
-    want = [kernel.pcg64_words(RngStream(seed, c).gen.bit_generator) for c in range(start, start + span)]
+    want = [pcg64_words(RngStream(seed, c).gen.bit_generator) for c in range(start, start + span)]
     assert got.dtype == np.uint64 and got.tolist() == want
 
 
@@ -369,8 +395,9 @@ def test_library_refuses_a_build_whose_seeding_differs(tmp_path, monkeypatch, fr
     # Kernels built from copies of the source with a hash multiplier off in
     # one bit, a stream index from 2^32 on hashed by its low word alone, a
     # master seed's words past the pool's four left out, and a PCG64 state
-    # whose two 64-bit halves are taken the other way round.  The library
-    # checks its seeding last, so each has passed the draw and sweep checks.
+    # whose two 64-bit halves are taken the other way round.  Each passes the
+    # draw check, whose streams start from committed words, and the seed check
+    # runs before the sweep check, whose lattice is drawn on a seeded stream.
     _use_source_with(old, new, tmp_path, monkeypatch)
     with pytest.raises(SeedMismatch):
         kernel.library()
@@ -378,8 +405,9 @@ def test_library_refuses_a_build_whose_seeding_differs(tmp_path, monkeypatch, fr
 
 
 def test_seed_check_passes_here_and_catches_a_mismatch(monkeypatch):
-    # The check's oracle is RngStream's numpy stream; each patch stands for a
-    # numpy that seeds it otherwise: a SeedSequence with a pool of 8 words, one
+    # The check holds the kernel to committed words, and the oracle test holds
+    # those to the installed numpy; each patch stands for a numpy that seeds
+    # RngStream's stream otherwise: a SeedSequence with a pool of 8 words, one
     # that keeps a stream index's low word alone, one that keeps a master
     # seed's low 64 bits alone, and a default_rng whose stream is not a PCG64.
     lib = kernel.library()
@@ -397,8 +425,14 @@ def test_seed_check_passes_here_and_catches_a_mismatch(monkeypatch):
         for patched in patches:
             with monkeypatch.context() as m:
                 m.setattr(np.random, name, patched)
-                with pytest.raises(SeedMismatch):
-                    kernel.check_seeds(lib)
+                with pytest.raises(AssertionError, match="_CHECK_SEED_WORDS"):
+                    assert_committed_check_values_are_numpy_s()
+    # and a committed word that is not the kernel's stops the load
+    words = [list(w) for w in kernel._CHECK_SEED_WORDS]
+    words[-1][1] ^= 1
+    monkeypatch.setattr(kernel, "_CHECK_SEED_WORDS", words)
+    with pytest.raises(SeedMismatch):
+        kernel.check_seeds(lib)
 
 
 def test_sweep_check_holds_the_kernel_to_the_lattice_s_numpy_stencil(monkeypatch):
@@ -443,7 +477,7 @@ def test_each_clone_of_the_sweep_gives_the_library_s_bits(tmp_path, variant):
     lib = ctypes.CDLL(str(built))
     lib.kx_relax.restype, lib.kx_relax.argtypes = kernel._SIGNATURES["kx_relax"]
     for L, init, t_max in itertools.product([3, 4, 7, 100], LATTICE_INITS, [1, 2, 3, 400]):
-        lat = build_lattice(L, (0.0, 1.0), RngStream(31, L), init=init)
+        lat = build_lattice(L, (0.0, 1.0), kernel.seed_words(kernel.library(), 31, L, L + 1)[0], init=init)
         potential, spare, xs = lat.potential.copy(), np.empty((L, L)), np.empty(t_max)
         lib.kx_relax(L, lat.cond_v.ctypes.data, lat.cond_h.ctypes.data, lat.weight_sum.ctypes.data,
                      potential.ctypes.data, spare.ctypes.data, t_max, xs.ctypes.data)
@@ -464,13 +498,62 @@ def test_the_avx2_clone_of_the_sweep_uses_256_bit_registers():
     assert re.search(r"vdivpd .*%ymm", clone.group(1))
 
 
+def numpy_check_values(draw=replay) -> dict:
+    """The values the kernel's load checks hold it to, as the installed numpy
+    makes them: every constant they compare with, by its name in
+    :mod:`kinex.kernel`.  The draws are made by ``draw(generator, plan)``,
+    on RngStream's Generators, as check_draws makes them through the kernel."""
+    seed, L = kernel._CHECK_SEED, 13
+    streams = [RngStream(s, c).gen for s in kernel._CHECK_SEEDS for c in kernel._CHECK_STREAMS]
+    starts = [RngStream(seed, c).gen for c in range(3)]
+    assert all(isinstance(g.bit_generator, np.random.PCG64) for g in streams + starts), \
+        "RngStream's bit generator is not a PCG64: no _CHECK_SEED_WORDS can be pinned from it"
+    draws = []
+    for plan in kernel._CHECK_PLANS:
+        gens = [RngStream(seed, c).gen for c in range(3)]
+        values = draw(gens[1], kernel._CHECK_PENDING)
+        for _ in range(3):
+            for g in gens:
+                values += draw(g, plan)
+        for g in gens:
+            values += draw(g, kernel._CHECK_CONTINUE)
+        final = np.array([pcg64_words(g.bit_generator) for g in gens], dtype=np.uint64)
+        draws.append(kernel._digest([*values, final]))
+    g = RngStream(seed, 0).gen
+    lattice = (g.random((L, L)) + 0.1, g.random((L - 1, L)) + 0.1, g.random((L, L)))
+    return {
+        "_CHECK_STARTS": tuple(tuple(pcg64_words(g.bit_generator)) for g in starts),
+        "_CHECK_DRAWS": tuple(draws),
+        "_CHECK_SEED_WORDS": tuple(tuple(pcg64_words(g.bit_generator)) for g in streams),
+        "_CHECK_LATTICE": kernel._digest(lattice),
+    }
+
+
+def assert_committed_check_values_are_numpy_s(draw=replay) -> None:
+    want = numpy_check_values(draw)
+    differ = {name: value for name, value in want.items() if getattr(kernel, name) != value}
+    assert not differ, (
+        f"numpy {np.__version__} makes other values than kinex/kernel.py commits for its load checks;"
+        " if this numpy's streams are to be kinex's, re-pin these there:\n"
+        + "\n".join(f"{name} = {value!r}" for name, value in differ.items())
+    )
+
+
+def test_the_committed_check_values_are_the_installed_numpy_s():
+    # The load checks compare the kernel with committed values, so a run's
+    # bits do not depend on the installed numpy.random; this test holds those
+    # values to it, so a numpy that streams otherwise fails here, not in a run.
+    assert_committed_check_values_are_numpy_s()
+
+
 def test_draw_check_passes_here_and_catches_a_mismatch(monkeypatch):
     lib = kernel.library()
     kernel.check_draws(lib)
-    # The check's oracle is numpy's Generator; each broken one stands for a
-    # numpy that maps its bit generator's output otherwise: doubles one ulp
-    # off, integers off by one in their lowest bit, and a stream that keeps a
-    # pending half where the kernel's does not.
+    # The check holds the kernel to committed digests, and the oracle test
+    # holds those to the installed numpy's Generator; each broken one stands
+    # for a numpy that maps its bit generator's output otherwise: doubles one
+    # ulp off, integers off by one in their lowest bit, and a stream that keeps
+    # a pending half where the kernel's does not.
     mutations = [
         lambda source, plan: [np.nextafter(a, np.inf) if a.dtype.kind == "f" else a
                               for a in replay(source, plan)],
@@ -478,8 +561,14 @@ def test_draw_check_passes_here_and_catches_a_mismatch(monkeypatch):
         lambda source, plan: (replay(source, plan), source.integers(0, 7, 1))[0],
     ]
     for broken in mutations:
+        with pytest.raises(AssertionError, match="_CHECK_DRAWS ="):
+            assert_committed_check_values_are_numpy_s(broken)
+    # and a committed digest that is not the kernel's stops the load, as does
+    # a committed start state the kernel's draws did not come from
+    for name, value in (("_CHECK_DRAWS", (*kernel._CHECK_DRAWS[:2], "0" * 32)),
+                        ("_CHECK_STARTS", ((1, 2, 3, 5, 0, 0), *kernel._CHECK_STARTS[1:]))):
         with monkeypatch.context() as m:
-            m.setattr(kernel, "replay", broken)
+            m.setattr(kernel, name, value)
             with pytest.raises(DrawMismatch):
                 kernel.check_draws(lib)
 
@@ -549,6 +638,17 @@ def test_a_built_kernel_loads_without_the_compiler_modules():
     # a build needs them.
     kernel.library()  # built here, if the cache held no build
     code = "import sys, kinex.kernel as k; k.library(); print('subprocess' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(kernel.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_a_loaded_kernel_leaves_numpy_random_unloaded():
+    # The load checks compare the kernel with committed values, so no run
+    # imports numpy.random (about 5 ms in a fresh process) to check it.
+    code = "import sys, kinex.kernel as k; k.library(); print('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(kernel.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -1,12 +1,10 @@
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from kinex import (
     InvalidParameter,
-    RngStream,
     build_lattice,
     node_current_residuals,
     relax_sweep,
@@ -14,9 +12,15 @@ from kinex import (
     solve_kirchhoff_dense,
 )
 from kinex.errors import ShapeError
+from kinex.kernel import library, seed_words
 from kinex import relaxation, rrn
 from kinex.rrn import LATTICE_INITS, ResistorLattice, _realization_series
-from kinex.streams import map_stream_blocks
+from kinex.streams import RngStream, map_stream_blocks
+
+
+def stream_words(master_seed, c=0):
+    """Stream (master_seed, c)'s fresh six words, from which a run builds its lattice."""
+    return seed_words(library(), master_seed, c, c + 1)[0]
 
 
 def roll_neighbor_sum(cond_h, cond_v, V):
@@ -76,23 +80,25 @@ def relax_to_convergence(lat, threshold=1e-12, max_sweeps=100_000):
 
 class TestBuildLattice:
     def test_homogeneous_window_relaxes_to_ramp(self):
-        lat = build_lattice(9, (1.0, 1.0 + 1e-12), RngStream(2), init="half")
+        lat = build_lattice(9, (1.0, 1.0 + 1e-12), stream_words(2), init="half")
         relax_to_convergence(lat)
         ramp = (1.0 - np.arange(9) / 8.0)[:, None] * np.ones((9, 9))
         assert np.abs(lat.potential - ramp).max() < 1e-6
 
     def test_bond_statistics(self):
-        lat = build_lattice(100, (0.0, 1.0), RngStream(4))
+        lat = build_lattice(100, (0.0, 1.0), stream_words(4))
         bonds = np.concatenate([lat.cond_h.ravel(), lat.cond_v.ravel()])
         assert bonds.min() > 0.0
         assert bonds.mean() == pytest.approx(0.5, abs=0.01)
 
     @pytest.mark.parametrize("window", [(0.0, 1.0), (0.5, 1.0), (0.9, 1.0), (0.2, 3.0)])
-    def test_bonds_at_the_largest_draw_stay_at_or_above_the_floor(self, window):
+    def test_bonds_at_the_largest_draw_stay_at_or_above_the_floor(self, monkeypatch, window):
         """At the largest u numpy draws, g_max - u (g_max - lo) rounds to lo
         itself for (0.5, 1) and (0.9, 1): the window's lower end is closed."""
-        largest = SimpleNamespace(gen=SimpleNamespace(random=lambda shape: np.full(shape, 1.0 - 2.0**-53)))
-        lat = build_lattice(4, window, largest)
+        monkeypatch.setattr(rrn, "kernel_draws", lambda lib, words, plan: [
+            np.full(size, 1.0 - 2.0**-53) for _, size in plan
+        ])
+        lat = build_lattice(4, window, stream_words(0))
         lo = max(window[0], rrn.G_FLOOR)
         bonds = np.concatenate([lat.cond_h.ravel(), lat.cond_v.ravel()])
         assert bonds.min() >= lo > 0.0
@@ -101,27 +107,48 @@ class TestBuildLattice:
 
     def test_degenerate_size_rejected(self):
         with pytest.raises(InvalidParameter):
-            build_lattice(2, (0.0, 1.0), RngStream(0))
+            build_lattice(2, (0.0, 1.0), stream_words(0))
 
     def test_invalid_window_rejected(self):
         with pytest.raises(InvalidParameter):
-            build_lattice(5, (1.0, 0.5), RngStream(0))
+            build_lattice(5, (1.0, 0.5), stream_words(0))
         with pytest.raises(InvalidParameter):
-            build_lattice(5, (-0.1, 1.0), RngStream(0))
+            build_lattice(5, (-0.1, 1.0), stream_words(0))
 
     def test_boundaries_pinned(self):
-        lat = build_lattice(6, (0.2, 1.0), RngStream(3), init="random")
+        lat = build_lattice(6, (0.2, 1.0), stream_words(3), init="random")
         for _ in range(50):
             relax_sweep(lat)
         assert np.all(lat.potential[0] == 1.0)
         assert np.all(lat.potential[-1] == 0.0)
+
+    @pytest.mark.parametrize("c", [0, 1, 57, 2**32 + 3])
+    @pytest.mark.parametrize("init", LATTICE_INITS)
+    def test_lattice_is_the_generator_s_from_stream_words(self, c, init):
+        # The kernel's draws on stream (master_seed, c)'s fresh words are
+        # RngStream(master_seed, c)'s Generator draws, byte for byte, and the
+        # words passed in are left as they were.
+        L, window = 7, (0.2, 1.5)
+        words = stream_words(44, c)
+        fresh = words.copy()
+        lat = build_lattice(L, window, words, init=init)
+        assert words.tobytes() == fresh.tobytes()
+        g, lo = RngStream(44, c).gen, window[0]
+        assert lat.cond_h.tobytes() == (window[1] - g.random((L, L)) * (window[1] - lo)).tobytes()
+        assert lat.cond_v.tobytes() == (window[1] - g.random((L - 1, L)) * (window[1] - lo)).tobytes()
+        if init == "random":
+            assert lat.potential[1:-1].tobytes() == g.random((L - 2, L)).tobytes()
+
+    def test_stream_words_of_another_shape_are_refused(self):
+        with pytest.raises(ShapeError, match="6 words"):
+            build_lattice(5, (0.0, 1.0), stream_words(0)[:5])
 
 
 class TestRelaxSweep:
     @pytest.mark.parametrize("init", LATTICE_INITS)
     @pytest.mark.parametrize("L", [3, 4, 7, 100])
     def test_matches_roll_stencil_bytewise(self, L, init):
-        assert_matches_roll_oracle(build_lattice(L, (0.0, 1.0), RngStream(11, L), init=init))
+        assert_matches_roll_oracle(build_lattice(L, (0.0, 1.0), stream_words(11, L), init=init))
 
     def test_direct_lattice_matches_roll_stencil_bytewise(self):
         g = np.random.default_rng(5)
@@ -140,7 +167,7 @@ class TestRelaxSweep:
     def test_fixed_order_sum_is_within_rounding_of_numpys_mean(self):
         # The sweep sums |dV| in row-major order; numpy's mean sums pairwise,
         # so the two may differ in their last bits, and only there.
-        lat = build_lattice(100, (0.0, 1.0), RngStream(11, 100), init="random")
+        lat = build_lattice(100, (0.0, 1.0), stream_words(11, 100), init="random")
         xs, means = np.empty(300), np.empty(300)
         for t in range(300):
             old = lat.potential[1:-1, :].copy()
@@ -178,7 +205,7 @@ class TestRelaxSweep:
         assert relax_sweep(lat) == 0.0
 
     def test_jacobi_zeroes_node_current_against_old_neighbors(self):
-        lat = build_lattice(8, (0.1, 1.0), RngStream(7), init="random")
+        lat = build_lattice(8, (0.1, 1.0), stream_words(7), init="random")
         V_old = lat.potential.copy()
         relax_sweep(lat)
         inflow = roll_neighbor_sum(lat.cond_h, lat.cond_v, V_old)
@@ -187,14 +214,14 @@ class TestRelaxSweep:
 
     def test_maximum_principle(self):
         for seed in (0, 1, 2):
-            lat = build_lattice(10, (0.0, 1.0), RngStream(seed), init="random")
+            lat = build_lattice(10, (0.0, 1.0), stream_words(seed), init="random")
             for _ in range(300):
                 relax_sweep(lat)
                 assert lat.potential.min() >= 0.0
                 assert lat.potential.max() <= 1.0
 
     def test_observable_decays_to_zero(self):
-        lat = build_lattice(10, (0.0, 1.0), RngStream(9))
+        lat = build_lattice(10, (0.0, 1.0), stream_words(9))
         xs = [relax_sweep(lat) for _ in range(3000)]
         assert xs[-1] < 1e-9
         assert xs[-1] < xs[10] < xs[0]
@@ -204,7 +231,7 @@ class TestRelaxSweep:
         # The caller may write potential in place between kernel calls,
         # boundary rows too; the next call must read what was written, whatever
         # the previous call left in the lattice's second buffer.
-        lat = build_lattice(9, (0.0, 1.0), RngStream(23), init="random")
+        lat = build_lattice(9, (0.0, 1.0), stream_words(23), init="random")
         V = lat.potential.copy()
         for step in range(4):
             xs = rrn._relax(lat, sweeps)
@@ -299,18 +326,18 @@ class TestLatticeRefusesWhatTheKernelWouldMisread:
 class TestKirchhoffOracle:
     def test_converged_potentials_match_dense_solve(self):
         for seed in (0, 1):
-            lat = build_lattice(10, (0.0, 1.0), RngStream(seed))
+            lat = build_lattice(10, (0.0, 1.0), stream_words(seed))
             relax_to_convergence(lat)
             exact = solve_kirchhoff_dense(lat)
             assert np.abs(lat.potential[1:-1, :] - exact).max() < 1e-8
 
     def test_fixed_point_has_no_net_node_current(self):
-        lat = build_lattice(12, (0.2, 1.0), RngStream(5))
+        lat = build_lattice(12, (0.2, 1.0), stream_words(5))
         relax_to_convergence(lat)
         assert np.abs(node_current_residuals(lat)).max() < 1e-9
 
     def test_oracle_at_l12(self):
-        lat = build_lattice(12, (0.5, 1.0), RngStream(8))
+        lat = build_lattice(12, (0.5, 1.0), stream_words(8))
         relax_to_convergence(lat)
         exact = solve_kirchhoff_dense(lat)
         assert np.abs(lat.potential[1:-1, :] - exact).max() < 1e-8
@@ -331,8 +358,8 @@ class TestRunRrnRelaxation:
             return built[-1]
 
         monkeypatch.setattr(rrn, "build_lattice", build_and_keep)
-        got = _realization_series(L, (0.0, 1.0), t_max, init, RngStream(17, L))
-        fresh = build_lattice(L, (0.0, 1.0), RngStream(17, L), init=init)
+        got = _realization_series(L, (0.0, 1.0), t_max, init, stream_words(17, L))
+        fresh = build_lattice(L, (0.0, 1.0), stream_words(17, L), init=init)
         V = fresh.potential.copy()
         want = np.array([roll_sweep(fresh.cond_h, fresh.cond_v, V) for _ in range(t_max)])
         assert got.tobytes() == want.tobytes()
